@@ -93,7 +93,12 @@ def _resolve_config(args, file_prime: int | None) -> Config:
     base: dict = {}
     env_path = os.environ.get("IWKIT_CONFIG")
     if env_path:
-        base = Config.from_dict(serialize.load_json(env_path)).to_dict()
+        env = serialize.load_json(env_path)
+        # validate the whole file, but keep only the keys it sets: a default
+        # it derives (degree_cap from its own prime and n_max) must not pin
+        # the effective parameters
+        base = {k: v for k, v in Config.from_dict(env).to_dict().items()
+                if env.get(k) is not None}
     prime = args.prime if args.prime is not None else base.get(
         "prime", file_prime if file_prime is not None else 3)
     if args.prime is not None and file_prime is not None and args.prime != file_prime:
@@ -204,15 +209,18 @@ def _csv_cell(v) -> str:
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_wprep(args, started: float) -> int:
     data = serialize.load_json(args.series_file)
-    config = _resolve_config(args, int(data.get("prime", 3)))
+    config = _resolve_config(args, serialize.declared_prime(data))
     f = serialize.series_from_dict(data, degree_cap=config.degree_cap,
                                    precision=config.precision)
     w = weierstrass_prepare(f, margin=config.margin)
@@ -234,7 +242,7 @@ def _cmd_wprep(args, started: float) -> int:
 
 def _cmd_tower(args, started: float) -> int:
     data = serialize.load_json(args.module_file)
-    config = _resolve_config(args, int(data.get("prime", 3)))
+    config = _resolve_config(args, serialize.declared_prime(data))
     module = serialize.module_from_dict(data, degree_cap=config.degree_cap,
                                         precision=config.precision)
     report = tower_report(module, config.n_max, margin=config.margin)
@@ -267,7 +275,8 @@ def _cmd_tower(args, started: float) -> int:
 
 def _cmd_growth(args, started: float) -> int:
     data = serialize.load_json(args.scenario_file)
-    config = _resolve_config(args, int(data.get("selmer", {}).get("prime", 3)))
+    config = _resolve_config(
+        args, serialize.declared_prime(data.get("selmer", {})))
     selmer, shape, n_max, expected = serialize.scenario_from_dict(
         data, degree_cap=config.degree_cap, precision=config.precision)
     report = synthetic_tower_verify(selmer, shape, n_max, margin=config.margin)
@@ -307,7 +316,7 @@ def _cmd_growth(args, started: float) -> int:
 
 def _cmd_logmatrix(args, started: float) -> int:
     data = serialize.load_json(args.frobenius_file)
-    config = _resolve_config(args, int(data.get("prime", 3)))
+    config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
     paths = [args.frobenius_file]
     h = h_n(frob, args.n)

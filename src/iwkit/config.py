@@ -69,4 +69,9 @@ class Config:
         known = {k: d[k] for k in
                  ("prime", "precision", "n_max", "degree_cap", "margin", "output_format")
                  if k in d}
+        for k, v in known.items():
+            if k == "output_format" or (k == "degree_cap" and v is None):
+                continue
+            if not isinstance(v, int):
+                raise InputError(f"config {k} must be an integer, got {v!r}")
         return cls(**known)

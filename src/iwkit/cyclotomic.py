@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .padic import PadicInt, mat_det, padic_matrix
-from .series import IwasawaSeries, deg_phi, phi_int_coeffs, _poly_divmod_monic
+from .series import (IwasawaSeries, _conv, _poly_divmod_monic, deg_phi,
+                     phi_int_coeffs)
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,9 @@ class CyclotomicElement:
     def __mul__(self, other):
         n, q = self._check(other)
         d = deg_phi(self.prime, self.level)
-        prod = [0] * (2 * d - 1 if d > 1 else 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
+        prod = _conv(self.coeffs, other.coeffs, 2 * d - 1, q)
         modulus = [c % q for c in phi_int_coeffs(self.prime, self.level)]
-        _, rem = _poly_divmod_monic([c % q for c in prod], modulus, q)
+        _, rem = _poly_divmod_monic(prod, modulus, q)
         rem = rem[:d] + [0] * (d - len(rem))
         return CyclotomicElement(self.prime, self.level, n, tuple(rem))
 

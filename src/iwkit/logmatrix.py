@@ -35,7 +35,6 @@ class FrobeniusData:
     prime: int
     precision: int
     c_p: tuple[tuple[PadicInt, ...], ...]
-    hodge_compatible: bool = True
 
     def __post_init__(self):
         d = 2 * self.g

@@ -47,10 +47,6 @@ class ElementaryModule:
     def precision(self) -> int:
         return min((g.precision for g in self.generators), default=0)
 
-    @classmethod
-    def build(cls, prime: int, generators: Sequence[IwasawaSeries]) -> "ElementaryModule":
-        return cls(prime, tuple(generators))
-
     def direct_sum(self, other: "ElementaryModule") -> "ElementaryModule":
         if other.prime != self.prime:
             raise InputError("mixed primes in direct sum")
@@ -63,14 +59,6 @@ class ElementaryModule:
             lam += w.lambda_
             mu += w.mu
         return lam, mu
-
-    def characteristic_series(self) -> IwasawaSeries | None:
-        if not self.generators:
-            return None
-        out = self.generators[0]
-        for g in self.generators[1:]:
-            out = out * g.padded(out.degree_cap)
-        return out
 
     def mw_shape(self) -> tuple[int, ...] | None:
         """The sorted levels c_i if every generator equals Phi_{c_i}; else None."""
@@ -332,10 +320,6 @@ class TowerReport:
     min_valid_n0: int | None = None
     non_finite_levels: tuple[int, ...] = ()
     inner_consistency: bool | None = None
-
-    @property
-    def closed_form_prediction(self) -> tuple[int | None, ...]:
-        return tuple(lv.predicted for lv in self.levels)
 
     def level(self, n: int) -> TowerLevel:
         for lv in self.levels:

@@ -58,11 +58,6 @@ class PadicInt:
     def is_zero(self) -> bool:
         return self.residue == 0
 
-    def with_precision(self, precision: int) -> "PadicInt":
-        if precision > self.precision:
-            raise InputError("cannot increase precision of a PadicInt")
-        return PadicInt(self.prime, self.residue, precision)
-
     def _coerce(self, other) -> "PadicInt | None":
         if isinstance(other, PadicInt):
             if other.prime != self.prime:
@@ -396,11 +391,6 @@ def padic_matrix(prime: int, precision: int,
     return [[PadicInt(prime, x, precision) for x in row] for row in rows]
 
 
-def identity_matrix(prime: int, precision: int, n: int) -> list[list[PadicInt]]:
-    return padic_matrix(prime, precision,
-                        [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
 def mat_mul(a: Sequence[Sequence[PadicInt]],
             b: Sequence[Sequence[PadicInt]]) -> list[list[PadicInt]]:
     pa, na, ra = _validate_matrix(a)
@@ -496,7 +486,3 @@ def mat_inv(matrix: Sequence[Sequence[PadicInt]]) -> list[list[PadicInt]]:
             a[i] = [(a[i][j] - f * a[c][j]) % q for j in range(n)]
             inv[i] = [(inv[i][j] - f * inv[c][j]) % q for j in range(n)]
     return padic_matrix(prime, precision, inv)
-
-
-def mat_residues(matrix: Sequence[Sequence[PadicInt]]) -> list[list[int]]:
-    return [[x.residue for x in row] for row in matrix]

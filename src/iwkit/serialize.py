@@ -15,16 +15,22 @@ from typing import Any
 from .errors import InputError
 from .growth import MWShape
 from .logmatrix import FrobeniusData, MinorTable
-from .modules import ElementaryModule, TowerReport
+from .modules import ElementaryModule
 from .series import IwasawaSeries, phi
 
 
-def series_to_dict(f: IwasawaSeries) -> dict:
-    return {
-        "prime": f.prime,
-        "precision": f.precision,
-        "coeffs": [str(c) for c in f.coeffs],
-    }
+def _int_field(value: Any, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def declared_prime(d: Any) -> int:
+    """The prime an input object declares; 3 when it declares none."""
+    if not isinstance(d, dict):
+        raise InputError(f"expected a JSON object, got {type(d).__name__}")
+    return _int_field(d.get("prime", 3), "prime")
 
 
 def series_from_dict(d: dict, *, degree_cap: int | None = None,
@@ -41,40 +47,30 @@ def series_from_dict(d: dict, *, degree_cap: int | None = None,
     return IwasawaSeries.make(prime, prec, coeffs, max(cap, len(coeffs) - 1))
 
 
-def module_to_dict(m: ElementaryModule) -> dict:
-    return {
-        "prime": m.prime,
-        "generators": [series_to_dict(g) for g in m.generators],
-    }
-
-
 def module_from_dict(d: dict, *, degree_cap: int | None = None,
                      precision: int = 24) -> ElementaryModule:
     try:
         prime = int(d["prime"])
-        raw = d["generators"]
-    except (KeyError, TypeError) as exc:
+        raw = list(d["generators"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module object: {exc}") from exc
     gens = []
     for g in raw:
+        if not isinstance(g, dict):
+            raise InputError(f"bad generator {g!r}: expected an object")
         if "phi" in g:
-            gens.append(phi(int(g["phi"]), prime=prime, precision=precision,
-                            degree_cap=degree_cap))
+            gens.append(phi(_int_field(g["phi"], "phi"), prime=prime,
+                            precision=precision, degree_cap=degree_cap))
         elif "p_power" in g:
-            gens.append(IwasawaSeries.constant(prime ** int(g["p_power"]), prime,
+            m = _int_field(g["p_power"], "p_power")
+            if m < 0:
+                raise InputError(f"p_power must be >= 0, got {m}")
+            gens.append(IwasawaSeries.constant(prime**m, prime,
                                                precision, degree_cap or 0))
         else:
             gens.append(series_from_dict(g, degree_cap=degree_cap,
                                          precision=precision))
     return ElementaryModule(prime, tuple(gens))
-
-
-def frobenius_to_dict(f: FrobeniusData) -> dict:
-    return {
-        "g": f.g,
-        "prime": f.prime,
-        "matrix": [[str(x.residue) for x in row] for row in f.c_p],
-    }
 
 
 def frobenius_from_dict(d: dict, *, precision: int = 24) -> FrobeniusData:
@@ -116,34 +112,15 @@ def scenario_from_dict(d: dict, *, degree_cap: int | None = None,
     return selmer, shape, n_max, expected
 
 
-def tower_report_to_dict(report: TowerReport) -> dict:
-    return {
-        "prime": report.prime,
-        "lambda": report.lambda_invariant,
-        "mu": report.mu_invariant,
-        "stabilization_level": report.stabilization_level,
-        "n0": report.n0,
-        "min_valid_n0": report.min_valid_n0,
-        "non_finite_levels": list(report.non_finite_levels),
-        "levels": [
-            {
-                "n": lv.n,
-                "zp_rank": lv.zp_rank,
-                "finite_length": lv.finite_length,
-                "nabla": lv.nabla,
-                "predicted": lv.predicted,
-                "match": lv.match,
-            }
-            for lv in report.levels
-        ],
-    }
-
-
-def load_json(path: str) -> Any:
+def load_json(path: str) -> dict:
+    """The JSON object stored in ``path``; every input file holds one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, not {type(data).__name__}")
+    return data

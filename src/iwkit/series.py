@@ -155,16 +155,8 @@ class IwasawaSeries:
             return IwasawaSeries(self.prime, self.precision,
                                  tuple(c * other for c in self.coeffs))
         n, cap, q = self._binop_params(other)
-        out = [0] * (cap + 1)
-        for i in range(cap + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(cap + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return IwasawaSeries(self.prime, n, tuple(c % q for c in out))
+        return IwasawaSeries(self.prime, n,
+                             tuple(_conv(self.coeffs, other.coeffs, cap + 1, q)))
 
     __rmul__ = __mul__
 
@@ -187,11 +179,6 @@ class IwasawaSeries:
             raise InputError(f"series is not divisible by p^{k}")
         return IwasawaSeries(self.prime, self.precision - k,
                              tuple(c // pk for c in self.coeffs))
-
-    def with_precision(self, precision: int) -> "IwasawaSeries":
-        if precision > self.precision:
-            raise InputError("cannot increase precision")
-        return IwasawaSeries(self.prime, precision, self.coeffs)
 
     def truncated(self, degree_cap: int) -> "IwasawaSeries":
         if degree_cap >= self.degree_cap:
@@ -330,32 +317,71 @@ def divide_distinguished(f: IwasawaSeries,
             IwasawaSeries(f.prime, n, tuple(rem)))
 
 
-def _conv(a: list[int], b: list[int], limit: int, q: int) -> list[int]:
-    out = [0] * limit
-    for i, x in enumerate(a):
-        if x == 0 or i >= limit:
-            continue
-        for j in range(min(len(b), limit - i)):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return [c % q for c in out]
+# Up to this many terms in the shorter operand (trailing zeros dropped) the
+# schoolbook loop is faster than packing: the measured crossover.
+_SCHOOLBOOK_MAX = 5
 
 
-def _series_inv(u: list[int], q: int, p: int, length: int) -> list[int]:
-    """Inverse of a unit power series mod (q, X^length)."""
+def _conv(a: Sequence[int], b: Sequence[int], limit: int, q: int) -> list[int]:
+    """The first ``limit`` coefficients of a*b, reduced mod q.
+
+    Coefficients must be >= 0 but need not be reduced mod q: an operand of
+    higher precision keeps its wider coefficients.  Trailing zeros are
+    dropped; then, unless the shorter operand is tiny, the product is one
+    big-integer multiply by Kronecker substitution (Harvey, arXiv:0712.4046):
+    each operand is packed into an int with one fixed-width byte slot per
+    coefficient and CPython multiplies the two ints.  A product coefficient
+    sums at most min(la, lb) terms, each below 2^(bits(a) + bits(b)), so a
+    slot of that many bits plus bits(min(la, lb)) never carries into the next.
+    """
+    la, lb = min(len(a), limit), min(len(b), limit)
+    while la and not a[la - 1]:
+        la -= 1
+    while lb and not b[lb - 1]:
+        lb -= 1
+    if not la or not lb:
+        return [0] * limit
+    n = min(la + lb - 1, limit)
+    short = min(la, lb)
+    if short <= _SCHOOLBOOK_MAX:
+        out = [0] * n
+        for i in range(min(la, n)):
+            x = a[i]
+            if x:
+                for j in range(min(lb, n - i)):
+                    out[i + j] += x * b[j]
+        out = [c % q for c in out]
+    else:
+        a, b = a[:la], b[:lb]
+        sb = (max(a).bit_length() + max(b).bit_length()
+              + short.bit_length() + 7) // 8
+        x = int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in a]), "little")
+        y = int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in b]), "little")
+        buf = (x * y).to_bytes((la + lb - 1) * sb, "little")
+        out = [int.from_bytes(buf[k:k + sb], "little") % q
+               for k in range(0, n * sb, sb)]
+    if n < limit:
+        out += [0] * (limit - n)
+    return out
+
+
+def _series_inv(u: Sequence[int], q: int, p: int, length: int) -> list[int]:
+    """Inverse of a unit power series mod (q, X^length), u's coefficients >= 0.
+
+    Newton iteration on ``_conv`` (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 9): if v = u^-1 mod X^k then u*v = 1 + X^k h and
+    v - X^k (v*h) = u^-1 mod X^2k, so precision in X doubles per step.
+    """
     u0 = u[0] % q
     if u0 % p == 0:
         raise InputError("series is not a unit (constant term divisible by p)")
-    v0 = pow(u0, -1, q)
-    out = [v0] + [0] * (length - 1)
-    for k in range(1, length):
-        s = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            if u[j]:
-                s += u[j] * out[k - j]
-        out[k] = (-v0 * s) % q
-    return out
+    v = [pow(u0, -1, q)]
+    while len(v) < length:
+        k = len(v)
+        k2 = min(2 * k, length)
+        h = _conv(u[:k2], v, k2, q)[k:]
+        v += [-c % q for c in _conv(v, h, k2 - k, q)]
+    return v
 
 
 @dataclass(frozen=True)

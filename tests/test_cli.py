@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = ROOT / "scenarios"
@@ -187,7 +189,50 @@ class TestConfigPlumbing:
         rows = [line for line in out.splitlines() if line[:1].isdigit()]
         assert len(rows) == 2  # n_max from env config
 
+    def test_env_config_without_degree_cap(self, tmp_path):
+        # the cap follows the effective prime and n_max, not the env file's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prime": 3, "precision": 24, "n_max": 2,
+                                   "margin": 4, "output_format": "csv"}))
+        env = {"IWKIT_CONFIG": str(cfg)}
+        out = run("--no-timestamp", "--n-max", "3", "tower",
+                  str(SCEN / "module_mu.json"), env=env)
+        assert out == (GOLDEN / "tower_mu.csv").read_text()
+        out = run("--no-timestamp", "wprep", str(SCEN / "series_wprep_p5.json"),
+                  env=env)
+        assert "lambda,2" in out
+
+    def test_env_config_wrong_type_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prime": "x"}))
+        run("--no-timestamp", "rksolve", "1", expect=2,
+            env={"IWKIT_CONFIG": str(cfg)})
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.csv"
         run("--no-timestamp", "--out", str(target), "rksolve", "1")
         assert target.read_text().startswith("# command=")
+
+
+
+MALFORMED = [
+    # (case, input file contents, arguments before the input file)
+    ("top-level list", [1, 2], ["wprep"]),
+    ("prime not an integer",
+     {"prime": "x", "precision": 24, "coeffs": ["3", "1"]}, ["wprep"]),
+    ("phi level not an integer",
+     {"prime": 3, "generators": [{"phi": "a"}]}, ["tower"]),
+    ("generator not an object", {"prime": 3, "generators": [5]}, ["tower"]),
+    ("--out into a missing directory",
+     {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
+     ["--out", "{tmp}/missing/report.csv", "wprep"]),
+]
+
+
+@pytest.mark.parametrize("case,content,before", MALFORMED,
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_exits_2(tmp_path, case, content, before):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in before]
+    run("--no-timestamp", *argv, str(f), expect=2)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwkit import (
@@ -15,7 +15,12 @@ from iwkit import (
     phi,
     weierstrass_prepare,
 )
-from iwkit.series import lambda_mu, reconstruction_residual_valuation
+from iwkit.series import (
+    _conv,
+    _series_inv,
+    lambda_mu,
+    reconstruction_residual_valuation,
+)
 
 from conftest import ip_mul, ip_phi, ip_reduce_mod
 
@@ -202,3 +207,106 @@ class TestSeriesBasics:
     def test_min_valuation(self):
         assert S([9, 27]).min_valuation() == 2
         assert IwasawaSeries.zero(3, 24, 4).min_valuation() == 24
+
+
+def _schoolbook(a, b, limit, q):
+    """Oracle for _conv: the first limit coefficients of a*b mod q."""
+    out = [0] * limit
+    for i, x in enumerate(a[:limit]):
+        for j, y in enumerate(b[:limit - i]):
+            out[i + j] += x * y
+    return [c % q for c in out]
+
+
+def _inverse_recurrence(u, q, length):
+    """Oracle for _series_inv: the O(length^2) coefficient recurrence."""
+    v0 = pow(u[0] % q, -1, q)
+    out = [v0] + [0] * (length - 1)
+    for k in range(1, length):
+        s = sum(u[j] * out[k - j] for j in range(1, min(k, len(u) - 1) + 1))
+        out[k] = (-v0 * s) % q
+    return out
+
+
+def _operand(rng, p, n, length):
+    """length coefficients below p^n, some zero, then 0-5 trailing zeros;
+    one in eight operands is all zero."""
+    if rng.random() < 0.125:
+        return [0] * length
+    out = [rng.randrange(p**n) if rng.random() < 0.8 else 0 for _ in range(length)]
+    return out + [0] * rng.randint(0, 5)
+
+
+# 3^40 < 2^64 < 3^41, 5^27 < 2^64 < 5^28, 7^22 < 2^64 < 7^23
+WIDE = [(3, 40, 41), (5, 27, 28), (7, 22, 23)]
+
+
+class TestProductKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), na=st.integers(1, 60),
+           nb=st.integers(1, 60), seed=st.integers(0, 10**9))
+    @example(p=3, na=40, nb=41, seed=1)
+    @example(p=5, na=28, nb=27, seed=2)
+    @example(p=7, na=23, nb=22, seed=3)
+    def test_conv_matches_schoolbook(self, p, na, nb, seed):
+        # operands keep their own precisions: the result modulus is the
+        # smaller one, so the wider operand's coefficients exceed it
+        rng = random.Random(seed)
+        a = _operand(rng, p, na, rng.randint(0, 300))
+        b = _operand(rng, p, nb, rng.randint(0, 300))
+        q = p ** min(na, nb)
+        full = len(a) + len(b) - 1
+        for limit in (0, 1, rng.randint(0, max(full, 0)), max(full, 0),
+                      full + rng.randint(1, 20)):
+            assert _conv(a, b, limit, q) == _schoolbook(a, b, limit, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 60),
+           extra=st.integers(1, 40), seed=st.integers(0, 10**9))
+    def test_mul_at_different_precisions(self, p, n, extra, seed):
+        rng = random.Random(seed)
+        cap_a, cap_b = rng.randint(0, 300), rng.randint(0, 300)
+        a = IwasawaSeries.make(p, n + extra,
+                               [rng.randrange(p ** (n + extra))
+                                for _ in range(cap_a + 1)], cap_a)
+        b = IwasawaSeries.make(p, n, [rng.randrange(p**n)
+                                      for _ in range(cap_b + 1)], cap_b)
+        want = _schoolbook(list(a.coeffs), list(b.coeffs),
+                           min(cap_a, cap_b) + 1, p**n)
+        for prod in (a * b, b * a):
+            assert prod.precision == n
+            assert list(prod.coeffs) == want
+
+    @pytest.mark.parametrize("p,low,high", WIDE)
+    def test_conv_around_two_to_the_64(self, p, low, high):
+        rng = random.Random(p)
+        for n in (low, high):
+            q = p**n
+            a = [q - 1 - rng.randrange(p) for _ in range(257)]
+            b = [q - 1 for _ in range(190)]
+            assert _conv(a, b, 500, q) == _schoolbook(a, b, 500, q)
+
+    def test_zero_operands(self):
+        assert _conv([], [1, 2], 3, 27) == [0, 0, 0]
+        assert _conv([0, 0, 0], [5] * 40, 4, 27) == [0, 0, 0, 0]
+        assert _conv([1, 2], [3], 0, 27) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 60),
+           seed=st.integers(0, 10**9))
+    def test_series_inv(self, p, n, seed):
+        rng = random.Random(seed)
+        q = p**n
+        u = [rng.randrange(q) for _ in range(rng.randint(1, 300))]
+        if u[0] % p == 0:
+            u[0] += 1
+        length = rng.randint(1, 300)
+        v = _series_inv(u, q, p, length)
+        assert v == _inverse_recurrence(u, q, length)
+        assert _schoolbook(u, v, length, q) == [1] + [0] * (length - 1)
+
+    def test_series_inv_rejects_non_unit(self):
+        from iwkit import InputError
+
+        with pytest.raises(InputError):
+            _series_inv([3, 1], 3**10, 3, 5)
