@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_config(args, file_prime: int | None) -> Config:
+def _resolve_config(args, file_prime: int | None,
+                    file_n_max: int | None = None) -> Config:
     base: dict = {}
     env_path = os.environ.get("IWKIT_CONFIG")
     if env_path:
@@ -110,7 +111,8 @@ def _resolve_config(args, file_prime: int | None) -> Config:
         "prime": prime,
         "precision": args.precision if args.precision is not None
         else base.get("precision", 24),
-        "n_max": args.n_max if args.n_max is not None else base.get("n_max", 4),
+        "n_max": file_n_max if file_n_max is not None
+        else args.n_max if args.n_max is not None else base.get("n_max", 4),
         "margin": args.margin if args.margin is not None else base.get("margin", 4),
         "output_format": args.format if args.format is not None
         else base.get("output_format", "csv"),
@@ -275,11 +277,15 @@ def _cmd_tower(args, started: float) -> int:
 
 def _cmd_growth(args, started: float) -> int:
     data = serialize.load_json(args.scenario_file)
+    # a scenario's own n_max is the one computed, so the manifest and the
+    # derived degree_cap follow it
     config = _resolve_config(
-        args, serialize.declared_prime(data.get("selmer", {})))
-    selmer, shape, n_max, expected = serialize.scenario_from_dict(
+        args, serialize.declared_prime(data.get("selmer", {})),
+        serialize.declared_n_max(data))
+    selmer, shape, _, expected = serialize.scenario_from_dict(
         data, degree_cap=config.degree_cap, precision=config.precision)
-    report = synthetic_tower_verify(selmer, shape, n_max, margin=config.margin)
+    report = synthetic_tower_verify(selmer, shape, config.n_max,
+                                    margin=config.margin)
     manifest = _manifest("growth", config, [args.scenario_file],
                          args.no_timestamp, started)
     rows = [

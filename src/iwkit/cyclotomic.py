@@ -10,9 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .padic import PadicInt, mat_det, padic_matrix
-from .series import (IwasawaSeries, _conv, _poly_divmod_monic, deg_phi,
-                     phi_int_coeffs)
+from .padic import PadicInt, _min_valuation, mat_det, padic_matrix
+from .series import (IwasawaSeries, _companion_rows, _conv, _poly_divmod_monic,
+                     deg_phi, phi_int_coeffs)
+
+
+def _mod_phi(coeffs, prime: int, level: int, q: int) -> tuple[int, ...]:
+    """coeffs reduced mod (Phi_level(1+X), q), deg Phi_level entries."""
+    d = deg_phi(prime, level)
+    modulus = [c % q for c in phi_int_coeffs(prime, level)]
+    _, rem = _poly_divmod_monic(list(coeffs), modulus, q)
+    return tuple(rem[:d]) + (0,) * (d - len(rem))
 
 
 @dataclass(frozen=True)
@@ -44,25 +52,11 @@ class CyclotomicElement:
     def q(self) -> int:
         return self.prime**self.precision
 
-    def coeff(self, i: int) -> PadicInt:
-        return PadicInt(self.prime, self.coeffs[i], self.precision)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def min_valuation(self) -> int:
-        best = self.precision
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            v, x = 0, c
-            while x % self.prime == 0 and v < best:
-                x //= self.prime
-                v += 1
-            best = min(best, v)
-            if best == 0:
-                break
-        return best
+        return _min_valuation(self.coeffs, self.prime, self.precision)
 
     def _check(self, other: "CyclotomicElement") -> tuple[int, int]:
         if not isinstance(other, CyclotomicElement):
@@ -87,28 +81,14 @@ class CyclotomicElement:
 
     def __mul__(self, other):
         n, q = self._check(other)
-        d = deg_phi(self.prime, self.level)
-        prod = _conv(self.coeffs, other.coeffs, 2 * d - 1, q)
-        modulus = [c % q for c in phi_int_coeffs(self.prime, self.level)]
-        _, rem = _poly_divmod_monic(prod, modulus, q)
-        rem = rem[:d] + [0] * (d - len(rem))
-        return CyclotomicElement(self.prime, self.level, n, tuple(rem))
+        prod = _conv(self.coeffs, other.coeffs, 2 * len(self.coeffs) - 1, q)
+        return CyclotomicElement(self.prime, self.level, n,
+                                 _mod_phi(prod, self.prime, self.level, q))
 
     def norm(self) -> PadicInt:
         """Norm down to Z_p: determinant of multiplication by this element."""
-        d = deg_phi(self.prime, self.level)
-        q = self.q
-        modulus = [c % q for c in phi_int_coeffs(self.prime, self.level)]
-        cols = [list(self.coeffs)]
-        for _ in range(1, d):
-            prev = cols[-1]
-            top = prev[d - 1]
-            new = [0] + prev[:d - 1]
-            if top:
-                for i in range(d):
-                    new[i] = (new[i] - top * modulus[i]) % q
-            cols.append(new)
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
+        rows = _companion_rows(self.coeffs,
+                               phi_int_coeffs(self.prime, self.level), self.q)
         return mat_det(padic_matrix(self.prime, self.precision, rows))
 
 
@@ -117,12 +97,9 @@ def cyclo_eval(f: IwasawaSeries, level: int) -> CyclotomicElement:
     if level < 0:
         raise InputError("level must be >= 0")
     d = deg_phi(f.prime, level)
-    q = f.q
     # the window ends strictly below the modulus degree with a live top
     # coefficient: reduction cannot see whatever the cap cut off
     warn = f.degree_cap + 1 < d and f.coeffs[f.degree_cap] != 0
-    modulus = [c % q for c in phi_int_coeffs(f.prime, level)]
-    _, rem = _poly_divmod_monic(list(f.coeffs), modulus, q)
-    rem = rem[:d] + [0] * (d - len(rem))
-    return CyclotomicElement(f.prime, level, f.precision, tuple(rem),
+    return CyclotomicElement(f.prime, level, f.precision,
+                             _mod_phi(f.coeffs, f.prime, level, f.q),
                              truncation_warning=warn)

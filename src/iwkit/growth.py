@@ -28,8 +28,8 @@ from .modules import (
     ElementaryModule,
     TowerLevel,
     TowerReport,
-    _invariants_raw,
-    _mult_matrix_rows,
+    _TowerEngine,
+    _mult_matrix_rows,  # noqa: F401  perfbench/spans.py rebinds it here by name
     _stabilization,
     rank_phi_omega,
 )
@@ -219,7 +219,9 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
 
     Each Phi_{c} summand maps into its matched generator by multiplication
     with the cofactor, so the level-n cokernel is presented per generator by
-    [mult(f_j) | mult(cofactors)] in the monomial basis of Z_p[X]/omega_n.
+    [mult(f_j) | mult(cofactors)] in the monomial basis of Z_p[X]/omega_n,
+    or, when f_j allows it, by [omega_n | cofactors] on Z_p[X]/(f_j), f_j
+    replaced by its distinguished polynomial where that makes it monic.
     Levels where the cokernel has positive free rank are reported as
     non-finite rather than silently skipped.
     """
@@ -228,7 +230,6 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     if not sel_module.generators:
         raise InputError("the ambient module must have at least one generator")
     prime = sel_module.prime
-    precision = sel_module.precision
     assigns = _assign_shape(sel_module, mw_shape)
     lam, mu = sel_module.lambda_mu()
     level_n0 = mw_shape.n0_candidate if n0 is None else n0
@@ -239,20 +240,8 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     for j, quot in assigns:
         per_gen_cofactors.setdefault(j, []).append(quot)
 
-    ranks: list[int] = []
-    lengths: list[int] = []
-    for n in range(0, n_max + 1):
-        free_total = length_total = 0
-        for j, f in enumerate(sel_module.generators):
-            rows = _mult_matrix_rows(f, n)
-            for quot in per_gen_cofactors.get(j, []):
-                extra = _mult_matrix_rows(quot, n)
-                rows = [r + e for r, e in zip(rows, extra)]
-            free, length = _invariants_raw(rows, prime, precision, margin)
-            free_total += free
-            length_total += length
-        ranks.append(free_total)
-        lengths.append(length_total)
+    eng = _TowerEngine(sel_module, margin, extra=per_gen_cofactors)
+    ranks, lengths = zip(*(eng.invariants(n) for n in range(n_max + 1)))
 
     non_finite = tuple(n for n in range(n_max + 1) if ranks[n] > 0)
     levels = [TowerLevel(0, ranks[0], lengths[0], None, None)]

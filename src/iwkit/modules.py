@@ -1,13 +1,20 @@
 """Elementary torsion Lambda-modules and their cyclotomic quotient towers.
 
 A module is a finite direct sum of cyclic quotients Lambda/(f_i).  Its level-n
-layer N/omega_n N is a finitely generated Z_p-module presented, block by
-block, by the matrix of multiplication by f_i on Z_p[X]/omega_n in the
-monomial basis.  The tower index at level n (Kobayashi rank)
+layer N/omega_n N is a finitely generated Z_p-module, presented block by
+block.  The brute-force block, kept as ``quotient_presentation`` and as the
+tests' oracle, is the p^n x p^n matrix of multiplication by f_i on
+Z_p[X]/omega_n.  The tower uses the smallest presentation with the same
+elementary divisors: for f_i of degree d < p^n with a unit leading
+coefficient, the d x d matrix of multiplication by omega_n on Z_p[X]/(f_i);
+for a constant c, p^n copies of [c].  A generator with mu = 0 whose leading
+coefficient is divisible by p is first replaced by its distinguished
+polynomial, which generates the same ideal and is monic.  The tower index
+(Kobayashi rank)
 
     nabla N_n = len(ker pi_n) - len(coker pi_n) + rank_{Z_p} N_{n-1}
 
-is computed by brute force from those presentations.  The natural transition
+follows from those presentations.  The natural transition
 pi_n : N/omega_n -> N/omega_{n-1} is surjective, so its cokernel vanishes
 (verified from an explicit matrix) and the kernel length is the drop in
 torsion length between consecutive layers; both facts reduce the whole
@@ -19,14 +26,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import padic
 from .errors import InputError, IwkitError
 from .padic import (
     PadicInt,
+    _invariants_from_exponents,
     _invariants_raw,
     _validate_matrix,
     padic_matrix,
 )
-from .series import IwasawaSeries, omega_int_coeffs, phi, weierstrass_prepare
+from .series import (
+    IwasawaSeries,
+    _companion_rows,
+    _conv,
+    _poly_divmod_monic,
+    _series_inv,
+    omega_int_coeffs,
+    phi,
+    weierstrass_prepare,
+)
 
 
 @dataclass(frozen=True)
@@ -85,60 +103,90 @@ class ElementaryModule:
         return tuple(sorted(levels))
 
 
-def _reduce_mod(coeffs: Sequence[int], modulus: list[int], q: int) -> list[int]:
-    """Remainder of a coefficient list modulo a monic integer polynomial, mod q."""
-    deg_m = len(modulus) - 1
-    rem = [c % q for c in coeffs]
-    for k in range(len(rem) - 1, deg_m - 1, -1):
-        t = rem[k]
-        if t == 0:
-            continue
-        rem[k] = 0
-        for i in range(deg_m):
-            rem[k - deg_m + i] = (rem[k - deg_m + i] - t * modulus[i]) % q
-    rem = rem[:deg_m]
-    return rem + [0] * (deg_m - len(rem))
-
-
 def _mult_matrix_rows(f: IwasawaSeries, n: int) -> list[list[int]]:
     """Matrix of multiplication by f on Z_p[X]/omega_n, monomial basis,
     residues mod p^precision; columns are f * X^j mod omega_n."""
-    size = f.prime**n
-    q = f.q
-    wn = [c % q for c in omega_int_coeffs(f.prime, n)]
-    col = _reduce_mod(f.coeffs, wn, q)
-    cols = [col]
-    for _ in range(1, size):
-        prev = cols[-1]
-        top = prev[size - 1]
-        new = [0] + prev[:size - 1]
-        if top:
-            for i in range(size):
-                new[i] = (new[i] - top * wn[i]) % q
-        cols.append(new)
-    return [[cols[j][i] for j in range(size)] for i in range(size)]
+    return _companion_rows(f.coeffs, omega_int_coeffs(f.prime, n), f.q)
 
 
 def _reduction_matrix_rows(prime: int, precision: int, n: int) -> list[list[int]]:
     """Matrix of the natural projection Z_p[X]/omega_n -> Z_p[X]/omega_{n-1}
     in monomial bases: column j is X^j mod omega_{n-1}."""
-    if n < 1:
-        raise InputError("reduction matrix needs n >= 1")
-    src, dst = prime**n, prime ** (n - 1)
-    q = prime**precision
-    wm = [c % q for c in omega_int_coeffs(prime, n - 1)]
-    cols = []
-    col = [1] + [0] * (dst - 1)
-    cols.append(col)
-    for _ in range(1, src):
-        prev = cols[-1]
-        top = prev[dst - 1]
-        new = [0] + prev[:dst - 1]
-        if top:
-            for i in range(dst):
-                new[i] = (new[i] - top * wm[i]) % q
-        cols.append(new)
-    return [[cols[j][i] for j in range(src)] for i in range(dst)]
+    return _companion_rows([1], omega_int_coeffs(prime, n - 1),
+                           prime**precision, prime**n)
+
+
+def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
+                        extra: Sequence[IwasawaSeries] = ()
+                        ) -> tuple[list[list[int]], int, int]:
+    """Smallest presentation of (Z/p^N)[X]/(f, omega_n, *extra), N =
+    precision, as (rows, copies, pad): the elementary exponents of the
+    brute-force [mult(f) | mult(g) ...] on Z_p[X]/omega_n are ``copies``
+    times those of ``rows`` plus ``pad`` zeros.
+
+    - f of trimmed degree 1 <= d < p^n with a unit leading coefficient:
+      (Z/p^N)[X]/(f) is free on 1, ..., X^{d-1}; rows are [W_n | G ...], the
+      d x d matrices of multiplication by omega_n and by each g on it, and
+      pad = p^n - d.
+    - f a constant c without extra relations: p^n copies of [c].
+    - otherwise (mu > 0 or another non-unit leading coefficient, d >= p^n, a
+      constant with extra relations): the brute-force matrix itself.
+    """
+    p = f.prime
+    q, size = p**precision, p**n
+    coeffs = [c % q for c in f.coeffs]
+    d = len(coeffs) - 1
+    while d > 0 and not coeffs[d]:
+        d -= 1
+    if 1 <= d < size and coeffs[d] % p:
+        inv = pow(coeffs[d], -1, q)
+        monic = [c * inv % q for c in coeffs[:d + 1]]
+        blocks = [_companion_rows(omega_int_coeffs(p, n), monic, q)]
+        blocks += [_companion_rows(g.coeffs, monic, q) for g in extra]
+        return [sum(parts, []) for parts in zip(*blocks)], 1, size - d
+    if d == 0 and not extra:
+        return [[coeffs[0]]], size, 0
+    rows = _mult_matrix_rows(f, n)
+    for g in extra:
+        rows = [r + e for r, e in zip(rows, _mult_matrix_rows(g, n))]
+    return rows, 1, 0
+
+
+def _presentable_generator(f: IwasawaSeries, precision: int) -> IwasawaSeries:
+    """f, or, when f has mu = 0 and a leading coefficient divisible by p, its
+    distinguished polynomial P mod p^N, N = precision: the same ideal, but
+    monic of degree lambda, so every level with lambda < p^n is presented
+    lambda x lambda whatever f's top digit.  The unit part of a polynomial
+    is a polynomial (f = P * U exactly), so P is exact: Hensel-lift
+    P = X^lambda mod p one digit at a time; if f = p^k r mod P, then
+    P + p^k (r * (f / X^lambda)^-1 mod (p, X^lambda)) divides f mod p^(k+1)."""
+    p, q = f.prime, f.prime**precision
+    coeffs = [c % q for c in f.coeffs]
+    d = max((i for i, c in enumerate(coeffs) if c), default=0)
+    lam = next((i for i, c in enumerate(coeffs) if c % p), None)
+    if lam is None or coeffs[d] % p:
+        return f
+    dist, pk = [0] * lam + [1], p
+    inv = _series_inv(coeffs[lam:d + 1], p, p, lam) if lam else []
+    while lam and pk < q:
+        _, rem = _poly_divmod_monic(coeffs[:d + 1], dist, q)
+        if not any(rem):
+            break
+        step = _conv([c // pk for c in rem], inv, lam, p)
+        dist = [(c + pk * x) % q for c, x in zip(dist, step + [0])]
+        pk *= p
+    return IwasawaSeries(p, precision, tuple(dist))
+
+
+def _presented_invariants(pres: tuple[list[list[int]], int, int], prime: int,
+                          precision: int, margin: int) -> tuple[int, int]:
+    """(free rank, finite length) of a presentation from _layer_presentation,
+    with the same margin check as the brute-force matrix."""
+    rows, copies, pad = pres
+    # looked up on the module so that a tracer rebinding it sees this call
+    exps, _ = padic._snf_core(rows, prime, precision, track=False)
+    return _invariants_from_exponents([0] * pad + exps * copies, precision,
+                                      margin)
 
 
 def quotient_presentation(module: ElementaryModule, n: int) -> list[list[PadicInt]]:
@@ -148,15 +196,10 @@ def quotient_presentation(module: ElementaryModule, n: int) -> list[list[PadicIn
         raise InputError("level must be >= 0")
     if not module.generators:
         return []
-    size = module.prime**n
-    total = size * len(module.generators)
-    rows = [[0] * total for _ in range(total)]
-    for b, g in enumerate(module.generators):
-        block = _mult_matrix_rows(g, n)
-        off = b * size
-        for i in range(size):
-            for j in range(size):
-                rows[off + i][off + j] = block[i][j]
+    size, count = module.prime**n, len(module.generators)
+    rows = [[0] * (b * size) + row + [0] * ((count - 1 - b) * size)
+            for b, g in enumerate(module.generators)
+            for row in _mult_matrix_rows(g, n)]
     return padic_matrix(module.prime, module.precision, rows)
 
 
@@ -190,11 +233,16 @@ def _validate_fuzz(fuzz, prime: int, precision: int, margin: int) -> list[list[i
 
 
 class _TowerEngine:
-    """Shared brute-force layer data for one module (plus optional finite
-    fuzz summand, which has identity transitions and perturbs nothing)."""
+    """Shared layer data for one module (plus optional finite fuzz summand,
+    which has identity transitions and perturbs nothing).  ``extra`` maps a
+    generator index to further relations of that summand."""
 
-    def __init__(self, module: ElementaryModule, margin: int, fuzz=None):
+    def __init__(self, module: ElementaryModule, margin: int, fuzz=None,
+                 extra: dict[int, list[IwasawaSeries]] | None = None):
         self.module = module
+        self.generators = [_presentable_generator(g, module.precision)
+                           for g in module.generators]
+        self.extra = extra or {}
         self.margin = margin
         self.prime = module.prime
         self.precision = module.precision if module.generators else 0
@@ -203,45 +251,46 @@ class _TowerEngine:
             if not module.generators:
                 raise InputError("fuzz requires a nonempty module")
             self.fuzz_rows = _validate_fuzz(fuzz, self.prime, self.precision, margin)
-        self._mult: dict[tuple[int, int], list[list[int]]] = {}
+        self._pres: dict[tuple[int, int], tuple[list[list[int]], int, int]] = {}
         self._inv: dict[int, tuple[int, int]] = {}
-        self._red: dict[int, list[list[int]]] = {}
 
-    def _mult_rows(self, gi: int, n: int) -> list[list[int]]:
+    def _layer(self, gi: int, n: int) -> tuple[list[list[int]], int, int]:
         key = (gi, n)
-        if key not in self._mult:
-            self._mult[key] = _mult_matrix_rows(self.module.generators[gi], n)
-        return self._mult[key]
+        if key not in self._pres:
+            self._pres[key] = _layer_presentation(
+                self.generators[gi], n, self.precision, self.extra.get(gi, ()))
+        return self._pres[key]
 
     def invariants(self, n: int) -> tuple[int, int]:
         """(total free rank, total finite length) of N/omega_n N."""
         if n not in self._inv:
-            free = length = 0
-            for gi in range(len(self.module.generators)):
-                f, l = _invariants_raw(self._mult_rows(gi, n), self.prime,
-                                       self.precision, self.margin)
-                free += f
-                length += l
+            pres = [self._layer(gi, n) for gi in range(len(self.module.generators))]
             if self.fuzz_rows is not None:
-                f, l = _invariants_raw(self.fuzz_rows, self.prime,
-                                       self.precision, self.margin)
-                free += f
-                length += l
-            self._inv[n] = (free, length)
+                pres.append((self.fuzz_rows, 1, 0))
+            parts = [_presented_invariants(x, self.prime, self.precision,
+                                           self.margin) for x in pres]
+            self._inv[n] = (sum(f for f, _ in parts), sum(l for _, l in parts))
         return self._inv[n]
 
     def transition_coker_length(self, n: int) -> int | None:
         """Length of coker(pi_n) from the explicit matrix of pi_n augmented by
-        the target relations; None when it is not finite."""
-        if n not in self._red:
-            self._red[n] = _reduction_matrix_rows(self.prime, self.precision, n)
-        red = self._red[n]
-        total = 0
+        the target relations; None when it is not finite.
+
+        Where level n-1 has a small presentation, pi_n maps level-n
+        generators onto its generators one to one (I_d on Z_p[X]/(f); for a
+        constant, X^j -> X^j for j < p^{n-1}, and column operations clear the
+        other X^j), so the matrix is [I | presentation]."""
+        total, red = 0, None
         for gi in range(len(self.module.generators)):
-            b_prev = self._mult_rows(gi, n - 1)
-            rows = [red_row + prev_row for red_row, prev_row in zip(red, b_prev)]
-            free, length = _invariants_raw(rows, self.prime, self.precision,
-                                           self.margin)
+            prev, copies, pad = self._layer(gi, n - 1)
+            if pad or copies > 1:
+                rows = [[int(i == j) for j in range(len(prev))] + row
+                        for i, row in enumerate(prev)]
+            else:
+                red = red or _reduction_matrix_rows(self.prime, self.precision, n)
+                rows = [r + b for r, b in zip(red, prev)]
+            free, length = _presented_invariants((rows, copies, 0), self.prime,
+                                                 self.precision, self.margin)
             if free != 0:
                 return None
             total += length

@@ -15,12 +15,26 @@ drives both the Smith normal form and the determinant routine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import is_odd_prime
 from .errors import InputError, PrecisionExhaustedError
+
+
+def _min_valuation(values: Iterable[int], p: int, cap: int) -> int:
+    """Least p-adic valuation of the nonzero values, capped at cap (cap if none)."""
+    for x in values:
+        if x:
+            v = 0
+            while v < cap and x % p == 0:
+                x //= p
+                v += 1
+            cap = v
+            if not cap:
+                break
+    return cap
 
 
 @dataclass(frozen=True)
@@ -44,13 +58,7 @@ class PadicInt:
 
     def valuation(self) -> int:
         """p-adic valuation, capped at the precision for residue 0."""
-        if self.residue == 0:
-            return self.precision
-        v, x = 0, self.residue
-        while x % self.prime == 0:
-            x //= self.prime
-            v += 1
-        return v
+        return _min_valuation((self.residue,), self.prime, self.precision)
 
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0
@@ -300,15 +308,9 @@ def _snf_core(rows: Sequence[Sequence[int]], p: int, precision: int,
     if track and d1 and d2:
         check = ops.matmul(ops.matmul(u, a0), v)
         valid = bool((check == a).all())
-        diag_ok = True
-        for i in range(d1):
-            for j in range(d2):
-                want = p**exps[i] % ops.q if (i == j and i < dmin) else 0
-                if i == j and i < dmin and int(a[i, j]) != want:
-                    diag_ok = False
-                if i != j and int(a[i, j]) != 0:
-                    diag_ok = False
-        valid = valid and diag_ok
+        valid = valid and all(
+            int(a[i, j]) == (p**exps[i] % ops.q if i == j else 0)
+            for i in range(d1) for j in range(d2))
     return exps, valid
 
 
@@ -428,10 +430,7 @@ def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
                 x = a[i][j]
                 if x == 0:
                     continue
-                v, y = 0, x
-                while y % prime == 0:
-                    y //= prime
-                    v += 1
+                v = _min_valuation((x,), prime, precision)
                 if piv_val is None or v < piv_val:
                     piv_val, piv_pos = v, (i, j)
         if piv_pos is None:

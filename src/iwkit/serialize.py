@@ -33,12 +33,25 @@ def declared_prime(d: Any) -> int:
     return _int_field(d.get("prime", 3), "prime")
 
 
+def declared_n_max(d: dict) -> int | None:
+    """The n_max a scenario declares; None when it declares none."""
+    n_max = d.get("n_max")
+    return None if n_max is None else _int_field(n_max, "n_max")
+
+
+def _int_list(value: Any, name: str) -> list[int]:
+    """A JSON list of integers (or decimal strings); a bare string is not one."""
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a list, got {value!r}")
+    return [_int_field(x, name) for x in value]
+
+
 def series_from_dict(d: dict, *, degree_cap: int | None = None,
                      precision: int | None = None) -> IwasawaSeries:
     try:
         prime = int(d["prime"])
         prec = int(d["precision"])
-        coeffs = [int(c) for c in d["coeffs"]]
+        coeffs = _int_list(d["coeffs"], "coeffs")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad series object: {exc}") from exc
     if precision is not None:
@@ -77,7 +90,7 @@ def frobenius_from_dict(d: dict, *, precision: int = 24) -> FrobeniusData:
     try:
         g = int(d["g"])
         prime = int(d["prime"])
-        rows = [[int(x) for x in row] for row in d["matrix"]]
+        rows = [_int_list(row, "matrix row") for row in d["matrix"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad frobenius object: {exc}") from exc
     return FrobeniusData.from_int_rows(g, prime, precision, rows)

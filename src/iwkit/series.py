@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhaustedError,
     ZeroSeriesError,
 )
-from .padic import PadicInt
+from .padic import PadicInt, _min_valuation
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,6 @@ class IwasawaSeries:
                  degree_cap: int | None = None) -> "IwasawaSeries":
         return cls.make(prime, precision, [0] * k + [1], degree_cap)
 
-    def coeff(self, i: int) -> PadicInt:
-        c = self.coeffs[i] if i <= self.degree_cap else 0
-        return PadicInt(self.prime, c, self.precision)
-
     def degree(self) -> int | None:
         """Largest index with a nonzero stored coefficient; None if all zero."""
         for i in range(self.degree_cap, -1, -1):
@@ -98,18 +94,7 @@ class IwasawaSeries:
 
     def min_valuation(self) -> int:
         """Smallest coefficient valuation; precision when the series is 0 mod p^N."""
-        best = self.precision
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            v, x = 0, c
-            while x % self.prime == 0 and v < best:
-                x //= self.prime
-                v += 1
-            best = min(best, v)
-            if best == 0:
-                break
-        return best
+        return _min_valuation(self.coeffs, self.prime, self.precision)
 
     def _binop_params(self, other: "IwasawaSeries") -> tuple[int, int, int]:
         if not isinstance(other, IwasawaSeries):
@@ -135,9 +120,6 @@ class IwasawaSeries:
                              tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, PadicInt)):
-            other = IwasawaSeries.constant(other, self.prime, self.precision,
-                                           self.degree_cap)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -244,30 +226,29 @@ def deg_phi(prime: int, n: int) -> int:
     return 1 if n == 0 else prime**n - prime ** (n - 1)
 
 
-def phi(n: int, *, prime: int, precision: int,
-        degree_cap: int | None = None) -> IwasawaSeries:
-    """The p^n-th cyclotomic polynomial in 1+X, as a series mod p^precision."""
-    coeffs = phi_int_coeffs(prime, n)
+def _named_poly(name: str, coeffs: list[int], prime: int, precision: int,
+                degree_cap: int | None) -> IwasawaSeries:
     deg = len(coeffs) - 1
     if degree_cap is not None and deg > degree_cap:
         raise DegreeOverflowError(
-            f"Phi_{n} has degree {deg}; degree cap must be at least {deg}",
+            f"{name} has degree {deg}; degree cap must be at least {deg}",
             required_cap=deg,
         )
     return IwasawaSeries.make(prime, precision, coeffs, degree_cap)
+
+
+def phi(n: int, *, prime: int, precision: int,
+        degree_cap: int | None = None) -> IwasawaSeries:
+    """The p^n-th cyclotomic polynomial in 1+X, as a series mod p^precision."""
+    return _named_poly(f"Phi_{n}", phi_int_coeffs(prime, n), prime, precision,
+                       degree_cap)
 
 
 def omega(n: int, *, prime: int, precision: int,
           degree_cap: int | None = None) -> IwasawaSeries:
     """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision."""
-    coeffs = omega_int_coeffs(prime, n)
-    deg = len(coeffs) - 1
-    if degree_cap is not None and deg > degree_cap:
-        raise DegreeOverflowError(
-            f"omega_{n} has degree {deg}; degree cap must be at least {deg}",
-            required_cap=deg,
-        )
-    return IwasawaSeries.make(prime, precision, coeffs, degree_cap)
+    return _named_poly(f"omega_{n}", omega_int_coeffs(prime, n), prime,
+                       precision, degree_cap)
 
 
 def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[int], list[int]]:
@@ -290,6 +271,25 @@ def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[in
         for i in range(deg_p):
             rem[k - deg_p + i] = (rem[k - deg_p + i] - t * p_poly[i]) % q
     return quot, rem[:deg_p] if deg_p > 0 else [0]
+
+
+def _companion_rows(h: Sequence[int], modulus: Sequence[int], q: int,
+                    cols: int | None = None) -> list[list[int]]:
+    """Rows of the matrix of multiplication by h on (Z/q)[X]/(modulus) in the
+    monomial basis, for a monic modulus of degree m: column j is
+    h * X^j mod modulus, for j < cols (default m)."""
+    m = len(modulus) - 1
+    modulus = [c % q for c in modulus]
+    _, col = _poly_divmod_monic(list(h), modulus, q)
+    out = [col + [0] * (m - len(col))]
+    for _ in range(1, m if cols is None else cols):
+        prev = out[-1]
+        top = prev[m - 1]
+        new = [0] + prev[:m - 1]
+        if top:
+            new = [(c - top * w) % q for c, w in zip(new, modulus)]
+        out.append(new)
+    return [list(r) for r in zip(*out)]
 
 
 def divide_distinguished(f: IwasawaSeries,

@@ -126,6 +126,22 @@ class TestGrowth:
                      "growth_trivial.json"):
             run("--no-timestamp", "growth", str(SCEN / name))
 
+    def test_manifest_records_the_scenario_n_max(self, tmp_path):
+        # the scenario's n_max = 4 is computed, so --n-max 2 changes nothing
+        out = run("--no-timestamp", "--n-max", "2", "growth",
+                  str(SCEN / "growth_rank_one.json"))
+        assert out == (GOLDEN / "growth_rank_one.csv").read_text()
+        # without one, --n-max sets the levels, the manifest and the cap
+        scn = json.loads((SCEN / "growth_rank_one.json").read_text())
+        del scn["n_max"], scn["expected"]
+        f = tmp_path / "no_n_max.json"
+        f.write_text(json.dumps(scn))
+        body = json.loads(run("--no-timestamp", "--format", "json",
+                              "--n-max", "2", "growth", str(f)))
+        assert body["manifest"]["config"]["n_max"] == 2
+        assert body["manifest"]["config"]["degree_cap"] == 3**2 + 8
+        assert [row["n"] for row in body["rows"]] == [0, 1, 2]
+
     def test_expected_mismatch_exits_5(self, tmp_path):
         scn = json.loads((SCEN / "growth_pure_mu.json").read_text())
         scn["expected"] = [2, 6, 18, 53]
@@ -223,6 +239,10 @@ MALFORMED = [
     ("phi level not an integer",
      {"prime": 3, "generators": [{"phi": "a"}]}, ["tower"]),
     ("generator not an object", {"prime": 3, "generators": [5]}, ["tower"]),
+    ("coeffs a string, not a list",
+     {"prime": 3, "precision": 24, "coeffs": "31"}, ["wprep"]),
+    ("matrix row a string, not a list",
+     {"g": 1, "prime": 3, "matrix": ["01", ["1", "0"]]}, ["logmatrix"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

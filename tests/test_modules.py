@@ -10,6 +10,7 @@ from iwkit import (
     ElementaryModule,
     InputError,
     IwasawaSeries,
+    PrecisionExhaustedError,
     module_invariants,
     nabla_additivity_check,
     nabla_brute,
@@ -18,8 +19,16 @@ from iwkit import (
     quotient_presentation,
     rank_phi_omega,
     tower_report,
+    weierstrass_prepare,
 )
-from iwkit.padic import padic_matrix
+from iwkit.modules import (
+    _layer_presentation,
+    _mult_matrix_rows,
+    _presentable_generator,
+    _presented_invariants,
+)
+from iwkit.padic import _invariants_raw, _snf_core, padic_matrix
+from iwkit.series import _poly_divmod_monic
 
 
 P, N, CAP = 3, 24, 89
@@ -243,3 +252,110 @@ class TestOracleEquivalence:
         for n in range(1, n_top + 1):
             if p ** (n - 1) >= lam + max_c:
                 assert nabla_brute(m, n) == nabla_closed(lam, mu, n, prime=p)
+
+
+@st.composite
+def layer_cases(draw):
+    """(f, extra, n, N, margin): a polynomial f whose trimmed degree lies
+    below or above p^n, with a unit or a non-unit leading coefficient, one
+    with mu = 0, a non-unit leading coefficient and lambda below or above
+    p^n, or a constant u * p^k (k may reach N, i.e. f = 0 mod p^N); extra
+    relations as in the growth cofactor path."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(1, 12))
+    margin = draw(st.integers(0, N + 1))
+    n = draw(st.integers(0, {3: 3, 5: 2, 7: 2}[p]))
+    q = p**N
+    kind = draw(st.sampled_from(["unit", "unit", "non-unit", "lambda",
+                                 "constant"]))
+    if kind == "constant":
+        coeffs = [draw(st.integers(1, p - 1)) * p ** draw(st.integers(0, N + 2))]
+    elif kind == "lambda":
+        lam = draw(st.integers(0, p**n + 1))
+        coeffs = [p * c for c in draw(st.lists(st.integers(0, q - 1),
+                                               min_size=lam, max_size=lam))]
+        coeffs.append(p * draw(st.integers(0, q - 1)) + draw(st.integers(1, p - 1)))
+        coeffs += draw(st.lists(st.integers(0, q - 1), max_size=4))
+        coeffs.append(p * draw(st.integers(1, q)))
+    else:
+        below = st.integers(1, max(p**n - 1, 1))
+        d = draw(st.one_of(below, below, st.integers(p**n, p**n + 3)))
+        scale = p ** draw(st.integers(0, N))
+        coeffs = [c * scale for c in
+                  draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))]
+        top = draw(st.integers(0, q - 1))
+        coeffs.append(top - top % p + draw(st.integers(1, p - 1))
+                      if kind == "unit" else p * top)
+    # f may carry more digits than the layer's precision, as a generator of
+    # a module whose other generators are less precise
+    prec = N + draw(st.sampled_from([0, 2]))
+    cap = len(coeffs) - 1 + draw(st.integers(0, 3))
+    f = IwasawaSeries.make(p, prec, coeffs, cap)
+    extra = [IwasawaSeries.make(p, prec, draw(st.lists(
+                 st.integers(0, q - 1), min_size=1, max_size=p**n + 2)))
+             for _ in range(draw(st.integers(0, 2)))]
+    return f, extra, n, N, margin
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PrecisionExhaustedError as exc:
+        return ("PrecisionExhaustedError", str(exc))
+
+
+class TestLayerPresentation:
+    """The small presentation, from the generator the tower engine uses,
+    against the brute-force p^n x p^n oracle of f itself."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=layer_cases())
+    def test_matches_brute_force(self, case):
+        f, extra, n, N, margin = case
+        p = f.prime
+        brute = _mult_matrix_rows(f, n)
+        for g in extra:
+            brute = [r + e for r, e in zip(brute, _mult_matrix_rows(g, n))]
+        pres = _layer_presentation(_presentable_generator(f, N), n, N, extra)
+        rows, copies, pad = pres
+        small, _ = _snf_core(rows, p, N, track=False)
+        want, _ = _snf_core(brute, p, N, track=False)
+        assert [0] * pad + small * copies == want
+        assert _outcome(lambda: _presented_invariants(pres, p, N, margin)) == \
+            _outcome(lambda: _invariants_raw(brute, p, N, margin))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(2, 40),
+           seed=st.integers(0, 10**9))
+    def test_distinguished_polynomial(self, p, n, seed):
+        # P monic of degree lambda, P = X^lambda mod p and P | f mod p^n
+        # determine P; weierstrass_prepare agrees where its X^D cut leaves
+        # every digit determined
+        rng = random.Random(seed)
+        q = p**n
+        lam = rng.randint(0, 12)
+        f = [p * rng.randrange(q) % q for _ in range(lam)]
+        f.append(rng.randrange(1, p) + p * rng.randrange(q) % q)
+        f += [rng.randrange(q) for _ in range(rng.randint(0, 12))]
+        f.append(p * rng.randrange(1, q // p))
+        P = list(_presentable_generator(series(f, p, n, len(f)), n).coeffs)
+        assert len(P) == lam + 1 and P[lam] == 1
+        assert all(c % p == 0 for c in P[:lam])
+        assert not any(_poly_divmod_monic(f, P, q)[1])
+        if n >= 8:
+            w = weierstrass_prepare(series(f, p, n, 40 * (lam + 1)))
+            assert (w.mu, w.lambda_) == (0, lam)
+            assert list(w.distinguished.coeffs[:lam + 1]) == P
+
+    @pytest.mark.parametrize("coeffs,shape", [
+        ([3, 1], (1, 1, 8)),        # degree 1 < 9, monic: 1 x 1, 8 zeros
+        ([3, 0, 9], (9, 1, 0)),     # mu > 0: 9 x 9
+        ([9], (1, 9, 0)),           # constant: 9 copies of [9]
+        ([1] * 12, (9, 1, 0)),      # degree 11 >= 9: 9 x 9
+        ([3, 1, 3], (1, 1, 8)),     # mu = 0, lambda 1: 1 x 1 from P = X + u
+        ([3] * 9 + [1, 3], (9, 1, 0)),  # mu = 0, lambda 9 >= 9: 9 x 9
+    ])
+    def test_case_selection(self, coeffs, shape):
+        f = _presentable_generator(series(coeffs), N)
+        rows, copies, pad = _layer_presentation(f, 2, N)
+        assert (len(rows), copies, pad) == shape
