@@ -218,12 +218,16 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     and compare its increments against the stabilized formula.
 
     Each Phi_{c} summand maps into its matched generator by multiplication
-    with the cofactor, so the level-n cokernel is presented per generator by
-    [mult(f_j) | mult(cofactors)] in the monomial basis of Z_p[X]/omega_n,
-    or, when f_j allows it, by [omega_n | cofactors] on Z_p[X]/(f_j), f_j
-    replaced by its distinguished polynomial where that makes it monic.
-    Levels where the cokernel has positive free rank are reported as
-    non-finite rather than silently skipped.
+    with the cofactor q_i = f_j / Phi_{c_i}, so the level-n cokernel is
+    Lambda/(f_j, q_1, ..., q_k, omega_n) per generator.  Each q_i divides f_j
+    exactly mod p^N (the division left remainder 0), so that ideal is
+    (q_1, ..., q_k, omega_n): the tower engine takes q_1 as the generator and
+    q_2, ..., q_k as extra relations.  With one cofactor it is a cyclic
+    quotient Lambda/(q_1, omega_n), presented lambda x lambda (or, for
+    q_1 = p^mu * g, through g at precision N - mu) wherever lambda < p^n;
+    the brute-force [mult(q_1) | mult(q_2) ...] on Z_p[X]/omega_n is left
+    for the rest.  Levels where the cokernel has positive free rank are
+    reported as non-finite rather than silently skipped.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -239,8 +243,11 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     per_gen_cofactors: dict[int, list[IwasawaSeries]] = {}
     for j, quot in assigns:
         per_gen_cofactors.setdefault(j, []).append(quot)
+    gens = [per_gen_cofactors.get(j, [f])[0]
+            for j, f in enumerate(sel_module.generators)]
+    extra = {j: qs[1:] for j, qs in per_gen_cofactors.items() if len(qs) > 1}
 
-    eng = _TowerEngine(sel_module, margin, extra=per_gen_cofactors)
+    eng = _TowerEngine(ElementaryModule(prime, tuple(gens)), margin, extra=extra)
     ranks, lengths = zip(*(eng.invariants(n) for n in range(n_max + 1)))
 
     non_finite = tuple(n for n in range(n_max + 1) if ranks[n] > 0)

@@ -9,7 +9,10 @@ elementary divisors: for f_i of degree d < p^n with a unit leading
 coefficient, the d x d matrix of multiplication by omega_n on Z_p[X]/(f_i);
 for a constant c, p^n copies of [c].  A generator with mu = 0 whose leading
 coefficient is divisible by p is first replaced by its distinguished
-polynomial, which generates the same ideal and is monic.  The tower index
+polynomial, which generates the same ideal and is monic.  A generator
+f = p^mu * g with mu > 0 is presented through g at precision N - mu, every
+elementary exponent raised by mu: over Z/p^N the Smith form of p^mu * M is
+mu plus that of M mod p^(N - mu).  The tower index
 (Kobayashi rank)
 
     nabla N_n = len(ker pi_n) - len(coker pi_n) + rank_{Z_p} N_{n-1}
@@ -41,9 +44,10 @@ from .series import (
     _conv,
     _poly_divmod_monic,
     _series_inv,
+    lambda_mu as series_lambda_mu,
     omega_int_coeffs,
     phi,
-    weierstrass_prepare,
+    weierstrass_prepare,  # noqa: F401  perfbench/spans.py rebinds it here by name
 )
 
 
@@ -71,12 +75,8 @@ class ElementaryModule:
         return ElementaryModule(self.prime, self.generators + other.generators)
 
     def lambda_mu(self) -> tuple[int, int]:
-        lam = mu = 0
-        for g in self.generators:
-            w = weierstrass_prepare(g)
-            lam += w.lambda_
-            mu += w.mu
-        return lam, mu
+        pairs = [series_lambda_mu(g) for g in self.generators]
+        return sum(lam for lam, _ in pairs), sum(mu for _, mu in pairs)
 
     def mw_shape(self) -> tuple[int, ...] | None:
         """The sorted levels c_i if every generator equals Phi_{c_i}; else None."""
@@ -178,15 +178,37 @@ def _presentable_generator(f: IwasawaSeries, precision: int) -> IwasawaSeries:
     return IwasawaSeries(p, precision, tuple(dist))
 
 
-def _presented_invariants(pres: tuple[list[list[int]], int, int], prime: int,
-                          precision: int, margin: int) -> tuple[int, int]:
-    """(free rank, finite length) of a presentation from _layer_presentation,
-    with the same margin check as the brute-force matrix."""
+def _split_p_power(f: IwasawaSeries, precision: int) -> tuple[IwasawaSeries, int]:
+    """(g, mu) with f = p^mu * g mod p^N, N = precision: mu is the least
+    coefficient valuation of f mod p^N and g = f / p^mu is known mod
+    p^(N - mu).  (f, 0) when mu = 0 or f vanishes mod p^N."""
+    mu = f.min_valuation()
+    if not 0 < mu < precision:
+        return f, 0
+    pmu = f.prime**mu
+    return IwasawaSeries(f.prime, precision - mu,
+                         tuple(c // pmu for c in f.coeffs)), mu
+
+
+def _presented_exponents(pres: tuple[list[list[int]], int, int], prime: int,
+                         precision: int, shift: int = 0) -> list[int]:
+    """The elementary exponents over Z/p^N, N = precision, that a
+    presentation from _layer_presentation stands for.  With shift = mu it is
+    the presentation of g at precision N - mu and stands for p^mu * g: every
+    exponent, pad zeros and copies included, gains mu."""
     rows, copies, pad = pres
     # looked up on the module so that a tracer rebinding it sees this call
-    exps, _ = padic._snf_core(rows, prime, precision, track=False)
-    return _invariants_from_exponents([0] * pad + exps * copies, precision,
-                                      margin)
+    exps, _ = padic._snf_core(rows, prime, precision - shift, track=False)
+    return [shift + e for e in [0] * pad + exps * copies]
+
+
+def _presented_invariants(pres: tuple[list[list[int]], int, int], prime: int,
+                          precision: int, margin: int,
+                          shift: int = 0) -> tuple[int, int]:
+    """(free rank, finite length) of a presentation from _layer_presentation,
+    with the same margin check as the brute-force matrix."""
+    return _invariants_from_exponents(
+        _presented_exponents(pres, prime, precision, shift), precision, margin)
 
 
 def quotient_presentation(module: ElementaryModule, n: int) -> list[list[PadicInt]]:
@@ -235,17 +257,26 @@ def _validate_fuzz(fuzz, prime: int, precision: int, margin: int) -> list[list[i
 class _TowerEngine:
     """Shared layer data for one module (plus optional finite fuzz summand,
     which has identity transitions and perturbs nothing).  ``extra`` maps a
-    generator index to further relations of that summand."""
+    generator index to further relations of that summand.
+
+    Each generator f is kept as (g, mu): f = p^mu * g with g presented at
+    precision N - mu (``_split_p_power``).  A generator with extra relations
+    keeps mu = 0, since the relations do not carry the factor p^mu."""
 
     def __init__(self, module: ElementaryModule, margin: int, fuzz=None,
                  extra: dict[int, list[IwasawaSeries]] | None = None):
         self.module = module
-        self.generators = [_presentable_generator(g, module.precision)
-                           for g in module.generators]
         self.extra = extra or {}
         self.margin = margin
         self.prime = module.prime
         self.precision = module.precision if module.generators else 0
+        self.generators, self.shifts = [], []
+        for gi, f in enumerate(module.generators):
+            g, mu = (f, 0) if gi in self.extra else _split_p_power(
+                f, self.precision)
+            self.generators.append(
+                _presentable_generator(g, self.precision - mu))
+            self.shifts.append(mu)
         self.fuzz_rows = None
         if fuzz is not None:
             if not module.generators:
@@ -258,17 +289,18 @@ class _TowerEngine:
         key = (gi, n)
         if key not in self._pres:
             self._pres[key] = _layer_presentation(
-                self.generators[gi], n, self.precision, self.extra.get(gi, ()))
+                self.generators[gi], n, self.precision - self.shifts[gi],
+                self.extra.get(gi, ()))
         return self._pres[key]
 
     def invariants(self, n: int) -> tuple[int, int]:
         """(total free rank, total finite length) of N/omega_n N."""
         if n not in self._inv:
-            pres = [self._layer(gi, n) for gi in range(len(self.module.generators))]
+            pres = [(self._layer(gi, n), mu) for gi, mu in enumerate(self.shifts)]
             if self.fuzz_rows is not None:
-                pres.append((self.fuzz_rows, 1, 0))
+                pres.append(((self.fuzz_rows, 1, 0), 0))
             parts = [_presented_invariants(x, self.prime, self.precision,
-                                           self.margin) for x in pres]
+                                           self.margin, mu) for x, mu in pres]
             self._inv[n] = (sum(f for f, _ in parts), sum(l for _, l in parts))
         return self._inv[n]
 
@@ -279,10 +311,14 @@ class _TowerEngine:
         Where level n-1 has a small presentation, pi_n maps level-n
         generators onto its generators one to one (I_d on Z_p[X]/(f); for a
         constant, X^j -> X^j for j < p^{n-1}, and column operations clear the
-        other X^j), so the matrix is [I | presentation]."""
+        other X^j), so the matrix is [I | presentation].  For f = p^mu * g
+        only the presentation block is multiplied by p^mu."""
         total, red = 0, None
-        for gi in range(len(self.module.generators)):
+        for gi, mu in enumerate(self.shifts):
             prev, copies, pad = self._layer(gi, n - 1)
+            if mu:
+                pmu = self.prime**mu
+                prev = [[x * pmu for x in row] for row in prev]
             if pad or copies > 1:
                 rows = [[int(i == j) for j in range(len(prev))] + row
                         for i, row in enumerate(prev)]

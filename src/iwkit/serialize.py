@@ -20,6 +20,11 @@ from .series import IwasawaSeries, phi
 
 
 def _int_field(value: Any, name: str) -> int:
+    """A JSON integer or decimal string; a boolean or a non-integral number
+    is not one, and is never truncated to one."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise InputError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
@@ -49,8 +54,8 @@ def _int_list(value: Any, name: str) -> list[int]:
 def series_from_dict(d: dict, *, degree_cap: int | None = None,
                      precision: int | None = None) -> IwasawaSeries:
     try:
-        prime = int(d["prime"])
-        prec = int(d["precision"])
+        prime = _int_field(d["prime"], "prime")
+        prec = _int_field(d["precision"], "precision")
         coeffs = _int_list(d["coeffs"], "coeffs")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad series object: {exc}") from exc
@@ -63,7 +68,7 @@ def series_from_dict(d: dict, *, degree_cap: int | None = None,
 def module_from_dict(d: dict, *, degree_cap: int | None = None,
                      precision: int = 24) -> ElementaryModule:
     try:
-        prime = int(d["prime"])
+        prime = _int_field(d["prime"], "prime")
         raw = list(d["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module object: {exc}") from exc
@@ -88,8 +93,8 @@ def module_from_dict(d: dict, *, degree_cap: int | None = None,
 
 def frobenius_from_dict(d: dict, *, precision: int = 24) -> FrobeniusData:
     try:
-        g = int(d["g"])
-        prime = int(d["prime"])
+        g = _int_field(d["g"], "g")
+        prime = _int_field(d["prime"], "prime")
         rows = [_int_list(row, "matrix row") for row in d["matrix"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad frobenius object: {exc}") from exc
@@ -115,13 +120,13 @@ def scenario_from_dict(d: dict, *, degree_cap: int | None = None,
     try:
         selmer = module_from_dict(d["selmer"], degree_cap=degree_cap,
                                   precision=precision)
-        shape = MWShape(tuple(int(c) for c in d.get("mw_shape", [])))
-        n_max = int(d.get("n_max", 4))
+        shape = MWShape(tuple(_int_list(d.get("mw_shape", []), "mw_shape")))
+        n_max = _int_field(d.get("n_max", 4), "n_max")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad scenario object: {exc}") from exc
     expected = d.get("expected")
     if expected is not None:
-        expected = [int(x) for x in expected]
+        expected = _int_list(expected, "expected")
     return selmer, shape, n_max, expected
 
 

@@ -403,15 +403,11 @@ class WeierstrassFactorization:
         return prod.mul_p_power(self.mu)
 
 
-def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
-    """Weierstrass preparation of a nonzero truncated series.
-
-    mu is the minimal coefficient valuation; after dividing by p^mu, lambda is
-    the least index carrying a unit.  The distinguished polynomial is found by
-    the classical fixed-point division of X^lambda by f/p^mu, which converges
-    coefficientwise in at most N iterations; the unit is the inverse of the
-    resulting quotient.
-    """
+def lambda_mu(f: IwasawaSeries, *, margin: int = 4) -> tuple[int, int]:
+    """(lambda, mu) of a nonzero truncated series by one valuation scan: mu
+    is the least coefficient valuation, lambda the first index attaining it.
+    The same refusal as a full preparation: fewer than margin + 1 digits left
+    after dividing by p^mu raise PrecisionExhaustedError."""
     if f.is_zero():
         raise ZeroSeriesError("series is indistinguishable from zero at this precision")
     mu = f.min_valuation()
@@ -419,20 +415,25 @@ def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFact
         raise PrecisionExhaustedError(
             f"mu = {mu} leaves fewer than margin+1 = {margin + 1} digits of precision"
         )
+    step = f.prime ** (mu + 1)
+    return next(i for i, c in enumerate(f.coeffs) if c % step), mu
+
+
+def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
+    """Weierstrass preparation of a nonzero truncated series.
+
+    mu and lambda come from the valuation scan of ``lambda_mu``: mu is the
+    minimal coefficient valuation; after dividing by p^mu, lambda is the
+    least index carrying a unit.  The distinguished polynomial is found by
+    the classical fixed-point division of X^lambda by f/p^mu, which converges
+    coefficientwise in at most N iterations; the unit is the inverse of the
+    resulting quotient.
+    """
+    lam, mu = lambda_mu(f, margin=margin)
     n2 = f.precision - mu
     q2 = f.prime**n2
     pmu = f.prime**mu
     fb = [(c // pmu) % q2 for c in f.coeffs]
-    lam = None
-    for i, c in enumerate(fb):
-        if c % f.prime != 0:
-            lam = i
-            break
-    if lam is None:
-        raise DegreeOverflowError(
-            f"no unit coefficient below degree cap {f.degree_cap}",
-            required_cap=f.degree_cap + 1,
-        )
     cap = f.degree_cap
     tail_len = cap - lam + 1
     b_inv = _series_inv(fb[lam:], q2, f.prime, tail_len)
@@ -475,8 +476,3 @@ def reconstruction_residual_valuation(f: IwasawaSeries,
     if up_to_degree is not None:
         diff = diff.truncated(up_to_degree)
     return diff.min_valuation()
-
-
-def lambda_mu(f: IwasawaSeries) -> tuple[int, int]:
-    w = weierstrass_prepare(f)
-    return w.lambda_, w.mu

@@ -119,6 +119,31 @@ class TestTower:
         f.write_text(json.dumps({"prime": 3, "generators": [{"phi": 1}]}))
         run("--no-timestamp", "--n-max", "1", "tower", str(f), expect=4)
 
+    def test_mu_leaving_no_digits_exits_3(self, tmp_path):
+        # mu = 20 of 24 digits: the lambda/mu scan refuses like wprep does
+        f = tmp_path / "deep.json"
+        f.write_text(json.dumps({"prime": 3, "generators": [
+            {"p_power": 20}, {"phi": 1}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwkit", "--no-timestamp", "tower", str(f)],
+            capture_output=True, text=True, cwd=ROOT,
+            env={k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"})
+        assert proc.returncode == 3
+        assert "mu = 20 leaves fewer than margin+1 = 5 digits" in proc.stderr
+
+    def test_p7_mu_generator(self, tmp_path):
+        # 7 * (7 + X + 2 X^3) beside Phi_1 at n_max = 4: presented as
+        # 7 * (3 x 3) instead of a 2401 x 2401 object matrix
+        f = tmp_path / "mu7.json"
+        f.write_text(json.dumps({"prime": 7, "generators": [
+            {"prime": 7, "precision": 24, "coeffs": ["49", "7", "0", "14"]},
+            {"phi": 1}]}))
+        out = run("--no-timestamp", "--n-max", "4", "tower", str(f))
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert [r.split(",")[3:] for r in rows] == [
+            ["", "13", ""], ["49", "49", "true"], ["301", "301", "true"],
+            ["2065", "2065", "true"]]
+
 
 class TestGrowth:
     def test_all_bundled_scenarios_pass(self):
@@ -231,6 +256,8 @@ class TestConfigPlumbing:
 
 
 
+GROWTH_RANK_ONE = json.loads((SCEN / "growth_rank_one.json").read_text())
+
 MALFORMED = [
     # (case, input file contents, arguments before the input file)
     ("top-level list", [1, 2], ["wprep"]),
@@ -243,6 +270,17 @@ MALFORMED = [
      {"prime": 3, "precision": 24, "coeffs": "31"}, ["wprep"]),
     ("matrix row a string, not a list",
      {"g": 1, "prime": 3, "matrix": ["01", ["1", "0"]]}, ["logmatrix"]),
+    ("mw_shape a string, not a list",
+     {**GROWTH_RANK_ONE, "mw_shape": "1"}, ["growth"]),
+    ("expected a string, not a list",
+     {**GROWTH_RANK_ONE, "expected": "1111"}, ["growth"]),
+    ("coefficient a non-integral number",
+     {"prime": 3, "precision": 24, "coeffs": [3.7, 1]}, ["wprep"]),
+    ("coefficient a boolean",
+     {"prime": 3, "precision": 24, "coeffs": [True, 1]}, ["wprep"]),
+    ("precision a non-integral number",
+     {"prime": 3, "precision": 24.5, "coeffs": ["3", "1"]}, ["wprep"]),
+    ("n_max a boolean", {**GROWTH_RANK_ONE, "n_max": True}, ["growth"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

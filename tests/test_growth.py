@@ -9,6 +9,7 @@ from iwkit import (
     InputError,
     IwasawaSeries,
     MWShape,
+    PrecisionExhaustedError,
     RankLedger,
     SelmerInvariants,
     elliptic_increment,
@@ -21,6 +22,9 @@ from iwkit import (
     rk_solver,
     synthetic_tower_verify,
 )
+from iwkit.modules import _mult_matrix_rows
+from iwkit.padic import _invariants_raw
+from iwkit.series import divide_distinguished
 
 P, N, CAP = 3, 24, 89
 
@@ -238,3 +242,82 @@ class TestSyntheticTower:
                 if lv.n > max(rep.stabilization_level, rep.n0):
                     assert lv.nabla == final_increment(inv, shape, lv.n,
                                                        rep.n0, prime=p)
+
+
+def _brute_levels(sel, shape, n_max, margin):
+    """(rank, length) per level of coker((+)Lambda/Phi_c -> S) from the
+    block matrices [mult(f_j) | mult(q_1) | ... ] on Z_p[X]/omega_n, with
+    q_i = f_j / Phi_{c_i} matched as synthetic_tower_verify matches them."""
+    p, prec = sel.prime, sel.precision
+    cofactors = {j: [] for j in range(len(sel.generators))}
+    used = set()
+    for c in sorted(shape.c_list, reverse=True):
+        phic = phi(c, prime=p, precision=prec)
+        for j, f in enumerate(sel.generators):
+            quot, rem = divide_distinguished(f, phic)
+            if (j, c) not in used and rem.is_zero() and not quot.is_zero():
+                used.add((j, c))
+                cofactors[j].append(quot)
+                break
+    out = []
+    for n in range(n_max + 1):
+        rank = length = 0
+        for j, f in enumerate(sel.generators):
+            rows = _mult_matrix_rows(f, n)
+            for quot in cofactors[j]:
+                rows = [r + e for r, e in zip(rows, _mult_matrix_rows(quot, n))]
+            r, l = _invariants_raw(rows, p, prec, margin)
+            rank, length = rank + r, length + l
+        out.append((rank, length))
+    return out
+
+
+@st.composite
+def collapse_cases(draw):
+    """An ambient module whose first generator is p^mu * h * Phi_{c_1} [*
+    Phi_{c_2}], with one or two cofactors, optionally beside a second
+    generator, at p = 3, N = 12, n_max = 3."""
+    prec, cap, n_max = 12, 3**3 + 8, 3
+    c_list = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2,
+                           unique=True))
+    mu = draw(st.integers(0, 2))
+    h = draw(st.lists(st.integers(0, 3**prec - 1), min_size=1, max_size=4))
+    h[draw(st.integers(0, len(h) - 1))] = draw(st.integers(1, 2))
+    f = IwasawaSeries.make(P, prec, [c * 3**mu for c in h], cap)
+    for c in c_list:
+        f = f * phi(c, prime=P, precision=prec, degree_cap=cap)
+    gens = [f]
+    if draw(st.booleans()):
+        gens.append(IwasawaSeries.make(P, prec, draw(st.sampled_from(
+            [[3, 1], [9], [6, 3, 0, 1]])), cap))
+    margin = draw(st.integers(0, 5))
+    return ElementaryModule(P, tuple(gens)), MWShape(tuple(c_list)), n_max, margin
+
+
+class TestCofactorCollapse:
+    """(f_j, q_1, ..., q_k) = (q_1, ..., q_k): the engine's generator q_1
+    with extra relations q_2, ... against the old [mult(f_j) | mult(q_i)]."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=collapse_cases())
+    def test_matches_brute_force(self, case):
+        sel, shape, n_max, margin = case
+
+        def outcome(fn):
+            try:
+                return fn()
+            except PrecisionExhaustedError as exc:
+                return str(exc)
+
+        got = outcome(lambda: [
+            (lv.zp_rank, lv.finite_length) for lv in
+            synthetic_tower_verify(sel, shape, n_max, margin=margin).levels])
+        assert got == outcome(lambda: _brute_levels(sel, shape, n_max, margin))
+
+    def test_one_and_two_cofactors(self):
+        one = ElementaryModule(P, (phi_gen(1) * series([9, 3]),))
+        two = ElementaryModule(P, (phi_gen(1) * phi_gen(2) * xp(),))
+        for sel, shape in ((one, MWShape((1,))), (two, MWShape((1, 2)))):
+            rep = synthetic_tower_verify(sel, shape, 3)
+            assert [(lv.zp_rank, lv.finite_length) for lv in rep.levels] == \
+                _brute_levels(sel, shape, 3, 4)

@@ -22,10 +22,13 @@ from iwkit import (
     weierstrass_prepare,
 )
 from iwkit.modules import (
+    _TowerEngine,
     _layer_presentation,
     _mult_matrix_rows,
     _presentable_generator,
+    _presented_exponents,
     _presented_invariants,
+    _split_p_power,
 )
 from iwkit.padic import _invariants_raw, _snf_core, padic_matrix
 from iwkit.series import _poly_divmod_monic
@@ -359,3 +362,81 @@ class TestLayerPresentation:
         f = _presentable_generator(series(coeffs), N)
         rows, copies, pad = _layer_presentation(f, 2, N)
         assert (len(rows), copies, pad) == shape
+
+
+@st.composite
+def shifted_cases(draw):
+    """(f, n, N, margin, mu): f = p^mu * g at precision N (or N + 2, as a
+    generator of a module whose other generators are less precise) with
+    1 <= mu <= N - 1 and g of valuation 0: a unit (lambda = 0: a constant,
+    or a polynomial with a unit constant term), or a polynomial of degree d
+    below or above p^n with a unit or a non-unit leading coefficient."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(2, 12))
+    mu = draw(st.integers(1, N - 1))
+    margin = draw(st.integers(0, N + 1))
+    n = draw(st.integers(0, {3: 3, 5: 2, 7: 2}[p]))
+    prec = N + draw(st.sampled_from([0, 2]))
+    q = p ** (prec - mu)
+    digit = st.integers(0, q - 1)
+
+    def unit():
+        return draw(st.integers(1, p - 1)) + p * draw(st.integers(0, q // p - 1))
+
+    kind = draw(st.sampled_from(["unit", "unit_poly", "unit_lead",
+                                 "non_unit_lead"]))
+    if kind == "unit":
+        g = [unit()]
+    else:
+        below = st.integers(1, max(p**n - 1, 1))
+        d = draw(st.one_of(below, st.integers(p**n, p**n + 3)))
+        g = draw(st.lists(digit, min_size=d + 1, max_size=d + 1))
+        if kind == "unit_poly":
+            g[0] = unit()
+        else:
+            g[draw(st.integers(0, d - 1))] = unit()
+            g[d] = unit() if kind == "unit_lead" else \
+                p * draw(st.integers(0, q // p - 1))
+    f = IwasawaSeries.make(p, prec, [c * p**mu for c in g],
+                           len(g) - 1 + draw(st.integers(0, 3)))
+    return f, n, N, margin, mu
+
+
+class TestPPowerShift:
+    """f = p^mu * g presented through g at precision N - mu, against the
+    brute-force p^n x p^n oracle of f itself at precision N."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=shifted_cases())
+    def test_matches_brute_force(self, case):
+        f, n, N, margin, mu = case
+        p = f.prime
+        g, shift = _split_p_power(f, N)
+        assert shift == mu and g.precision == N - mu
+        pres = _layer_presentation(_presentable_generator(g, N - mu), n, N - mu)
+        brute = _mult_matrix_rows(f, n)
+        want, _ = _snf_core(brute, p, N, track=False)
+        assert _presented_exponents(pres, p, N, shift) == want
+        oracle = _outcome(lambda: _invariants_raw(brute, p, N, margin))
+        assert _outcome(lambda: _presented_invariants(pres, p, N, margin,
+                                                      shift)) == oracle
+        if f.precision == N:
+            eng = _TowerEngine(mod(f, p=p), margin)
+            assert eng.shifts == [mu]
+            assert _outcome(lambda: eng.invariants(n)) == oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=shifted_cases())
+    def test_transition_cokernel_vanishes(self, case):
+        # only the presentation block of [I | p^mu * presentation] is scaled
+        f, n, N, margin, mu = case
+        eng = _TowerEngine(mod(IwasawaSeries(f.prime, N, f.coeffs), p=f.prime),
+                           min(margin, N - 1))
+        assert eng.transition_coker_length(n + 1) == 0
+
+    def test_extra_relations_keep_the_brute_force_path(self):
+        f = series([9, 3, 0, 3])
+        eng = _TowerEngine(mod(f), 4, extra={0: [series([3, 1])]})
+        assert eng.shifts == [0]
+        rows, copies, pad = eng._layer(0, 2)
+        assert (len(rows), len(rows[0]), copies, pad) == (9, 18, 1, 0)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from iwkit import (
     DegreeOverflowError,
     IwasawaSeries,
+    PadicInt,
+    PrecisionExhaustedError,
     ZeroSeriesError,
     divide_distinguished,
     omega,
@@ -152,6 +154,40 @@ class TestWeierstrass:
         lg, mg = lambda_mu(g)
         lp, mp = lambda_mu(f * g)
         assert (lp, mp) == (lf + lg, mf + mg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 16),
+           seed=st.integers(0, 10**9), margin=st.integers(0, 6))
+    def test_valuation_scan_matches_preparation(self, p, n, seed, margin):
+        # lambda_mu reads (lambda, mu) off one scan of the coefficients;
+        # weierstrass_prepare gives the same pair, or the same exit-3 refusal
+        rng = random.Random(seed)
+        k = rng.randint(0, n - 1)
+        cap = rng.randint(0, 12)
+        coeffs = [rng.randrange(p**n) * p ** rng.randint(k, n)
+                  for _ in range(cap + 1)]
+        coeffs[rng.randint(0, cap)] = p**k * rng.randrange(1, p)
+        f = IwasawaSeries.make(p, n, coeffs, cap)
+        vals = [PadicInt(p, c, n).valuation() for c in f.coeffs]
+        assert min(vals) == k
+
+        def outcome(fn):
+            try:
+                return fn()
+            except PrecisionExhaustedError as exc:
+                return str(exc)
+
+        scan = outcome(lambda: lambda_mu(f, margin=margin))
+        w = outcome(lambda: weierstrass_prepare(f, margin=margin))
+        if n - k <= margin:
+            assert scan == w == (f"mu = {k} leaves fewer than margin+1 = "
+                                 f"{margin + 1} digits of precision")
+        else:
+            assert scan == (w.lambda_, w.mu) == (vals.index(k), k)
+
+    def test_valuation_scan_rejects_zero(self):
+        with pytest.raises(ZeroSeriesError):
+            lambda_mu(IwasawaSeries.zero(3, 24, 10))
 
 
 class TestDivideDistinguished:
