@@ -72,6 +72,6 @@ class Config:
         for k, v in known.items():
             if k == "output_format" or (k == "degree_cap" and v is None):
                 continue
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise InputError(f"config {k} must be an integer, got {v!r}")
         return cls(**known)

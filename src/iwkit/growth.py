@@ -235,7 +235,7 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
         raise InputError("the ambient module must have at least one generator")
     prime = sel_module.prime
     assigns = _assign_shape(sel_module, mw_shape)
-    lam, mu = sel_module.lambda_mu()
+    lam, mu = sel_module.lambda_mu(margin=margin)
     level_n0 = mw_shape.n0_candidate if n0 is None else n0
     if level_n0 < mw_shape.n0_candidate:
         raise InputError("n0 override below max(c_list)")

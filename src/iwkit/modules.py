@@ -74,8 +74,8 @@ class ElementaryModule:
             raise InputError("mixed primes in direct sum")
         return ElementaryModule(self.prime, self.generators + other.generators)
 
-    def lambda_mu(self) -> tuple[int, int]:
-        pairs = [series_lambda_mu(g) for g in self.generators]
+    def lambda_mu(self, *, margin: int = 4) -> tuple[int, int]:
+        pairs = [series_lambda_mu(g, margin=margin) for g in self.generators]
         return sum(lam for lam, _ in pairs), sum(mu for _, mu in pairs)
 
     def mw_shape(self) -> tuple[int, ...] | None:
@@ -437,7 +437,7 @@ def tower_report(module: ElementaryModule, n_max: int, *, margin: int = 4,
         raise InputError("n_max must be >= 1")
     eng = _TowerEngine(module, margin, fuzz)
     if module.generators:
-        lam, mu = module.lambda_mu()
+        lam, mu = module.lambda_mu(margin=margin)
     else:
         lam = mu = 0
     levels = []

@@ -9,15 +9,16 @@ would depend on elementary divisors inside the ambiguity margin raise
 Every nonzero element of Z/p^N is (unit) * p^k, so Gaussian elimination with
 a pivot of globally minimal valuation is exact: the quotient ambiguities
 introduced by dividing by p^k land in p^N and vanish.  That observation
-drives both the Smith normal form and the determinant routine.
+drives both the Smith normal form and the determinant routine, which share
+one pivot search.  Matrices are lists of Python ints reduced mod p^N: one
+elimination serves every modulus and every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .config import is_odd_prime
 from .errors import InputError, PrecisionExhaustedError
@@ -161,156 +162,94 @@ class SnfResult:
     transform_valid: bool
 
 
-class _ModOps:
-    """Vectorized arithmetic mod q = p^N on int64 arrays (chunked products to
-    dodge overflow) with an object-dtype fallback for very large q."""
+def _first_min_valuation(a: list[list[int]], r: int, p: int, k: int,
+                         precision: int) -> tuple[int, int, int] | None:
+    """(v, i, j) of the first entry of a[r:][r:], in row-major order, of least
+    valuation v, given that no entry there has valuation below k; None if
+    every entry is 0 mod p^N."""
+    best, found, m = precision, None, p**precision
+    for i in range(r, len(a)):
+        row = a[i]
+        for j in range(r, len(row)):
+            if row[j] % m:
+                best = _min_valuation((row[j],), p, best)
+                found, m = (i, j), p**best
+                if best == k:
+                    return k, i, j
+    return None if found is None else (best, *found)
 
-    def __init__(self, p: int, precision: int):
-        self.p = p
-        self.N = precision
-        self.q = p**precision
-        self.qbits = self.q.bit_length()
-        self.int64 = self.qbits <= 55
-        if self.int64:
-            self.shift = 62 - self.qbits
-            self.nchunks = -(-self.qbits // self.shift)
 
-    def array(self, rows) -> np.ndarray:
-        dt = np.int64 if self.int64 else object
-        a = np.array(rows, dtype=dt)
-        if a.ndim == 1:
-            a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-        return a % self.q if a.size else a
-
-    def identity(self, n: int) -> np.ndarray:
-        dt = np.int64 if self.int64 else object
-        e = np.zeros((n, n), dtype=dt)
-        for i in range(n):
-            e[i, i] = 1
-        return e
-
-    def scaled(self, c: int, vec: np.ndarray) -> np.ndarray:
-        """(c * vec) % q without int64 overflow."""
-        if not self.int64:
-            return (vec * c) % self.q
-        s, mask = self.shift, (1 << self.shift) - 1
-        acc = np.zeros_like(vec)
-        for t in reversed(range(self.nchunks)):
-            acc = ((acc << s) + ((c >> (s * t)) & mask) * vec) % self.q
-        return acc
-
-    def scaled_outer(self, cs: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """(cs[:,None] * row) % q for a column of scalars."""
-        if not self.int64:
-            return (cs[:, None] * row[None, :]) % self.q
-        s, mask = self.shift, (1 << self.shift) - 1
-        acc = np.zeros((cs.shape[0], row.shape[0]), dtype=np.int64)
-        for t in reversed(range(self.nchunks)):
-            chunk = (cs >> (s * t)) & mask
-            acc = ((acc << s) + chunk[:, None] * row[None, :]) % self.q
-        return acc
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[1] == 0 or 0 in (a.shape[0], b.shape[1]):
-            dt = np.int64 if self.int64 else object
-            return np.zeros((a.shape[0], b.shape[1]), dtype=dt)
-        if self.int64:
-            extra = max(1, int(a.shape[1]).bit_length())
-            s2 = 62 - self.qbits - extra
-            if s2 >= 1:
-                mask = (1 << s2) - 1
-                t_max = -(-self.qbits // s2)
-                acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-                for t in reversed(range(t_max)):
-                    at = (a >> (s2 * t)) & mask
-                    acc = ((acc << s2) + (at @ b) % self.q) % self.q
-                return acc
-        ao = a.astype(object)
-        bo = b.astype(object)
-        return ao.dot(bo) % self.q
-
-    def min_valuation_position(self, a: np.ndarray):
-        """(val, i, j) of the minimal-valuation nonzero entry, ties broken by
-        smallest (row, col); None if every entry is 0 mod p^N."""
-        if a.size == 0:
-            return None
-        nz = a != 0
-        if not nz.any():
-            return None
-        rem = a.copy()
-        for k in range(self.N):
-            mask = nz & (rem % self.p != 0)
-            if mask.any():
-                i, j = np.argwhere(mask)[0]
-                return k, int(i), int(j)
-            rem = rem // self.p
-        return None
+def _mat_mul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                 q: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % q for col in cols] for row in a]
 
 
 def _snf_core(rows: Sequence[Sequence[int]], p: int, precision: int,
               track: bool) -> tuple[list[int], bool]:
     """Diagonalize over Z/p^N by valuation-minimal pivoting.
 
-    Returns the sorted exponent list (one per row, N for free directions) and
-    whether tracked transforms verified (vacuously True when not tracked).
+    Returns the exponent list (one per row, nondecreasing, N for free
+    directions) and whether tracked transforms verified (vacuously True when
+    not tracked).  Each pivot is the first entry of least valuation in
+    row-major order; the search starts at the previous pivot's valuation,
+    because clearing with a pivot of least valuation never lowers the
+    valuation of what remains.  Once the column below a pivot is clear, the
+    column operations that clear its row change that row alone, which no
+    later step reads: only the tracked V needs them.
     """
-    ops = _ModOps(p, precision)
-    a = ops.array([list(r) for r in rows])
-    d1, d2 = a.shape
-    a0 = a.copy() if track else None
-    u = ops.identity(d1) if track else None
-    v = ops.identity(d2) if track else None
+    q = p**precision
+    a = [[x % q for x in row] for row in rows]
+    d1, d2 = len(a), len(a[0]) if a else 0
+    if track:
+        a0 = [row[:] for row in a]
+        u = [[int(i == j) for j in range(d1)] for i in range(d1)]
+        v = [[int(i == j) for j in range(d2)] for i in range(d2)]
 
     exps: list[int] = []
-    r = 0
-    dmin = min(d1, d2)
-    while r < dmin:
-        found = ops.min_valuation_position(a[r:, r:])
+    k = 0
+    for r in range(min(d1, d2)):
+        found = _first_min_valuation(a, r, p, k, precision)
         if found is None:
             break
-        k, di, dj = found
-        i, j = r + di, r + dj
+        k, i, j = found
         if i != r:
-            a[[r, i], :] = a[[i, r], :]
+            a[r], a[i] = a[i], a[r]
             if track:
-                u[[r, i], :] = u[[i, r], :]
+                u[r], u[i] = u[i], u[r]
         if j != r:
-            a[:, [r, j]] = a[:, [j, r]]
+            for row in a[r:]:
+                row[r], row[j] = row[j], row[r]
             if track:
-                v[:, [r, j]] = v[:, [j, r]]
+                for row in v:
+                    row[r], row[j] = row[j], row[r]
         pk = p**k
-        unit = int(a[r, r]) // pk
-        uinv = pow(unit, -1, ops.q)
-        a[r, :] = ops.scaled(uinv, a[r, :])
+        uinv = pow(a[r][r] // pk, -1, q)
+        # the pivot row scaled so that the pivot is p^k
+        tail = [x * uinv % q for x in a[r][r + 1:]]
         if track:
-            u[r, :] = ops.scaled(uinv, u[r, :])
-        # clear the pivot column below
-        col = a[r + 1:, r]
-        if col.size and (col != 0).any():
-            cs = col // pk
-            a[r + 1:, :] = (a[r + 1:, :] - ops.scaled_outer(cs, a[r, :])) % ops.q
-            if track:
-                u[r + 1:, :] = (u[r + 1:, :] - ops.scaled_outer(cs, u[r, :])) % ops.q
-        # clear the pivot row to the right
-        rowr = a[r, r + 1:]
-        if rowr.size and (rowr != 0).any():
-            cs = rowr // pk
-            a[:, r + 1:] = (a[:, r + 1:] - ops.scaled_outer(cs, a[:, r]).T) % ops.q
-            if track:
-                v[:, r + 1:] = (v[:, r + 1:] - ops.scaled_outer(cs, v[:, r]).T) % ops.q
+            u[r] = [x * uinv % q for x in u[r]]
+        for i in range(r + 1, d1):
+            row = a[i]
+            if row[r]:
+                c = row[r] // pk
+                row[r + 1:] = [(x - c * y) % q for x, y in zip(row[r + 1:], tail)]
+                if track:
+                    u[i] = [(x - c * y) % q for x, y in zip(u[i], u[r])]
+        if track:
+            cs = [x // pk for x in tail]
+            for row in v:
+                x = row[r]
+                if x:
+                    row[r + 1:] = [(y - x * c) % q for y, c in zip(row[r + 1:], cs)]
         exps.append(k)
-        r += 1
 
-    exps.extend([precision] * (d1 - r))
-    exps.sort()
-
+    exps.extend([precision] * (d1 - len(exps)))
     valid = True
     if track and d1 and d2:
-        check = ops.matmul(ops.matmul(u, a0), v)
-        valid = bool((check == a).all())
-        valid = valid and all(
-            int(a[i, j]) == (p**exps[i] % ops.q if i == j else 0)
-            for i in range(d1) for j in range(d2))
+        check = _mat_mul_mod(_mat_mul_mod(u, a0, q), v, q)
+        valid = all(check[i][j] == (p**exps[i] % q if i == j else 0)
+                    for i in range(d1) for j in range(d2))
     return exps, valid
 
 
@@ -402,14 +341,7 @@ def mat_mul(a: Sequence[Sequence[PadicInt]],
     if len(ra[0]) != len(rb):
         raise InputError("shape mismatch in matrix product")
     n = min(na, nb)
-    q = pa**n
-    out = []
-    for i in range(len(ra)):
-        out.append([
-            PadicInt(pa, sum(ra[i][k] * rb[k][j] for k in range(len(rb))) % q, n)
-            for j in range(len(rb[0]))
-        ])
-    return out
+    return padic_matrix(pa, n, _mat_mul_mod(ra, rb, pa**n))
 
 
 def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
@@ -422,20 +354,12 @@ def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
     a = [row[:] for row in rows]
     sign = 1
     det = 1
+    k = 0
     for r in range(n):
-        piv_pos = None
-        piv_val = None
-        for i in range(r, n):
-            for j in range(r, n):
-                x = a[i][j]
-                if x == 0:
-                    continue
-                v = _min_valuation((x,), prime, precision)
-                if piv_val is None or v < piv_val:
-                    piv_val, piv_pos = v, (i, j)
-        if piv_pos is None:
+        found = _first_min_valuation(a, r, prime, k, precision)
+        if found is None:
             return PadicInt(prime, 0, precision)
-        i, j = piv_pos
+        k, i, j = found
         if i != r:
             a[i], a[r] = a[r], a[i]
             sign = -sign
@@ -444,7 +368,7 @@ def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
                 row[j], row[r] = row[r], row[j]
             sign = -sign
         piv = a[r][r]
-        pk = prime**piv_val
+        pk = prime**k
         uinv = pow(piv // pk, -1, q)
         for i in range(r + 1, n):
             if a[i][r] == 0:

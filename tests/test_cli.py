@@ -131,6 +131,15 @@ class TestTower:
         assert proc.returncode == 3
         assert "mu = 20 leaves fewer than margin+1 = 5 digits" in proc.stderr
 
+    def test_mu_refusal_follows_margin(self, tmp_path):
+        # the lambda/mu scan refuses at the run's margin, not at 4
+        f = tmp_path / "deep.json"
+        f.write_text(json.dumps({"prime": 3, "generators": [
+            {"p_power": 20}, {"phi": 1}]}))
+        out = run("--no-timestamp", "--margin", "2", "--n-max", "2", "tower",
+                  str(f))
+        assert "mu,20" in out and "2,2,180,122,122,true" in out
+
     def test_p7_mu_generator(self, tmp_path):
         # 7 * (7 + X + 2 X^3) beside Phi_1 at n_max = 4: presented as
         # 7 * (3 x 3) instead of a 2401 x 2401 object matrix
@@ -245,9 +254,19 @@ class TestConfigPlumbing:
 
     def test_env_config_wrong_type_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"prime": "x"}))
-        run("--no-timestamp", "rksolve", "1", expect=2,
-            env={"IWKIT_CONFIG": str(cfg)})
+        for content, argv in [
+                ({"prime": "x"}, ["rksolve", "1"]),
+                # a JSON boolean is not an integer, though bool subclasses int
+                ({"margin": True}, ["wprep", str(SCEN / "series_wprep_p5.json")])]:
+            cfg.write_text(json.dumps(content))
+            run("--no-timestamp", *argv, expect=2,
+                env={"IWKIT_CONFIG": str(cfg)})
+
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, iwkit.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, cwd=ROOT, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.csv"

@@ -13,7 +13,7 @@ from iwkit import (
     module_invariants,
     snf,
 )
-from iwkit.padic import mat_det, mat_inv, mat_mul, padic_matrix, _ModOps
+from iwkit.padic import _snf_core, mat_det, mat_inv, mat_mul, padic_matrix
 
 from conftest import ip_divmod, ip_mul, ip_phi, ip_omega
 
@@ -57,34 +57,6 @@ class TestPadicInt:
     def test_int_interop(self):
         assert (P(2) + 1).residue == 3
         assert (1 - P(2)).residue == 3**8 - 1
-
-
-class TestModOps:
-    """The vectorized mod-q kernels against plain Python integers."""
-
-    @pytest.mark.parametrize("p,n", [(3, 8), (3, 24), (5, 12), (5, 24), (7, 24)])
-    def test_scaled_matches_python(self, p, n):
-        ops = _ModOps(p, n)
-        rng = random.Random(7)
-        q = p**n
-        vec = ops.array([[rng.randrange(q) for _ in range(20)]])
-        c = rng.randrange(q)
-        got = ops.scaled(c, vec[0])
-        want = [c * int(v) % q for v in vec[0]]
-        assert [int(x) for x in got] == want
-
-    @pytest.mark.parametrize("p,n", [(3, 24), (5, 24)])
-    def test_matmul_matches_python(self, p, n):
-        ops = _ModOps(p, n)
-        rng = random.Random(11)
-        q = p**n
-        a = [[rng.randrange(q) for _ in range(6)] for _ in range(5)]
-        b = [[rng.randrange(q) for _ in range(4)] for _ in range(6)]
-        got = ops.matmul(ops.array(a), ops.array(b))
-        for i in range(5):
-            for j in range(4):
-                want = sum(a[i][k] * b[k][j] for k in range(6)) % q
-                assert int(got[i, j]) == want
 
 
 def scrambled(diag, p, n, size, seed):
@@ -162,6 +134,42 @@ class TestSnf:
         v = scrambled([1] * size, p, n, size, seed + 2)
         res2 = snf(padic_matrix(p, n, mul(u, mul(base, v))))
         assert res1.elementary_exponents == res2.elementary_exponents
+
+
+# the largest N with p^N below 2^55, where the kernel once switched from
+# int64 to object arithmetic
+INT64_EDGE = {3: 34, 5: 23, 7: 19}
+
+
+@st.composite
+def hidden_diagonals(draw):
+    """(p, N, rows, exponents): diag(unit * p^e) of shape d1 x d2 hidden
+    between unimodular matrices from `scrambled`; the exponents it presents
+    (N for e >= N and for the rows past the diagonal) are the oracle."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.sampled_from([1, 2, 6, INT64_EDGE[p], INT64_EDGE[p] + 1, 40]))
+    d1, d2 = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    es = draw(st.lists(st.integers(0, n + 1), min_size=min(d1, d2),
+                       max_size=min(d1, d2)))
+    units = draw(st.lists(st.integers(1, p**2).filter(lambda x: x % p),
+                          min_size=len(es), max_size=len(es)))
+    seed = draw(st.integers(0, 10**6))
+    u = scrambled([1] * d1, p, n, d1, seed)
+    v = scrambled([1] * d2, p, n, d2, seed + 1)
+    q = p**n
+    rows = [[sum(u[i][t] * units[t] * p**es[t] * v[t][j] for t in range(len(es)))
+             % q for j in range(d2)] for i in range(d1)]
+    want = sorted(min(e, n) for e in es) + [n] * (d1 - len(es))
+    return p, n, rows, want
+
+
+class TestSnfCore:
+    @settings(max_examples=150, deadline=None)
+    @given(case=hidden_diagonals())
+    def test_against_hidden_diagonal(self, case):
+        p, n, rows, want = case
+        assert _snf_core(rows, p, n, track=False) == (want, True)
+        assert _snf_core(rows, p, n, track=True) == (want, True)
 
 
 class TestModuleInvariants:
