@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InputError
 
 
+@cache
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False

@@ -12,6 +12,21 @@ Matrices with p in the denominator are kept exact as (integral entries,
 global denominator exponent) pairs, normalized so the exponent is minimal.
 Minor tables, character evaluation of minor sums, and change-of-basis
 invariance checks for block-diagonal base changes live here too.
+
+H_n, its (I, J)-minor tables and the character row all come from one kernel,
+``_wedge_tower``.  C_k = D_k C_p^{-1} with D_k = diag(I_g, Phi_k I_g), so by
+Cauchy-Binet the r x r minors of H_n form
+
+    wedge^r H_n = E_n W E_{n-1} W ... E_1 W,   W = wedge^r(C_p^{-1}),
+    E_k = wedge^r D_k = diag(Phi_k^{e_I}),   e_I = #(I meet {g+1..2g}):
+
+n constant square matrices (the r-minors of C_p^{-1}, computed once) between
+diagonal powers of Phi_k, with no determinant of series anywhere.  ``h_n``
+answers from the first exterior power (r = 1, W = C_p^{-1}), ``minors`` from
+the g-th, and ``condition_character`` from the first row (I0 = {1..g}) of the
+g-th alone.  ``c_n``, ``LogMatrix.matmul`` and the Laplace expansion
+``_series_det`` serve ``m_n`` and ``LogMatrix.det``, and are the tests'
+oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from typing import Mapping, Sequence
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
-from .series import IwasawaSeries, phi
+from .series import IwasawaSeries, _conv, _pack, _unpack, deg_phi, phi
 
 
 @dataclass(frozen=True)
@@ -221,15 +236,92 @@ def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
     return LogMatrix.normalized(rows, 0)
 
 
+def _compound(a: Sequence[Sequence[int]], r: int, q: int) -> list[list[int]]:
+    """wedge^r of a square int matrix mod q: every r x r minor, rows and
+    columns indexed by the r-subsets in lexicographic order.  Laplace
+    expansion along the first row of each row set, each smaller minor
+    computed once."""
+    subsets: list[tuple[int, ...]] = [()]
+    minor = {((), ()): 1}
+    for s in range(1, r + 1):
+        subsets = list(combinations(range(len(a)), s))
+        minor = {(rows, cols): sum((-1)**t * a[rows[0]][j]
+                                   * minor[(rows[1:], cols[:t] + cols[t + 1:])]
+                                   for t, j in enumerate(cols)) % q
+                 for rows in subsets for cols in subsets}
+    return [[minor[(rows, cols)] for cols in subsets] for rows in subsets]
+
+
+def _wedge_tower(frob: FrobeniusData, r: int, n: int, cap: int, *,
+                 first_row_only: bool = False) -> list[list[IwasawaSeries]]:
+    """The r-th exterior power of H_n mod (p^N, X^{cap+1}), or only its first
+    row, rows and columns indexed by the r-subsets of {1..2g} in
+    lexicographic order: the product E_n W ... E_1 W of the module docstring.
+
+    Row vectors are pushed from the left through a word in the E_k and a
+    constant matrix: scaling entry K by Phi_k^{e_K} goes through ``_conv``,
+    and v -> v M is the combination sum_K v_K M_{K,J} on packed ints, whose
+    slots hold the m (q-1)^2 bound of a sum of m products.  The first row
+    (e_I = 0 there) is e_1 E_n W ... E_1 W.  The whole power is read off the
+    transpose W^T E_1 W^T E_2 ... W^T E_n, whose rows meet the long
+    Phi_n^{e_K} last, on the shortest entries.  Truncation mod X^{cap+1} is
+    a ring map, so capping every product is exact.
+    """
+    p, prec = frob.prime, frob.precision
+    q = p**prec
+    limit = cap + 1
+    # the same DegreeOverflowError, in the same order, as building C_1..C_n
+    phis = [phi(k, prime=p, precision=prec, degree_cap=cap).coeffs[:deg_phi(p, k) + 1]
+            for k in range(1, n + 1)]
+    w = _compound([[x.residue for x in row] for row in mat_inv(frob.c_p_lists())],
+                  r, q)
+    exps = [sum(i >= frob.g for i in s) for s in combinations(range(2 * frob.g), r)]
+    m = len(w)
+    sb = (2 * (q - 1).bit_length() + m.bit_length() + 7) // 8
+
+    def times(a: list[int], b: list[int]) -> list[int]:
+        return _conv(a, b, min(len(a) + len(b) - 1, limit), q)
+
+    if first_row_only:
+        w_cols = list(zip(*w))
+        word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
+        vecs = [[[1]] + [[] for _ in range(m - 1)]]
+    else:
+        word = [x for k in range(1, n + 1) for x in (w, k)]
+        vecs = [[[1] if j == i else [] for j in range(m)] for i in range(m)]
+    for step in word:
+        if isinstance(step, int):
+            powers = [[1], phis[step - 1]]
+            for _ in range(2, max(exps) + 1):
+                powers.append(times(powers[-1], phis[step - 1]))
+            for v in vecs:
+                for j, e in enumerate(exps):
+                    if e and v[j]:
+                        v[j] = times(v[j], powers[e])
+            continue
+        for v in vecs:
+            packed = [_pack(c, sb) for c in v]
+            length = max(map(len, v))
+            for j, col in enumerate(step):
+                c = _unpack(sum(x * y for x, y in zip(packed, col) if x),
+                            length, sb, q)
+                while c and not c[-1]:
+                    c.pop()
+                v[j] = c
+    if not first_row_only:
+        vecs = [list(col) for col in zip(*vecs)]
+    return [[IwasawaSeries._reduced(p, prec, tuple(c) + (0,) * (limit - len(c)))
+             for c in v] for v in vecs]
+
+
 def h_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
-    """H_n = C_n C_{n-1} ... C_1, with H_0 the identity (empty product)."""
+    """H_n = C_n C_{n-1} ... C_1, with H_0 the identity (empty product):
+    the first exterior power of ``_wedge_tower``."""
     if n < 0:
         raise InputError("level must be >= 0")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
-    out = LogMatrix.identity(2 * frob.g, frob.prime, frob.precision, cap)
-    for k in range(1, n + 1):
-        out = c_n(frob, k, degree_cap=cap).matmul(out)
-    return out
+    rows = _wedge_tower(frob, 1, n, cap)
+    return LogMatrix(tuple(tuple(r) for r in rows), 0)
 
 
 def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
@@ -261,22 +353,29 @@ class MinorTable:
         return self.values[(tuple(sorted(rows)), tuple(sorted(cols)))]
 
 
-def minors(frob: FrobeniusData, n: int, *,
-           degree_cap: int | None = None) -> MinorTable:
-    """Tabulate every (I, J)-minor of H_n; needs g <= 3 to keep the table sane."""
+def _minor_cap(frob: FrobeniusData, n: int, degree_cap: int | None) -> int:
     if n < 1:
         raise InputError("level must be >= 1")
     if frob.g > 3:
         raise InputError("minor tables are limited to g <= 3")
-    cap = degree_cap if degree_cap is not None else _default_cap(frob, n,
-                                                                 minors_of_h=True)
-    h = h_n(frob, n, degree_cap=cap)
-    table = MinorTable(n=n, g=frob.g, prime=frob.prime, precision=h.precision)
+    return degree_cap if degree_cap is not None else _default_cap(
+        frob, n, minors_of_h=True)
+
+
+def minors(frob: FrobeniusData, n: int, *,
+           degree_cap: int | None = None) -> MinorTable:
+    """Tabulate every (I, J)-minor of H_n; needs g <= 3 to keep the table sane.
+
+    The table is wedge^g H_n, computed from the g-minors of C_p^{-1} by the
+    Cauchy-Binet recurrence wedge^g H_k = diag(Phi_k^{e_I}) wedge^g(C_p^{-1})
+    wedge^g H_{k-1} (see ``_wedge_tower``), never from H_n itself.
+    """
+    cap = _minor_cap(frob, n, degree_cap)
+    table = MinorTable(n=n, g=frob.g, prime=frob.prime, precision=frob.precision)
     sets = index_sets(frob.g)
-    for rows_set in sets:
-        for cols_set in sets:
-            sub = [[h.entry(i - 1, j - 1) for j in cols_set] for i in rows_set]
-            table.values[(rows_set, cols_set)] = _series_det(sub)
+    for rows_set, row in zip(sets, _wedge_tower(frob, frob.g, n, cap)):
+        for cols_set, v in zip(sets, row):
+            table.values[(rows_set, cols_set)] = v
     return table
 
 
@@ -289,9 +388,12 @@ def condition_character(frob: FrobeniusData, n: int,
 
     ``col_values`` supplies the caller's column determinants, one per
     g-element index set J (lexicographic order, or a mapping keyed by the
-    sets).  Returns (is_nonzero mod p^N, minimal coefficient valuation).
-    Raises PrecisionExhaustedError when every coefficient survives only
-    inside the margin band.
+    sets).  Only row I0 = {1..g} of the minor table is needed, so it is the
+    one row vector pushed through the Cauchy-Binet recurrence of
+    ``_wedge_tower``, at the cap ``minors`` would use.  Returns
+    (is_nonzero mod p^N, minimal coefficient valuation).  Raises
+    PrecisionExhaustedError when every coefficient survives only inside the
+    margin band.
     """
     sets = index_sets(frob.g)
     if isinstance(col_values, Mapping):
@@ -301,11 +403,11 @@ def condition_character(frob: FrobeniusData, n: int,
         if len(vals) != len(sets):
             raise InputError(
                 f"need {len(sets)} column values, got {len(vals)}")
-    table = minors(frob, n, degree_cap=degree_cap)
-    i0 = tuple(range(1, frob.g + 1))
+    cap = _minor_cap(frob, n, degree_cap)
+    row = _wedge_tower(frob, frob.g, n, cap, first_row_only=True)[0]
     acc = None
-    for s, v in zip(sets, vals):
-        term = table.minor(i0, s) * v
+    for m, v in zip(row, vals):
+        term = m * v
         acc = term if acc is None else acc + term
     level = n if theta_level is None else theta_level
     ev = cyclo_eval(acc, level)

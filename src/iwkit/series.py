@@ -46,6 +46,19 @@ class IwasawaSeries:
         q = self.q
         object.__setattr__(self, "coeffs", tuple(c % q for c in self.coeffs))
 
+    @classmethod
+    def _reduced(cls, prime: int, precision: int,
+                 coeffs: tuple[int, ...]) -> "IwasawaSeries":
+        """A series from a coefficient tuple already reduced mod
+        prime**precision, built without the checks and the re-reduction of
+        ``__post_init__``: for results of the ring operations, whose
+        operands were validated when they were made."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "prime", prime)
+        object.__setattr__(s, "precision", precision)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
+
     @property
     def q(self) -> int:
         return self.prime**self.precision
@@ -111,7 +124,7 @@ class IwasawaSeries:
                                            self.degree_cap)
         n, cap, q = self._binop_params(other)
         cs = [(self.coeffs[i] + other.coeffs[i]) % q for i in range(cap + 1)]
-        return IwasawaSeries(self.prime, n, tuple(cs))
+        return IwasawaSeries._reduced(self.prime, n, tuple(cs))
 
     __radd__ = __add__
 
@@ -131,14 +144,14 @@ class IwasawaSeries:
                 raise InputError("mixed primes")
             n = min(self.precision, other.precision)
             q = self.prime**n
-            return IwasawaSeries(self.prime, n,
-                                 tuple(c * other.residue % q for c in self.coeffs))
+            return IwasawaSeries._reduced(
+                self.prime, n, tuple(c * other.residue % q for c in self.coeffs))
         if isinstance(other, int):
             return IwasawaSeries(self.prime, self.precision,
                                  tuple(c * other for c in self.coeffs))
         n, cap, q = self._binop_params(other)
-        return IwasawaSeries(self.prime, n,
-                             tuple(_conv(self.coeffs, other.coeffs, cap + 1, q)))
+        return IwasawaSeries._reduced(
+            self.prime, n, tuple(_conv(self.coeffs, other.coeffs, cap + 1, q)))
 
     __rmul__ = __mul__
 
@@ -317,6 +330,20 @@ def divide_distinguished(f: IwasawaSeries,
             IwasawaSeries(f.prime, n, tuple(rem)))
 
 
+def _pack(cs: Sequence[int], sb: int) -> int:
+    """Kronecker packing: the coefficients (each >= 0 and below 2^(8 sb)) as
+    one int, one sb-byte slot per coefficient, lowest degree first."""
+    return int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in cs]),
+                          "little")
+
+
+def _unpack(x: int, n: int, sb: int, q: int) -> list[int]:
+    """The lowest n sb-byte slots of a packed int x >= 0, each reduced mod q."""
+    buf = x.to_bytes(max(n * sb, (x.bit_length() + 7) // 8), "little")
+    return [int.from_bytes(buf[k:k + sb], "little") % q
+            for k in range(0, n * sb, sb)]
+
+
 # Up to this many terms in the shorter operand (trailing zeros dropped) the
 # schoolbook loop is faster than packing: the measured crossover.
 _SCHOOLBOOK_MAX = 5
@@ -355,11 +382,7 @@ def _conv(a: Sequence[int], b: Sequence[int], limit: int, q: int) -> list[int]:
         a, b = a[:la], b[:lb]
         sb = (max(a).bit_length() + max(b).bit_length()
               + short.bit_length() + 7) // 8
-        x = int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in a]), "little")
-        y = int.from_bytes(b"".join([c.to_bytes(sb, "little") for c in b]), "little")
-        buf = (x * y).to_bytes((la + lb - 1) * sb, "little")
-        out = [int.from_bytes(buf[k:k + sb], "little") % q
-               for k in range(0, n * sb, sb)]
+        out = _unpack(_pack(a, sb) * _pack(b, sb), n, sb, q)
     if n < limit:
         out += [0] * (limit - n)
     return out

@@ -1,28 +1,65 @@
 """CLI contract: golden files, determinism, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from iwkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = ROOT / "scenarios"
 
 
+def invoke(*args, env=None):
+    """Run ``iwkit.cli.main(args)`` in this process, as ``python -m iwkit``
+    would in a child, and return the CompletedProcess it would have given.
+
+    stdout and stderr are captured for the call.  ``IWKIT_CONFIG`` is
+    cleared, since it would otherwise change the defaults every test relies
+    on; ``env`` sets variables for the call.  The environment is restored
+    afterwards.
+    """
+    saved = {k: os.environ.get(k) for k in {"IWKIT_CONFIG", *(env or {})}}
+    os.environ.pop("IWKIT_CONFIG", None)
+    os.environ.update(env or {})
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:  # argparse exits on bad arguments
+                code = exc.code
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
+
+
 def run(*args, expect=0, env=None):
+    """Run the CLI in this process (see ``invoke``) and return its stdout."""
+    proc = invoke(*args, env=env)
+    assert proc.returncode == expect, proc.stderr or proc.stdout
+    return proc.stdout
+
+
+def run_child(*args, expect=0):
     """Run ``python -m iwkit`` in a child process and return its stdout.
 
     The child inherits the caller's environment (so ``PYTHONPATH`` and the
-    like still find the package) except ``IWKIT_CONFIG``, which would
-    otherwise change the defaults every test relies on; ``env`` adds
-    variables on top.
+    like still find the package) except ``IWKIT_CONFIG``.
     """
     child_env = {k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"}
-    child_env.update(env or {})
     proc = subprocess.run(
         [sys.executable, "-m", "iwkit", *args],
         capture_output=True, text=True, cwd=ROOT, env=child_env,
@@ -46,8 +83,10 @@ class TestGolden:
         assert out == (GOLDEN / "growth_rank_one.csv").read_text()
 
     def test_logmatrix_json(self):
-        out = run("--no-timestamp", "--format", "json", "logmatrix",
-                  str(SCEN / "frobenius_elliptic.json"), "--n", "2", "--minors")
+        # the one golden run through a real ``python -m iwkit`` child
+        out = run_child("--no-timestamp", "--format", "json", "logmatrix",
+                        str(SCEN / "frobenius_elliptic.json"), "--n", "2",
+                        "--minors")
         assert out == (GOLDEN / "logmatrix_n2.json").read_text()
 
 
@@ -124,10 +163,7 @@ class TestTower:
         f = tmp_path / "deep.json"
         f.write_text(json.dumps({"prime": 3, "generators": [
             {"p_power": 20}, {"phi": 1}]}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "iwkit", "--no-timestamp", "tower", str(f)],
-            capture_output=True, text=True, cwd=ROOT,
-            env={k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"})
+        proc = invoke("--no-timestamp", "tower", str(f))
         assert proc.returncode == 3
         assert "mu = 20 leaves fewer than margin+1 = 5 digits" in proc.stderr
 

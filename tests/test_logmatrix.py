@@ -5,9 +5,12 @@ import random
 import pytest
 
 from iwkit import (
+    DegreeOverflowError,
     FrobeniusData,
     InputError,
     IwasawaSeries,
+    LogMatrix,
+    PrecisionExhaustedError,
     c_n,
     c_phi,
     change_basis_check,
@@ -19,7 +22,9 @@ from iwkit import (
     minors,
     phi,
 )
+from iwkit.logmatrix import _series_det
 from iwkit.padic import mat_det, padic_matrix
+from iwkit.series import deg_phi
 
 P, N = 3, 24
 
@@ -264,6 +269,109 @@ class TestMinors:
                 term = -term
             acc = term if acc is None else acc + term
         assert acc.congruent(det)
+
+
+def oracle_h(frob, n, cap):
+    """H_n as the product C_n ... C_1 of 2g x 2g series matrices."""
+    out = LogMatrix.identity(2 * frob.g, frob.prime, frob.precision, cap)
+    for k in range(1, n + 1):
+        out = c_n(frob, k, degree_cap=cap).matmul(out)
+    return out
+
+
+def oracle_minor(h, rows, cols):
+    """The (rows, cols)-minor of H_n by Laplace expansion of its entries."""
+    return _series_det([[h.entry(i - 1, j - 1) for j in cols] for i in rows])
+
+
+# g, p, n over g <= 3, p <= 7, n <= 3; precision varies with the case
+KERNEL_CASES = [(g, p, n) for g in (1, 2, 3) for p in (3, 5, 7)
+                for n in (1, 2, 3)]
+
+
+def kernel_frobenius(g, p, n):
+    rng = random.Random(1000 * g + 10 * p + n)
+    prec = (5, 24, 40)[(g + p + n) % 3]
+    return FrobeniusData.from_int_rows(g, p, prec, rand_gl(g, p, prec, rng))
+
+
+class TestCauchyBinetKernel:
+    """h_n, minors and condition_character against the C_n chain and
+    Laplace minors they replaced."""
+
+    @pytest.mark.parametrize("g,p,n", KERNEL_CASES)
+    def test_minor_table_matches_laplace(self, g, p, n):
+        frob = kernel_frobenius(g, p, n)
+        sets = index_sets(g)
+        if g < 3:
+            pairs = [(i, j) for i in sets for j in sets]
+        else:
+            # the Laplace oracle is slow at g = 3: every row and every
+            # column of the 20 x 20 table once, at a seeded partner
+            rng = random.Random(g * p * n)
+            pairs = ([(i, rng.choice(sets)) for i in sets]
+                     + [(rng.choice(sets), j) for j in sets])
+        default = g * p**n + 8
+        # below the minors' degree bound g (p^n - 1) unless that is deg Phi_n
+        truncating = (deg_phi(p, n) + g * (p**n - 1)) // 2
+        for cap in (default, truncating):
+            h = oracle_h(frob, n, cap)
+            table = (minors(frob, n) if cap == default
+                     else minors(frob, n, degree_cap=cap))
+            assert table.precision == frob.precision
+            assert len(table.values) == len(sets) ** 2
+            for i_set, j_set in pairs:
+                got = table.minor(i_set, j_set)
+                assert got.degree_cap == cap
+                assert got == oracle_minor(h, i_set, j_set), (cap, i_set, j_set)
+
+    @pytest.mark.parametrize("g,p,n", KERNEL_CASES)
+    def test_h_n_matches_chain(self, g, p, n):
+        frob = kernel_frobenius(g, p, n)
+        assert h_n(frob, n) == oracle_h(frob, n, p**n + 8)
+        # caps below p^n - 1, down to deg Phi_n, the least cap C_n fits in
+        for cap in sorted({deg_phi(p, n), p**n - 2}):
+            if cap >= deg_phi(p, n):
+                assert h_n(frob, n, degree_cap=cap) == oracle_h(frob, n, cap)
+
+    @pytest.mark.parametrize("g,p,n", KERNEL_CASES)
+    def test_character_is_the_full_table_sum(self, g, p, n):
+        frob = kernel_frobenius(g, p, n)
+        rng = random.Random(7 * g + p + n)
+        q, prec = p**frob.precision, frob.precision
+        cap = g * p**n + 8
+        cols = [IwasawaSeries.make(p, prec, [rng.randrange(q) for _ in
+                                             range(rng.randint(1, 9))], cap)
+                for _ in index_sets(g)]
+        h = oracle_h(frob, n, cap)
+        i0 = tuple(range(1, g + 1))
+        acc = None
+        for j_set, col in zip(index_sets(g), cols):
+            term = oracle_minor(h, i0, j_set) * col
+            acc = term if acc is None else acc + term
+        for theta in range(n + 1):
+            val = cyclo_eval(acc, theta).min_valuation()
+            if prec - 4 <= val < prec:
+                with pytest.raises(PrecisionExhaustedError):
+                    condition_character(frob, n, cols, theta)
+            else:
+                assert condition_character(frob, n, cols, theta) == (
+                    val < prec, val)
+
+    @pytest.mark.parametrize("cap", [1, deg_phi(3, 2) - 1])
+    def test_cap_below_phi_n_overflows_like_the_chain(self, cap):
+        # the chain names the first Phi_k that does not fit, Phi_1 at cap 1
+        frob = kernel_frobenius(2, 3, 2)
+        with pytest.raises(DegreeOverflowError) as chain:
+            oracle_h(frob, 2, cap)
+        cols = [const(1, 30)] * len(index_sets(2))
+        for call in (lambda: h_n(frob, 2, degree_cap=cap),
+                     lambda: minors(frob, 2, degree_cap=cap),
+                     lambda: condition_character(frob, 2, cols, degree_cap=cap)):
+            with pytest.raises(DegreeOverflowError) as got:
+                call()
+            assert str(got.value) == str(chain.value)
+            assert got.value.required_cap == chain.value.required_cap
 
 
 class TestConditionCharacter:
