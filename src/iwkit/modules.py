@@ -7,9 +7,9 @@ tests' oracle, is the p^n x p^n matrix of multiplication by f_i on
 Z_p[X]/omega_n.  The tower uses the smallest presentation with the same
 elementary divisors: for f_i of degree d < p^n with a unit leading
 coefficient, the d x d matrix of multiplication by omega_n on Z_p[X]/(f_i);
-for a constant c, p^n copies of [c].  A generator with mu = 0 whose leading
-coefficient is divisible by p is first replaced by its distinguished
-polynomial, which generates the same ideal and is monic.  A generator
+for a constant c, p^n copies of [c].  A generator with mu = 0 and lambda
+below its degree is first replaced by its distinguished polynomial, which
+generates the same ideal and is monic of degree lambda.  A generator
 f = p^mu * g with mu > 0 is presented through g at precision N - mu, every
 elementary exponent raised by mu: over Z/p^N the Smith form of p^mu * M is
 mu plus that of M mod p^(N - mu).  The tower index
@@ -41,9 +41,7 @@ from .padic import (
 from .series import (
     IwasawaSeries,
     _companion_rows,
-    _conv,
-    _poly_divmod_monic,
-    _series_inv,
+    _hensel_lift,
     lambda_mu as series_lambda_mu,
     omega_int_coeffs,
     phi,
@@ -153,28 +151,19 @@ def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
 
 
 def _presentable_generator(f: IwasawaSeries, precision: int) -> IwasawaSeries:
-    """f, or, when f has mu = 0 and a leading coefficient divisible by p, its
+    """f, or, when f has mu = 0 and lambda below its degree d, its
     distinguished polynomial P mod p^N, N = precision: the same ideal, but
     monic of degree lambda, so every level with lambda < p^n is presented
-    lambda x lambda whatever f's top digit.  The unit part of a polynomial
-    is a polynomial (f = P * U exactly), so P is exact: Hensel-lift
-    P = X^lambda mod p one digit at a time; if f = p^k r mod P, then
-    P + p^k (r * (f / X^lambda)^-1 mod (p, X^lambda)) divides f mod p^(k+1)."""
+    lambda x lambda (a constant when lambda = 0), whatever f's degree and
+    top digit.  The unit part of a polynomial is a polynomial (f = P * U
+    exactly), so the Hensel-lifted P is exact."""
     p, q = f.prime, f.prime**precision
     coeffs = [c % q for c in f.coeffs]
     d = max((i for i, c in enumerate(coeffs) if c), default=0)
     lam = next((i for i, c in enumerate(coeffs) if c % p), None)
-    if lam is None or coeffs[d] % p:
+    if lam is None or lam == d:
         return f
-    dist, pk = [0] * lam + [1], p
-    inv = _series_inv(coeffs[lam:d + 1], p, p, lam) if lam else []
-    while lam and pk < q:
-        _, rem = _poly_divmod_monic(coeffs[:d + 1], dist, q)
-        if not any(rem):
-            break
-        step = _conv([c // pk for c in rem], inv, lam, p)
-        dist = [(c + pk * x) % q for c, x in zip(dist, step + [0])]
-        pk *= p
+    dist, _ = _hensel_lift(coeffs[:d + 1], lam, p, precision)
     return IwasawaSeries(p, precision, tuple(dist))
 
 

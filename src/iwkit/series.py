@@ -6,6 +6,12 @@ do not exist).  Cyclotomic polynomials Phi_n and omega_n, Weierstrass
 preparation (mu/lambda invariants) and division with remainder by monic
 polynomials live here.
 
+Weierstrass preparation reads the window as a polynomial of degree <= D and
+factors f / p^mu = P * U exactly mod p^(N - mu) by one quadratic Hensel
+lift, which the tower's distinguished polynomials share.  Terms above X^D
+would change P only from the digit p^floor((D + 1) / lambda) on, so all
+N - mu digits of P are determined when lambda (N - mu) <= D + 1.
+
 Phi_0 = X and, for n >= 1, Phi_n = ((1+X)^{p^n} - 1) / ((1+X)^{p^{n-1}} - 1),
 computed as the exact binomial sum  sum_{j<p} (1+X)^{j p^{n-1}}.
 omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
@@ -21,7 +27,6 @@ from .config import is_odd_prime
 from .errors import (
     DegreeOverflowError,
     InputError,
-    IwkitError,
     PrecisionExhaustedError,
     ZeroSeriesError,
 )
@@ -274,15 +279,14 @@ def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[in
     rem = [c % q for c in f]
     if len(rem) - 1 < deg_p:
         return [0], rem
+    low = p_poly[:deg_p]
     quot = [0] * (len(rem) - deg_p)
     for k in range(len(rem) - 1, deg_p - 1, -1):
         t = rem[k]
-        if t == 0:
-            continue
-        quot[k - deg_p] = t
-        rem[k] = 0
-        for i in range(deg_p):
-            rem[k - deg_p + i] = (rem[k - deg_p + i] - t * p_poly[i]) % q
+        if t:
+            j = k - deg_p
+            quot[j] = t
+            rem[j:k] = [(r - t * w) % q for r, w in zip(rem[j:k], low)]
     return quot, rem[:deg_p] if deg_p > 0 else [0]
 
 
@@ -442,45 +446,52 @@ def lambda_mu(f: IwasawaSeries, *, margin: int = 4) -> tuple[int, int]:
     return next(i for i, c in enumerate(f.coeffs) if c % step), mu
 
 
-def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
-    """Weierstrass preparation of a nonzero truncated series.
+def _hensel_lift(fb: Sequence[int], lam: int, p: int,
+                 precision: int) -> tuple[list[int], list[int]]:
+    """(P, U) with fb = P * U mod p^precision, read as polynomials: P monic
+    of degree lam with P = X^lam mod p, U the quotient of fb by P.  fb's
+    coefficients below lam must be divisible by p and fb[lam] must not be.
 
-    mu and lambda come from the valuation scan of ``lambda_mu``: mu is the
-    minimal coefficient valuation; after dividing by p^mu, lambda is the
-    least index carrying a unit.  The distinguished polynomial is found by
-    the classical fixed-point division of X^lambda by f/p^mu, which converges
-    coefficientwise in at most N iterations; the unit is the inverse of the
-    resulting quotient.
+    Quadratic Hensel lifting (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 15): if P divides fb mod p^k, then fb = P*U + r with
+    r = 0 mod p^k, and P + (s*r mod P), s = U^-1 mod P, divides fb mod
+    p^2k; the Newton step s(2 - s*U) mod P doubles s's precision too.
+    """
+    P, k = [0] * lam + [1], 1 if lam else precision
+    s = _series_inv(fb[lam:], p, p, lam)
+
+    def mulmod(a, b, q):
+        return _poly_divmod_monic(_conv(a, b, 2 * lam - 1, q), P, q)[1]
+
+    while k < precision:
+        pk, q = p**k, p ** min(2 * k, precision)
+        # X^(j lam) = 0 mod (P, p^j): fb's low terms fix r mod q, and
+        # u's fix U mod (P, p^k), which is all the Newton step needs
+        u, r = _poly_divmod_monic(fb[:2 * k * lam], P, q)
+        if k > 1:
+            su = mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk)[1], pk)
+            s = [(2 * a - b) % pk for a, b in zip(s, mulmod(s, su, pk))]
+        step = mulmod(s, [c // pk for c in r], q // pk)
+        P = [a + pk * b for a, b in zip(P, step + [0])]
+        k *= 2
+    return P, _poly_divmod_monic(fb, P, p**precision)[0]
+
+
+def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
+    """Weierstrass preparation f = p^mu * P * U of a nonzero truncated series.
+
+    mu and lambda come from the valuation scan of ``lambda_mu``; f / p^mu is
+    read as a polynomial of degree <= D and lifted by ``_hensel_lift``: P
+    monic of degree lambda, U of degree <= D - lambda.  Exact for a
+    polynomial f; for a series cut at X^D, the terms above X^D would change
+    P from the digit p^floor((D + 1) / lambda) on and U_j from
+    p^floor((D - j) / lambda) on.
     """
     lam, mu = lambda_mu(f, margin=margin)
     n2 = f.precision - mu
-    q2 = f.prime**n2
     pmu = f.prime**mu
-    fb = [(c // pmu) % q2 for c in f.coeffs]
-    cap = f.degree_cap
-    tail_len = cap - lam + 1
-    b_inv = _series_inv(fb[lam:], q2, f.prime, tail_len)
-
-    # divide X^lam by fb: X^lam = q*fb + r, deg r < lam
-    res = [0] * (cap + 1)
-    res[lam] = 1
-    q_acc = [0] * tail_len
-    for _ in range(n2 + 2):
-        tau = res[lam:]
-        if all(c == 0 for c in tau):
-            break
-        qi = _conv(tau, b_inv, tail_len, q2)
-        q_acc = [(a + b) % q2 for a, b in zip(q_acc, qi)]
-        delta = _conv(qi, fb, cap + 1, q2)
-        res = [(a - b) % q2 for a, b in zip(res, delta)]
-    else:
-        raise IwkitError("Weierstrass division did not converge")
-
-    r = res[:lam]
-    dist = [(-c) % q2 for c in r] + [1]
-    if any(c % f.prime for c in dist[:-1]):
-        raise IwkitError("distinguished part is not divisible by p below the top")
-    unit = _series_inv(q_acc, q2, f.prime, tail_len)
+    dist, unit = _hensel_lift([(c // pmu) % f.prime**n2 for c in f.coeffs],
+                              lam, f.prime, n2)
     return WeierstrassFactorization(
         mu=mu,
         lambda_=lam,

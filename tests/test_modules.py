@@ -354,7 +354,7 @@ class TestLayerPresentation:
         ([3, 1], (1, 1, 8)),        # degree 1 < 9, monic: 1 x 1, 8 zeros
         ([3, 0, 9], (9, 1, 0)),     # mu > 0: 9 x 9
         ([9], (1, 9, 0)),           # constant: 9 copies of [9]
-        ([1] * 12, (9, 1, 0)),      # degree 11 >= 9: 9 x 9
+        ([1] * 12, (1, 9, 0)),      # mu = 0, lambda 0: P = 1, 9 copies of [1]
         ([3, 1, 3], (1, 1, 8)),     # mu = 0, lambda 1: 1 x 1 from P = X + u
         ([3] * 9 + [1, 3], (9, 1, 0)),  # mu = 0, lambda 9 >= 9: 9 x 9
     ])
@@ -362,6 +362,56 @@ class TestLayerPresentation:
         f = _presentable_generator(series(coeffs), N)
         rows, copies, pad = _layer_presentation(f, 2, N)
         assert (len(rows), copies, pad) == shape
+
+
+@st.composite
+def unit_lead_cases(draw):
+    """(f, n, N, margin): a polynomial f with mu = 0, a unit leading
+    coefficient and lambda below its degree d, d below or at least p^n."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(2, 12))
+    n = draw(st.integers(0, {3: 3, 5: 2, 7: 2}[p]))
+    margin = draw(st.integers(0, N + 1))
+    q = p**N
+    d = draw(st.integers(1, p**n + 4))
+    lam = draw(st.integers(0, d - 1))
+    coeffs = [p * c for c in draw(st.lists(st.integers(0, q - 1),
+                                           min_size=lam, max_size=lam))]
+    coeffs += draw(st.lists(st.integers(0, q - 1), min_size=d + 1 - lam,
+                            max_size=d + 1 - lam))
+    for i in (lam, d):
+        coeffs[i] += draw(st.integers(1, p - 1)) - coeffs[i] % p
+    prec = N + draw(st.sampled_from([0, 2]))
+    f = IwasawaSeries.make(p, prec, coeffs, d + draw(st.integers(0, 3)))
+    return f, n, N, margin
+
+
+class TestUnitLeadingCoefficient:
+    """A mu = 0 polynomial with a unit leading coefficient and lambda < d is
+    presented through its distinguished polynomial: lambda x lambda, or the
+    constant path when lambda = 0, against the p^n x p^n oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=unit_lead_cases())
+    def test_matches_quotient_presentation(self, case):
+        f, n, N, margin = case
+        p = f.prime
+        lam = next(i for i, c in enumerate(f.coeffs) if c % p)
+        g = _presentable_generator(f, N)
+        assert g.degree() == lam and g.coeffs[lam] == 1
+        pres = _layer_presentation(g, n, N)
+        rows, copies, pad = pres
+        if lam == 0:
+            assert (len(rows), copies, pad) == (1, p**n, 0)
+        elif lam < p**n:
+            assert (len(rows), copies, pad) == (lam, 1, p**n - lam)
+        at_n = mod(IwasawaSeries(p, N, f.coeffs), p=p)
+        brute = [[x.residue for x in row]
+                 for row in quotient_presentation(at_n, n)]
+        want, _ = _snf_core(brute, p, N, track=False)
+        assert _presented_exponents(pres, p, N) == want
+        assert _outcome(lambda: _presented_invariants(pres, p, N, margin)) == \
+            _outcome(lambda: _invariants_raw(brute, p, N, margin))
 
 
 @st.composite

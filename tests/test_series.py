@@ -18,13 +18,16 @@ from iwkit import (
     weierstrass_prepare,
 )
 from iwkit.series import (
+    WeierstrassFactorization,
     _conv,
+    _hensel_lift,
+    _poly_divmod_monic,
     _series_inv,
     lambda_mu,
     reconstruction_residual_valuation,
 )
 
-from conftest import ip_mul, ip_phi, ip_reduce_mod
+from conftest import ip_divmod, ip_mul, ip_phi, ip_reduce_mod, ip_trim
 
 
 def S(coeffs, p=3, n=24, cap=30):
@@ -346,3 +349,133 @@ class TestProductKernel:
 
         with pytest.raises(InputError):
             _series_inv([3, 1], 3**10, 3, 5)
+
+
+def _fixed_point_prepare(f, margin=4):
+    """Oracle for weierstrass_prepare: the classical fixed-point division of
+    X^lambda by f / p^mu on series cut at X^D, up to N - mu + 2 rounds of
+    two full-width products; the unit is the inverse of the quotient."""
+    lam, mu = lambda_mu(f, margin=margin)
+    n2 = f.precision - mu
+    q2, pmu = f.prime**n2, f.prime**mu
+    fb = [(c // pmu) % q2 for c in f.coeffs]
+    cap = f.degree_cap
+    tail_len = cap - lam + 1
+    b_inv = _series_inv(fb[lam:], q2, f.prime, tail_len)
+    res = [0] * (cap + 1)
+    res[lam] = 1
+    q_acc = [0] * tail_len
+    for _ in range(n2 + 2):
+        tau = res[lam:]
+        if not any(tau):
+            break
+        qi = _conv(tau, b_inv, tail_len, q2)
+        q_acc = [(a + b) % q2 for a, b in zip(q_acc, qi)]
+        delta = _conv(qi, fb, cap + 1, q2)
+        res = [(a - b) % q2 for a, b in zip(res, delta)]
+    else:
+        raise AssertionError("fixed-point division did not converge")
+    dist = [-c % q2 for c in res[:lam]] + [1]
+    unit = _series_inv(q_acc, q2, f.prime, tail_len)
+    return WeierstrassFactorization(mu, lam, IwasawaSeries(f.prime, n2, tuple(dist)),
+                                   IwasawaSeries(f.prime, n2, tuple(unit)))
+
+
+def _digit_lift(fb, lam, p, n):
+    """Oracle for the distinguished part of a polynomial fb: the linear
+    Hensel lift one p-adic digit at a time.  If fb = p^k r mod P, then
+    P + p^k (r * (fb / X^lam)^-1 mod (p, X^lam)) divides fb mod p^(k+1)."""
+    q = p**n
+    dist, pk = [0] * lam + [1], p
+    inv = _series_inv(fb[lam:], p, p, lam) if lam else []
+    while lam and pk < q:
+        _, rem = _poly_divmod_monic(fb, dist, q)
+        if not any(rem):
+            break
+        step = _conv([c // pk for c in rem], inv, lam, p)
+        dist = [(c + pk * x) % q for c, x in zip(dist, step + [0])]
+        pk *= p
+    return dist
+
+
+@st.composite
+def prep_cases(draw):
+    """f = p^mu * fb at precision N, cap D, fb of valuation 0 with lambda
+    below, at or above (D + 1) / (N - mu + 2): a polynomial of degree d that
+    fills the window (d = D, as a series cut at X^D) or leaves zeros above."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    mu = draw(st.integers(0, 3))
+    N = mu + draw(st.integers(5, 24))
+    D = draw(st.integers(0, 80))
+    n2 = N - mu
+    bound = (D + 1) // (n2 + 2)
+    lam = draw(st.one_of(st.integers(0, min(bound, D)), st.integers(0, D)))
+    d = draw(st.integers(lam, D)) if draw(st.booleans()) else D
+    seed = draw(st.integers(0, 10**9))
+    rng = random.Random(seed)
+    q2 = p**n2
+    fb = [p * rng.randrange(q2) % q2 for _ in range(lam)]
+    fb.append(rng.randrange(1, p) + p * rng.randrange(q2) % q2)
+    fb += [rng.randrange(q2) for _ in range(d - lam)]
+    # digits above p^N - mu are free: the series holds f mod p^N only
+    f = IwasawaSeries.make(p, N, [c * p**mu for c in fb], D)
+    return f, fb, lam, mu, n2
+
+
+class TestHenselLift:
+    """The quadratic Hensel lift against the fixed-point division it
+    replaces and the digit-at-a-time lift of polynomials."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=prep_cases())
+    def test_matches_fixed_point_division(self, case):
+        f, _, lam, mu, n2 = case
+        p, D = f.prime, f.degree_cap
+        w, old = weierstrass_prepare(f), _fixed_point_prepare(f)
+        assert (w.mu, w.lambda_) == (old.mu, old.lambda_) == (mu, lam)
+        assert w.precision == old.precision == n2
+        assert len(w.unit.coeffs) == len(old.unit.coeffs) == D - lam + 1
+        if lam * (n2 + 2) <= D + 1:
+            # every digit the cut at X^D leaves is determined: bit for bit
+            assert w.distinguished.coeffs == old.distinguished.coeffs
+            assert w.unit.coeffs[0] == old.unit.coeffs[0]
+            window = max(D - 4, 0)
+            assert reconstruction_residual_valuation(f, w, up_to_degree=window) \
+                == reconstruction_residual_valuation(f, old, up_to_degree=window)
+        else:
+            # the series' unknown terms above X^D reach P's digits from
+            # p^floor((D + 1) / lambda) and U_j's from p^floor((D - j) / lambda)
+            k = min(n2, (D + 1) // lam)
+            assert w.distinguished.congruent(old.distinguished, mod_exp=k)
+            for j, (a, b) in enumerate(zip(w.unit.coeffs, old.unit.coeffs)):
+                assert (a - b) % p ** min(n2, (D - j) // lam) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=prep_cases())
+    def test_polynomial_factors_exactly(self, case):
+        f, fb, lam, mu, n2 = case
+        p = f.prime
+        q2 = p**n2
+        dist, unit = _hensel_lift(fb, lam, p, n2)
+        assert len(dist) == lam + 1 and dist[lam] == 1
+        assert all(c % p == 0 for c in dist[:lam])
+        assert ip_trim(ip_reduce_mod(ip_mul(dist, unit), q2)) == \
+            ip_trim(ip_reduce_mod(fb, q2))
+        assert dist == _digit_lift(fb, lam, p, n2)
+        w = weierstrass_prepare(f)
+        assert list(w.distinguished.coeffs) == dist
+        assert list(w.unit.coeffs[:len(unit)]) == unit
+        assert not any(w.unit.coeffs[len(unit):])
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 30),
+           seed=st.integers(0, 10**9))
+    def test_long_division(self, p, n, seed):
+        rng = random.Random(seed)
+        q = p**n
+        f = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(1, 40))]
+        g = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 12))] + [1]
+        quot, rem = _poly_divmod_monic(f, g, q)
+        want_q, want_r = ip_divmod(f, g)
+        assert ip_trim(ip_reduce_mod(quot, q)) == ip_trim(ip_reduce_mod(want_q, q))
+        assert ip_trim(ip_reduce_mod(rem, q)) == ip_trim(ip_reduce_mod(want_r, q))
