@@ -35,7 +35,7 @@ from .errors import (
     ZeroSeriesError,
 )
 from .growth import synthetic_tower_verify, rk_solver
-from .logmatrix import condition_character, h_n, index_sets, minors
+from .logmatrix import WedgeTower, condition_character, h_n, index_sets, minors
 from .modules import tower_report
 from .series import (
     reconstruction_residual_valuation,
@@ -325,7 +325,9 @@ def _cmd_logmatrix(args, started: float) -> int:
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
     paths = [args.frobenius_file]
-    h = h_n(frob, args.n)
+    # one per run: h_n, minors and condition_character share its powers
+    tower = WedgeTower(frob)
+    h = h_n(frob, args.n, tower=tower)
     kv = {
         "g": frob.g,
         "n": args.n,
@@ -341,7 +343,7 @@ def _cmd_logmatrix(args, started: float) -> int:
     ]
     extra: dict = {}
     if args.minors:
-        table = minors(frob, args.n)
+        table = minors(frob, args.n, tower=tower)
         extra["minors"] = serialize.minor_table_to_dict(table)["minors"]
     if args.col_values:
         paths.append(args.col_values)
@@ -356,7 +358,8 @@ def _cmd_logmatrix(args, started: float) -> int:
                 col_data[key], degree_cap=config.degree_cap,
                 precision=config.precision))
         nonzero, val = condition_character(
-            frob, args.n, cols, args.theta_level, margin=config.margin)
+            frob, args.n, cols, args.theta_level, margin=config.margin,
+            tower=tower)
         kv["character_nonzero"] = nonzero
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n

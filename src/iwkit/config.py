@@ -41,6 +41,8 @@ class Config:
     def __post_init__(self):
         if not is_odd_prime(self.prime):
             raise InputError(f"prime must be an odd prime, got {self.prime}")
+        if self.margin < 0:
+            raise InputError(f"margin must be >= 0, got {self.margin}")
         if self.precision <= self.margin:
             raise InputError(
                 f"precision {self.precision} must exceed margin {self.margin}"

@@ -33,7 +33,7 @@ from .modules import (
     _stabilization,
     rank_phi_omega,
 )
-from .series import IwasawaSeries, divide_distinguished, phi
+from .series import IwasawaSeries, deg_phi, divide_distinguished, phi
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,16 @@ def _assign_shape(sel: ElementaryModule, shape: MWShape) -> list[tuple[int, Iwas
     used: set[tuple[int, int]] = set()
     out = []
     for c in sorted(shape.c_list, reverse=True):
-        phic = phi(c, prime=sel.prime, precision=sel.precision)
+        # a generator of degree below deg Phi_c leaves quotient 0, so only
+        # the others are tried, and Phi_c is built only when one exists
+        d = deg_phi(sel.prime, c)
+        fits = [j for j, f in enumerate(sel.generators)
+                if (j, c) not in used and (f.degree() or 0) >= d]
+        if fits:
+            phic = phi(c, prime=sel.prime, precision=sel.precision)
         placed = False
-        for j, f in enumerate(sel.generators):
-            if (j, c) in used:
-                continue
+        for j in fits:
+            f = sel.generators[j]
             quot, rem = divide_distinguished(f, phic)
             if rem.is_zero() and not quot.is_zero():
                 used.add((j, c))

@@ -14,7 +14,7 @@ Minor tables, character evaluation of minor sums, and change-of-basis
 invariance checks for block-diagonal base changes live here too.
 
 H_n, its (I, J)-minor tables and the character row all come from one kernel,
-``_wedge_tower``.  C_k = D_k C_p^{-1} with D_k = diag(I_g, Phi_k I_g), so by
+``WedgeTower``.  C_k = D_k C_p^{-1} with D_k = diag(I_g, Phi_k I_g), so by
 Cauchy-Binet the r x r minors of H_n form
 
     wedge^r H_n = E_n W E_{n-1} W ... E_1 W,   W = wedge^r(C_p^{-1}),
@@ -24,9 +24,13 @@ n constant square matrices (the r-minors of C_p^{-1}, computed once) between
 diagonal powers of Phi_k, with no determinant of series anywhere.  ``h_n``
 answers from the first exterior power (r = 1, W = C_p^{-1}), ``minors`` from
 the g-th, and ``condition_character`` from the first row (I0 = {1..g}) of the
-g-th alone.  ``c_n``, ``LogMatrix.matmul`` and the Laplace expansion
-``_series_det`` serve ``m_n`` and ``LogMatrix.det``, and are the tests'
-oracle for the kernel.
+g-th.  A run that asks for several of them shares one ``WedgeTower``, which
+builds each power once: Phi_1..Phi_n and C_p^{-1} once for all powers, the
+character row read off a minor table already built, and at g = 1, where
+wedge^1 H_n = H_n, the minor table and the character row read off H_n.
+``c_n``, ``LogMatrix.matmul`` and the Laplace expansion ``_series_det``
+serve ``m_n`` and ``LogMatrix.det``, and are the tests' oracle for the
+kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from typing import Mapping, Sequence
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
-from .series import IwasawaSeries, _conv, _pack, _unpack, deg_phi, phi
+from .series import (IwasawaSeries, _conv, _pack, _unpack, deg_phi, phi,
+                     phi_int_coeffs, require_cap)
 
 
 @dataclass(frozen=True)
@@ -252,75 +257,122 @@ def _compound(a: Sequence[Sequence[int]], r: int, q: int) -> list[list[int]]:
     return [[minor[(rows, cols)] for cols in subsets] for rows in subsets]
 
 
-def _wedge_tower(frob: FrobeniusData, r: int, n: int, cap: int, *,
-                 first_row_only: bool = False) -> list[list[IwasawaSeries]]:
-    """The r-th exterior power of H_n mod (p^N, X^{cap+1}), or only its first
-    row, rows and columns indexed by the r-subsets of {1..2g} in
-    lexicographic order: the product E_n W ... E_1 W of the module docstring.
+class WedgeTower:
+    """The exterior powers of H_n for one Frobenius matrix, each built at
+    most once: the product E_n W ... E_1 W of the module docstring.
 
-    Row vectors are pushed from the left through a word in the E_k and a
-    constant matrix: scaling entry K by Phi_k^{e_K} goes through ``_conv``,
-    and v -> v M is the combination sum_K v_K M_{K,J} on packed ints, whose
-    slots hold the m (q-1)^2 bound of a sum of m products.  The first row
-    (e_I = 0 there) is e_1 E_n W ... E_1 W.  The whole power is read off the
-    transpose W^T E_1 W^T E_2 ... W^T E_n, whose rows meet the long
-    Phi_n^{e_K} last, on the shortest entries.  Truncation mod X^{cap+1} is
-    a ring map, so capping every product is exact.
+    Every power starts from the same setup, made here once: the coefficient
+    lists of Phi_1..Phi_n mod p^N and the residues of C_p^{-1}.  A built
+    power is kept under (r, n, cap) and also answers for its first row.  As
+    wedge^1 H_n = H_n, at g = 1 the minor table and the character row are
+    H_n's own entries (the default caps agree there).  One object serves one
+    run: ``h_n``, ``minors`` and ``condition_character`` take it as
+    ``tower=``, and without it each call builds its own, so nothing is kept
+    beyond the run that made it.
     """
-    p, prec = frob.prime, frob.precision
-    q = p**prec
-    limit = cap + 1
-    # the same DegreeOverflowError, in the same order, as building C_1..C_n
-    phis = [phi(k, prime=p, precision=prec, degree_cap=cap).coeffs[:deg_phi(p, k) + 1]
-            for k in range(1, n + 1)]
-    w = _compound([[x.residue for x in row] for row in mat_inv(frob.c_p_lists())],
-                  r, q)
-    exps = [sum(i >= frob.g for i in s) for s in combinations(range(2 * frob.g), r)]
-    m = len(w)
-    sb = (2 * (q - 1).bit_length() + m.bit_length() + 7) // 8
 
-    def times(a: list[int], b: list[int]) -> list[int]:
-        return _conv(a, b, min(len(a) + len(b) - 1, limit), q)
+    def __init__(self, frob: FrobeniusData):
+        self.frob = frob
+        self._phis: list[list[int]] = []
+        self._inv: list[list[int]] | None = None
+        self._powers: dict[tuple[int, int, int, bool],
+                           list[list[IwasawaSeries]]] = {}
 
-    if first_row_only:
-        w_cols = list(zip(*w))
-        word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
-        vecs = [[[1]] + [[] for _ in range(m - 1)]]
-    else:
-        word = [x for k in range(1, n + 1) for x in (w, k)]
-        vecs = [[[1] if j == i else [] for j in range(m)] for i in range(m)]
-    for step in word:
-        if isinstance(step, int):
-            powers = [[1], phis[step - 1]]
-            for _ in range(2, max(exps) + 1):
-                powers.append(times(powers[-1], phis[step - 1]))
+    def power(self, r: int, n: int, cap: int, *,
+              first_row_only: bool = False) -> list[list[IwasawaSeries]]:
+        """wedge^r H_n mod (p^N, X^{cap+1}), or only its first row, rows and
+        columns indexed by the r-subsets of {1..2g} in lexicographic order."""
+        full = self._powers.get((r, n, cap, False))
+        if full is not None:
+            return full[:1] if first_row_only else full
+        key = (r, n, cap, first_row_only)
+        if key not in self._powers:
+            self._powers[key] = self._build(r, n, cap, first_row_only)
+        return self._powers[key]
+
+    def _build(self, r: int, n: int, cap: int,
+               first_row_only: bool) -> list[list[IwasawaSeries]]:
+        """Row vectors are pushed from the left through a word in the E_k
+        and a constant matrix: scaling entry K by Phi_k^{e_K} goes through
+        ``_conv``, and v -> v M is the combination sum_K v_K M_{K,J} on
+        packed ints, whose slots hold the m (q-1)^2 bound of a sum of m
+        products.  The first row (e_I = 0 there) is e_1 E_n W ... E_1 W.  The
+        whole power is read off the transpose W^T E_1 W^T E_2 ... W^T E_n,
+        whose rows meet the long Phi_n^{e_K} last, on the shortest entries.
+        Truncation mod X^{cap+1} is a ring map, so capping every product is
+        exact.
+        """
+        frob = self.frob
+        p, prec = frob.prime, frob.precision
+        q = p**prec
+        limit = cap + 1
+        # the same DegreeOverflowError, in the same order, as building C_1..C_n
+        for k in range(1, n + 1):
+            require_cap(f"Phi_{k}", deg_phi(p, k), cap)
+        while len(self._phis) < n:
+            self._phis.append([c % q for c in
+                               phi_int_coeffs(p, len(self._phis) + 1)])
+        if self._inv is None:
+            self._inv = [[x.residue for x in row]
+                         for row in mat_inv(frob.c_p_lists())]
+        phis = self._phis
+        w = _compound(self._inv, r, q)
+        exps = [sum(i >= frob.g for i in s)
+                for s in combinations(range(2 * frob.g), r)]
+        m = len(w)
+        sb = (2 * (q - 1).bit_length() + m.bit_length() + 7) // 8
+
+        def times(a: list[int], b: list[int]) -> list[int]:
+            return _conv(a, b, min(len(a) + len(b) - 1, limit), q)
+
+        if first_row_only:
+            w_cols = list(zip(*w))
+            word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
+            vecs = [[[1]] + [[] for _ in range(m - 1)]]
+        else:
+            word = [x for k in range(1, n + 1) for x in (w, k)]
+            vecs = [[[1] if j == i else [] for j in range(m)] for i in range(m)]
+        for step in word:
+            if isinstance(step, int):
+                powers = [[1], phis[step - 1]]
+                for _ in range(2, max(exps) + 1):
+                    powers.append(times(powers[-1], phis[step - 1]))
+                for v in vecs:
+                    for j, e in enumerate(exps):
+                        if e and v[j]:
+                            v[j] = times(v[j], powers[e])
+                continue
             for v in vecs:
-                for j, e in enumerate(exps):
-                    if e and v[j]:
-                        v[j] = times(v[j], powers[e])
-            continue
-        for v in vecs:
-            packed = [_pack(c, sb) for c in v]
-            length = max(map(len, v))
-            for j, col in enumerate(step):
-                c = _unpack(sum(x * y for x, y in zip(packed, col) if x),
-                            length, sb, q)
-                while c and not c[-1]:
-                    c.pop()
-                v[j] = c
-    if not first_row_only:
-        vecs = [list(col) for col in zip(*vecs)]
-    return [[IwasawaSeries._reduced(p, prec, tuple(c) + (0,) * (limit - len(c)))
-             for c in v] for v in vecs]
+                packed = [_pack(c, sb) for c in v]
+                length = max(map(len, v))
+                for j, col in enumerate(step):
+                    c = _unpack(sum(x * y for x, y in zip(packed, col) if x),
+                                length, sb, q)
+                    while c and not c[-1]:
+                        c.pop()
+                    v[j] = c
+        if not first_row_only:
+            vecs = [list(col) for col in zip(*vecs)]
+        return [[IwasawaSeries._reduced(p, prec, tuple(c) + (0,) * (limit - len(c)))
+                 for c in v] for v in vecs]
 
 
-def h_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
+def _tower_for(frob: FrobeniusData, tower: WedgeTower | None) -> WedgeTower:
+    if tower is None:
+        return WedgeTower(frob)
+    if tower.frob is not frob:
+        raise InputError("the tower was built for another Frobenius matrix")
+    return tower
+
+
+def h_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
+        tower: WedgeTower | None = None) -> LogMatrix:
     """H_n = C_n C_{n-1} ... C_1, with H_0 the identity (empty product):
-    the first exterior power of ``_wedge_tower``."""
+    the first exterior power of ``WedgeTower``."""
     if n < 0:
         raise InputError("level must be >= 0")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
-    rows = _wedge_tower(frob, 1, n, cap)
+    rows = _tower_for(frob, tower).power(1, n, cap)
     return LogMatrix(tuple(tuple(r) for r in rows), 0)
 
 
@@ -362,18 +414,19 @@ def _minor_cap(frob: FrobeniusData, n: int, degree_cap: int | None) -> int:
         frob, n, minors_of_h=True)
 
 
-def minors(frob: FrobeniusData, n: int, *,
-           degree_cap: int | None = None) -> MinorTable:
+def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
+           tower: WedgeTower | None = None) -> MinorTable:
     """Tabulate every (I, J)-minor of H_n; needs g <= 3 to keep the table sane.
 
     The table is wedge^g H_n, computed from the g-minors of C_p^{-1} by the
     Cauchy-Binet recurrence wedge^g H_k = diag(Phi_k^{e_I}) wedge^g(C_p^{-1})
-    wedge^g H_{k-1} (see ``_wedge_tower``), never from H_n itself.
+    wedge^g H_{k-1} (see ``WedgeTower``).  At g = 1 it is H_n itself, read
+    off ``tower`` when ``h_n`` already built it at the same cap.
     """
     cap = _minor_cap(frob, n, degree_cap)
     table = MinorTable(n=n, g=frob.g, prime=frob.prime, precision=frob.precision)
     sets = index_sets(frob.g)
-    for rows_set, row in zip(sets, _wedge_tower(frob, frob.g, n, cap)):
+    for rows_set, row in zip(sets, _tower_for(frob, tower).power(frob.g, n, cap)):
         for cols_set, v in zip(sets, row):
             table.values[(rows_set, cols_set)] = v
     return table
@@ -383,14 +436,16 @@ def condition_character(frob: FrobeniusData, n: int,
                         col_values: Sequence[IwasawaSeries] | Mapping,
                         theta_level: int | None = None, *,
                         margin: int = 4,
-                        degree_cap: int | None = None) -> tuple[bool, int]:
+                        degree_cap: int | None = None,
+                        tower: WedgeTower | None = None) -> tuple[bool, int]:
     """Evaluate sum_J H_{I0,J,n} * col_J at a character of the given level.
 
     ``col_values`` supplies the caller's column determinants, one per
     g-element index set J (lexicographic order, or a mapping keyed by the
-    sets).  Only row I0 = {1..g} of the minor table is needed, so it is the
-    one row vector pushed through the Cauchy-Binet recurrence of
-    ``_wedge_tower``, at the cap ``minors`` would use.  Returns
+    sets).  Only row I0 = {1..g} of the minor table is needed, at the cap
+    ``minors`` would use: row I0 of the table when ``tower`` already holds
+    it (at g = 1, the first row of H_n), else the one row vector pushed
+    through the Cauchy-Binet recurrence of ``WedgeTower``.  Returns
     (is_nonzero mod p^N, minimal coefficient valuation).  Raises
     PrecisionExhaustedError when every coefficient survives only inside the
     margin band.
@@ -404,7 +459,8 @@ def condition_character(frob: FrobeniusData, n: int,
             raise InputError(
                 f"need {len(sets)} column values, got {len(vals)}")
     cap = _minor_cap(frob, n, degree_cap)
-    row = _wedge_tower(frob, frob.g, n, cap, first_row_only=True)[0]
+    row = _tower_for(frob, tower).power(frob.g, n, cap,
+                                        first_row_only=True)[0]
     acc = None
     for m, v in zip(row, vals):
         term = m * v

@@ -241,32 +241,38 @@ def omega_int_coeffs(prime: int, n: int) -> list[int]:
 
 
 def deg_phi(prime: int, n: int) -> int:
+    if n < 0:
+        raise InputError("level must be >= 0")
     return 1 if n == 0 else prime**n - prime ** (n - 1)
 
 
-def _named_poly(name: str, coeffs: list[int], prime: int, precision: int,
-                degree_cap: int | None) -> IwasawaSeries:
-    deg = len(coeffs) - 1
+def require_cap(name: str, deg: int, degree_cap: int | None) -> None:
+    """Raise DegreeOverflowError when the polynomial ``name`` of degree
+    ``deg`` does not fit under ``degree_cap``: checked from the degree alone,
+    before any coefficient is built."""
     if degree_cap is not None and deg > degree_cap:
         raise DegreeOverflowError(
             f"{name} has degree {deg}; degree cap must be at least {deg}",
             required_cap=deg,
         )
-    return IwasawaSeries.make(prime, precision, coeffs, degree_cap)
 
 
 def phi(n: int, *, prime: int, precision: int,
         degree_cap: int | None = None) -> IwasawaSeries:
     """The p^n-th cyclotomic polynomial in 1+X, as a series mod p^precision."""
-    return _named_poly(f"Phi_{n}", phi_int_coeffs(prime, n), prime, precision,
-                       degree_cap)
+    require_cap(f"Phi_{n}", deg_phi(prime, n), degree_cap)
+    return IwasawaSeries.make(prime, precision, phi_int_coeffs(prime, n),
+                              degree_cap)
 
 
 def omega(n: int, *, prime: int, precision: int,
           degree_cap: int | None = None) -> IwasawaSeries:
     """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision."""
-    return _named_poly(f"omega_{n}", omega_int_coeffs(prime, n), prime,
-                       precision, degree_cap)
+    if n < 0:
+        raise InputError("level must be >= 0")
+    require_cap(f"omega_{n}", prime**n, degree_cap)
+    return IwasawaSeries.make(prime, precision, omega_int_coeffs(prime, n),
+                              degree_cap)
 
 
 def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[int], list[int]]:

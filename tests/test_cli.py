@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from iwkit import cli
+from iwkit import cli, logmatrix
+from iwkit.logmatrix import WedgeTower, index_sets
+from iwkit.padic import mat_det, padic_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -251,6 +254,108 @@ class TestLogmatrix:
         assert "character_min_valuation,0" in out
 
 
+def _frobenius_file(path, g, p=3, precision=24):
+    """A seeded C_p in GL_{2g}(Z_p), written as a Frobenius input file."""
+    rng = random.Random(100 * g + p)
+    q = p**precision
+    while True:
+        rows = [[rng.randrange(q) for _ in range(2 * g)] for _ in range(2 * g)]
+        if mat_det(padic_matrix(p, precision, rows)).is_unit():
+            break
+    path.write_text(json.dumps({"g": g, "prime": p,
+                                "matrix": [[str(x) for x in r] for r in rows]}))
+    return path
+
+
+def _col_values_file(path, g, p=3, precision=24):
+    """One seeded series of degree <= 8 per g-element index set."""
+    rng = random.Random(7 * g + p)
+    q = p**precision
+    path.write_text(json.dumps({
+        ",".join(map(str, s)): {"prime": p, "precision": precision,
+                                "coeffs": [str(rng.randrange(q)) for _ in
+                                           range(rng.randint(1, 9))]}
+        for s in index_sets(g)}))
+    return path
+
+
+LOGMATRIX_FLAGS = {"minors": ["--minors"], "cols": ["--col-values"],
+                   "both": ["--minors", "--col-values"]}
+
+
+def _logmatrix_argv(tmp_path, g, flags, n=2):
+    argv = ["--no-timestamp", "--format", "json", "logmatrix",
+            str(_frobenius_file(tmp_path / f"frob_g{g}.json", g)), "--n", str(n)]
+    for flag in LOGMATRIX_FLAGS[flags]:
+        argv.append(flag)
+        if flag == "--col-values":
+            argv += [str(_col_values_file(tmp_path / f"cols_g{g}.json", g)),
+                     "--theta-level", "1"]
+    return argv
+
+
+class TestLogmatrixOneTower:
+    """One run shares a WedgeTower between h_n, minors and
+    condition_character, so each exterior power of H_n is built once."""
+
+    @pytest.mark.parametrize("flags", sorted(LOGMATRIX_FLAGS))
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_output_equals_separate_calls(self, tmp_path, monkeypatch, g, flags):
+        argv = _logmatrix_argv(tmp_path, g, flags)
+        shared = run(*argv)
+        for name in ("h_n", "minors", "condition_character"):
+            fn = getattr(cli, name)
+            # the same call, without the run's tower: built from scratch
+            monkeypatch.setattr(cli, name, lambda *a, _fn=fn, tower=None, **kw:
+                                _fn(*a, **kw))
+        assert run(*argv) == shared
+
+    @pytest.mark.parametrize("flags", sorted(LOGMATRIX_FLAGS))
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_each_power_built_once(self, tmp_path, monkeypatch, g, flags):
+        built = []
+        build = WedgeTower._build
+
+        def counting(self, r, n, cap, first_row_only):
+            built.append(r)
+            return build(self, r, n, cap, first_row_only)
+
+        inverses = []
+        mat_inv = logmatrix.mat_inv
+        monkeypatch.setattr(WedgeTower, "_build", counting)
+        monkeypatch.setattr(logmatrix, "mat_inv",
+                            lambda m: inverses.append(1) or mat_inv(m))
+        run(*_logmatrix_argv(tmp_path, g, flags))
+        # g = 1: the minor table and the character row are H_n's entries
+        assert sorted(built) == sorted({1, g})
+        # every power starts from the one C_p^{-1}
+        assert len(inverses) == 1
+
+    @pytest.mark.parametrize("tail,message", [
+        (["--n", "-1"], "level must be >= 0"),
+        (["--n", "0", "--minors"], "level must be >= 1"),
+        (["--n", "0", "--col-values", str(SCEN / "colvalues_units.json")],
+         "level must be >= 1"),
+        (["--col-values", "{tmp}/cols_missing.json"],
+         "col-values file misses index set 2"),
+    ])
+    def test_refusals_unchanged(self, tmp_path, tail, message):
+        (tmp_path / "cols_missing.json").write_text(json.dumps(
+            {"1": {"prime": 3, "precision": 24, "coeffs": ["1"]}}))
+        proc = invoke("--no-timestamp", "logmatrix",
+                      str(SCEN / "frobenius_elliptic.json"),
+                      *[a.replace("{tmp}", str(tmp_path)) for a in tail])
+        assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+    def test_g4_minors_refused(self, tmp_path):
+        f = tmp_path / "g4.json"
+        f.write_text(json.dumps({"g": 4, "prime": 3, "matrix": [
+            [str(int(i == j)) for j in range(8)] for i in range(8)]}))
+        proc = invoke("--no-timestamp", "logmatrix", str(f), "--minors")
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: minor tables are limited to g <= 3\n")
+
+
 class TestRksolve:
     def test_examples(self):
         out = run("--no-timestamp", "rksolve", "2")
@@ -293,7 +398,9 @@ class TestConfigPlumbing:
         for content, argv in [
                 ({"prime": "x"}, ["rksolve", "1"]),
                 # a JSON boolean is not an integer, though bool subclasses int
-                ({"margin": True}, ["wprep", str(SCEN / "series_wprep_p5.json")])]:
+                ({"margin": True}, ["wprep", str(SCEN / "series_wprep_p5.json")]),
+                # an integer, but no ambiguity band is negative
+                ({"margin": -1}, ["tower", str(SCEN / "module_phi1.json")])]:
             cfg.write_text(json.dumps(content))
             run("--no-timestamp", *argv, expect=2,
                 env={"IWKIT_CONFIG": str(cfg)})
@@ -336,6 +443,13 @@ MALFORMED = [
     ("precision a non-integral number",
      {"prime": 3, "precision": 24.5, "coeffs": ["3", "1"]}, ["wprep"]),
     ("n_max a boolean", {**GROWTH_RANK_ONE, "n_max": True}, ["growth"]),
+    # the degree is checked before any coefficient of Phi_c is built
+    ("Phi_40 generator", {"prime": 3, "generators": [{"phi": 40}]}, ["tower"]),
+    ("Phi_10 generator", {"prime": 3, "generators": [{"phi": 10}]}, ["tower"]),
+    ("mw_shape level 40", {**GROWTH_RANK_ONE, "mw_shape": [40]}, ["growth"]),
+    ("mw_shape level 9", {**GROWTH_RANK_ONE, "mw_shape": [9]}, ["growth"]),
+    ("negative --margin", {"prime": 3, "generators": [{"phi": 1}]},
+     ["--margin", "-1", "tower"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

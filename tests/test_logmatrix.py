@@ -22,7 +22,7 @@ from iwkit import (
     minors,
     phi,
 )
-from iwkit.logmatrix import _series_det
+from iwkit.logmatrix import WedgeTower, _series_det
 from iwkit.padic import mat_det, padic_matrix
 from iwkit.series import deg_phi
 
@@ -372,6 +372,49 @@ class TestCauchyBinetKernel:
                 call()
             assert str(got.value) == str(chain.value)
             assert got.value.required_cap == chain.value.required_cap
+
+
+class TestWedgeTower:
+    """One WedgeTower shared by h_n, minors and condition_character gives
+    what each gives alone, in any order and at any cap."""
+
+    @pytest.mark.parametrize("g,p,n", [(1, 3, 3), (1, 5, 2), (2, 3, 2),
+                                       (2, 7, 1), (3, 3, 2)])
+    def test_shared_equals_alone(self, g, p, n):
+        frob = kernel_frobenius(g, p, n)
+        rng = random.Random(g + p + n)
+        q, prec = p**frob.precision, frob.precision
+        cols = [IwasawaSeries.make(p, prec, [rng.randrange(q) for _ in range(5)],
+                                   g * p**n + 8)
+                for _ in index_sets(g)]
+        caps = (None, deg_phi(p, n))
+        # the character row first, so a later full table is not its prefix
+        tower = WedgeTower(frob)
+        for cap in caps:
+            assert (condition_character(frob, n, cols, 0, degree_cap=cap,
+                                        margin=0, tower=tower)
+                    == condition_character(frob, n, cols, 0, degree_cap=cap,
+                                           margin=0))
+            assert (minors(frob, n, degree_cap=cap, tower=tower).values
+                    == minors(frob, n, degree_cap=cap).values)
+            assert (h_n(frob, n, degree_cap=cap, tower=tower)
+                    == h_n(frob, n, degree_cap=cap))
+        # and the other way round: the row read off the table
+        tower = WedgeTower(frob)
+        for cap in caps:
+            assert (h_n(frob, n, degree_cap=cap, tower=tower)
+                    == h_n(frob, n, degree_cap=cap))
+            assert (minors(frob, n, degree_cap=cap, tower=tower).values
+                    == minors(frob, n, degree_cap=cap).values)
+            assert (condition_character(frob, n, cols, 0, degree_cap=cap,
+                                        margin=0, tower=tower)
+                    == condition_character(frob, n, cols, 0, degree_cap=cap,
+                                           margin=0))
+
+    def test_tower_of_another_frobenius_refused(self):
+        tower = WedgeTower(kernel_frobenius(1, 3, 2))
+        with pytest.raises(InputError):
+            h_n(elliptic(), 2, tower=tower)
 
 
 class TestConditionCharacter:
