@@ -38,7 +38,9 @@ from .growth import synthetic_tower_verify, rk_solver
 from .logmatrix import WedgeTower, condition_character, h_n, index_sets, minors
 from .modules import tower_report
 from .series import (
+    deg_phi,
     reconstruction_residual_valuation,
+    require_cap,
     weierstrass_prepare,
 )
 from . import serialize
@@ -324,6 +326,10 @@ def _cmd_logmatrix(args, started: float) -> int:
     data = serialize.load_json(args.frobenius_file)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
+    if args.col_values and args.theta_level is not None:
+        # the character is read mod Phi_theta: refuse from its degree alone
+        require_cap(f"Phi_{args.theta_level}",
+                    deg_phi(frob.prime, args.theta_level), config.degree_cap)
     paths = [args.frobenius_file]
     # one per run: h_n, minors and condition_character share its powers
     tower = WedgeTower(frob)

@@ -7,7 +7,12 @@ tests' oracle, is the p^n x p^n matrix of multiplication by f_i on
 Z_p[X]/omega_n.  The tower uses the smallest presentation with the same
 elementary divisors: for f_i of degree d < p^n with a unit leading
 coefficient, the d x d matrix of multiplication by omega_n on Z_p[X]/(f_i);
-for a constant c, p^n copies of [c].  A generator with mu = 0 and lambda
+for a constant c, p^n copies of [c].  That d x d matrix needs only
+omega_n mod f = r_n - 1, r_n = (1+X)^{p^n} mod (f, p^N), and a tower run
+makes r_n from r_{n-1} by one p-th power mod f, so a level costs O(log p)
+products of size d however large p^n is: p = 3 towers reach level 9
+(p^n = 19683) in a fraction of a second.  omega_n's exact binomials are
+built only for the p^n x p^n matrices.  A generator with mu = 0 and lambda
 below its degree is first replaced by its distinguished polynomial, which
 generates the same ideal and is monic of degree lambda.  A generator
 f = p^mu * g with mu > 0 is presented through g at precision N - mu, every
@@ -42,6 +47,8 @@ from .series import (
     IwasawaSeries,
     _companion_rows,
     _hensel_lift,
+    _mulmod,
+    _poly_divmod_monic,
     lambda_mu as series_lambda_mu,
     omega_int_coeffs,
     phi,
@@ -114,8 +121,31 @@ def _reduction_matrix_rows(prime: int, precision: int, n: int) -> list[list[int]
                            prime**precision, prime**n)
 
 
+def _one_plus_x_power(monic: list[int], p: int, n: int, q: int,
+                      powers: list[list[int]]) -> list[int]:
+    """r_n = (1+X)^{p^n} mod (monic, q) as d = deg(monic) coefficients, so
+    that omega_n mod monic is r_n - 1.  ``powers`` holds r_0, r_1, ... made
+    so far for this monic and q, and gains every level made here: r_0 = 1 + X
+    mod monic and r_k = r_{k-1}^p by repeated squaring, so a level costs
+    O(log p) products of size d whatever p^n is (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 4.3)."""
+    if not powers:
+        r0 = _poly_divmod_monic([1, 1], monic, q)[1]
+        powers.append(r0 + [0] * (len(monic) - 1 - len(r0)))
+    bits = bin(p)[3:]  # binary powering: p's bits below the top one
+    while len(powers) <= n:
+        r = acc = powers[-1]
+        for bit in bits:
+            acc = _mulmod(acc, acc, monic, q)
+            if bit == "1":
+                acc = _mulmod(acc, r, monic, q)
+        powers.append(acc)
+    return powers[n]
+
+
 def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
-                        extra: Sequence[IwasawaSeries] = ()
+                        extra: Sequence[IwasawaSeries] = (),
+                        powers: list[list[int]] | None = None
                         ) -> tuple[list[list[int]], int, int]:
     """Smallest presentation of (Z/p^N)[X]/(f, omega_n, *extra), N =
     precision, as (rows, copies, pad): the elementary exponents of the
@@ -125,7 +155,9 @@ def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
     - f of trimmed degree 1 <= d < p^n with a unit leading coefficient:
       (Z/p^N)[X]/(f) is free on 1, ..., X^{d-1}; rows are [W_n | G ...], the
       d x d matrices of multiplication by omega_n and by each g on it, and
-      pad = p^n - d.
+      pad = p^n - d.  omega_n mod f comes from ``_one_plus_x_power``, which
+      keeps its levels in ``powers`` when the caller passes the same list for
+      every level of one f and N.
     - f a constant c without extra relations: p^n copies of [c].
     - otherwise (mu > 0 or another non-unit leading coefficient, d >= p^n, a
       constant with extra relations): the brute-force matrix itself.
@@ -139,7 +171,8 @@ def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
     if 1 <= d < size and coeffs[d] % p:
         inv = pow(coeffs[d], -1, q)
         monic = [c * inv % q for c in coeffs[:d + 1]]
-        blocks = [_companion_rows(omega_int_coeffs(p, n), monic, q)]
+        r = _one_plus_x_power(monic, p, n, q, [] if powers is None else powers)
+        blocks = [_companion_rows([r[0] - 1] + r[1:], monic, q)]
         blocks += [_companion_rows(g.coeffs, monic, q) for g in extra]
         return [sum(parts, []) for parts in zip(*blocks)], 1, size - d
     if d == 0 and not extra:
@@ -272,6 +305,8 @@ class _TowerEngine:
                 raise InputError("fuzz requires a nonempty module")
             self.fuzz_rows = _validate_fuzz(fuzz, self.prime, self.precision, margin)
         self._pres: dict[tuple[int, int], tuple[list[list[int]], int, int]] = {}
+        # per generator, (1+X)^{p^k} mod its monic for k = 0, 1, ...
+        self._powers: list[list[list[int]]] = [[] for _ in self.generators]
         self._inv: dict[int, tuple[int, int]] = {}
 
     def _layer(self, gi: int, n: int) -> tuple[list[list[int]], int, int]:
@@ -279,7 +314,7 @@ class _TowerEngine:
         if key not in self._pres:
             self._pres[key] = _layer_presentation(
                 self.generators[gi], n, self.precision - self.shifts[gi],
-                self.extra.get(gi, ()))
+                self.extra.get(gi, ()), self._powers[gi])
         return self._pres[key]
 
     def invariants(self, n: int) -> tuple[int, int]:

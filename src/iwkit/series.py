@@ -82,12 +82,18 @@ class IwasawaSeries:
                     f"coefficients of degree {len(cs) - 1} exceed cap {degree_cap}",
                     required_cap=len(cs) - 1,
                 )
-            cs += [0] * (degree_cap + 1 - len(cs))
+            try:
+                cs += [0] * (degree_cap + 1 - len(cs))
+            except (OverflowError, MemoryError):
+                raise InputError(
+                    f"degree cap {degree_cap} is too large: its window of "
+                    f"{degree_cap + 1} coefficients cannot be laid out"
+                ) from None
         return cls(prime, precision, tuple(cs))
 
     @classmethod
     def zero(cls, prime: int, precision: int, degree_cap: int = 0) -> "IwasawaSeries":
-        return cls(prime, precision, (0,) * (degree_cap + 1))
+        return cls.make(prime, precision, [0], degree_cap)
 
     @classmethod
     def constant(cls, value: int | PadicInt, prime: int, precision: int,
@@ -296,6 +302,14 @@ def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[in
     return quot, rem[:deg_p] if deg_p > 0 else [0]
 
 
+def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],
+            q: int) -> list[int]:
+    """a * b mod (modulus, q) for a monic modulus of exact degree d >= 1, as
+    its d residue coefficients; a and b have at most d coefficients, >= 0."""
+    d = len(modulus) - 1
+    return _poly_divmod_monic(_conv(a, b, 2 * d - 1, q), modulus, q)[1]
+
+
 def _companion_rows(h: Sequence[int], modulus: Sequence[int], q: int,
                     cols: int | None = None) -> list[list[int]]:
     """Rows of the matrix of multiplication by h on (Z/q)[X]/(modulus) in the
@@ -465,19 +479,15 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
     """
     P, k = [0] * lam + [1], 1 if lam else precision
     s = _series_inv(fb[lam:], p, p, lam)
-
-    def mulmod(a, b, q):
-        return _poly_divmod_monic(_conv(a, b, 2 * lam - 1, q), P, q)[1]
-
     while k < precision:
         pk, q = p**k, p ** min(2 * k, precision)
         # X^(j lam) = 0 mod (P, p^j): fb's low terms fix r mod q, and
         # u's fix U mod (P, p^k), which is all the Newton step needs
         u, r = _poly_divmod_monic(fb[:2 * k * lam], P, q)
         if k > 1:
-            su = mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk)[1], pk)
-            s = [(2 * a - b) % pk for a, b in zip(s, mulmod(s, su, pk))]
-        step = mulmod(s, [c // pk for c in r], q // pk)
+            su = _mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk)[1], P, pk)
+            s = [(2 * a - b) % pk for a, b in zip(s, _mulmod(s, su, P, pk))]
+        step = _mulmod(s, [c // pk for c in r], P, q // pk)
         P = [a + pk * b for a, b in zip(P, step + [0])]
         k *= 2
     return P, _poly_divmod_monic(fb, P, p**precision)[0]

@@ -81,6 +81,13 @@ class TestGolden:
                   str(SCEN / "module_mu.json"))
         assert out == (GOLDEN / "tower_mu.csv").read_text()
 
+    def test_tower_high_level(self):
+        # made by the long division of omega_n's exact binomials (about
+        # 70 s); the repeated p-th powers must give the same bytes
+        out = run("--no-timestamp", "--n-max", "9", "tower",
+                  str(SCEN / "tower_high_level.json"))
+        assert out == (GOLDEN / "tower_high_level.csv").read_text()
+
     def test_growth_rank_one(self):
         out = run("--no-timestamp", "growth", str(SCEN / "growth_rank_one.json"))
         assert out == (GOLDEN / "growth_rank_one.csv").read_text()
@@ -419,6 +426,9 @@ class TestConfigPlumbing:
 
 
 GROWTH_RANK_ONE = json.loads((SCEN / "growth_rank_one.json").read_text())
+FROBENIUS = json.loads((SCEN / "frobenius_elliptic.json").read_text())
+WPREP_P5 = json.loads((SCEN / "series_wprep_p5.json").read_text())
+COLVALUES = str(SCEN / "colvalues_units.json")
 
 MALFORMED = [
     # (case, input file contents, arguments before the input file)
@@ -450,6 +460,17 @@ MALFORMED = [
     ("mw_shape level 9", {**GROWTH_RANK_ONE, "mw_shape": [9]}, ["growth"]),
     ("negative --margin", {"prime": 3, "generators": [{"phi": 1}]},
      ["--margin", "-1", "tower"]),
+    # deg Phi_theta is checked against the cap before Phi_theta is built
+    ("--theta-level 40", FROBENIUS,
+     ["logmatrix", "--n", "2", "--theta-level", "40",
+      "--col-values", COLVALUES]),
+    ("--theta-level 10", FROBENIUS,
+     ["logmatrix", "--n", "2", "--theta-level", "10",
+      "--col-values", COLVALUES]),
+    # a cap whose coefficient window cannot be laid out
+    ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
+     ["--n-max", "40", "tower"]),
+    ("--degree-cap 10**30", WPREP_P5, ["--degree-cap", str(10**30), "wprep"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

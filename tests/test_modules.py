@@ -1,5 +1,6 @@
 """Quotient towers of elementary modules and their Kobayashi ranks."""
 
+import functools
 import random
 
 import pytest
@@ -21,17 +22,21 @@ from iwkit import (
     tower_report,
     weierstrass_prepare,
 )
+from iwkit import modules
 from iwkit.modules import (
     _TowerEngine,
     _layer_presentation,
     _mult_matrix_rows,
+    _one_plus_x_power,
     _presentable_generator,
     _presented_exponents,
     _presented_invariants,
     _split_p_power,
 )
 from iwkit.padic import _invariants_raw, _snf_core, padic_matrix
-from iwkit.series import _poly_divmod_monic
+from iwkit.series import _companion_rows, _poly_divmod_monic, omega_int_coeffs
+
+from conftest import ip_divmod, ip_omega
 
 
 P, N, CAP = 3, 24, 89
@@ -362,6 +367,100 @@ class TestLayerPresentation:
         f = _presentable_generator(series(coeffs), N)
         rows, copies, pad = _layer_presentation(f, 2, N)
         assert (len(rows), copies, pad) == shape
+
+    @pytest.mark.parametrize("p,coeffs,n", [
+        (3, [3, 6, 1], 5),          # Eisenstein, d = 2, p^n = 243
+        (3, [2, 1], 4),             # X + 2: a unit constant term
+        (3, [7, 5, 0, 4, 2], 5),    # unit leading coefficient 2, d = 4
+        (5, [5, 0, 10, 1], 3),      # Eisenstein, d = 3, p^n = 125
+        (7, [14, 7, 1], 2),         # Eisenstein, d = 2, p^n = 49
+        (7, [1, 3, 0, 2], 2),       # unit constant and leading terms
+        (3, [3, 6, 1], 7),          # p^n = 2187: long division alone
+        (5, [5, 0, 10, 1], 5),      # p^n = 3125
+        (7, [1, 3, 0, 2], 4),       # p^n = 2401
+    ])
+    def test_high_levels(self, p, coeffs, n):
+        # p^n >> d: the rows equal those of the long division of omega_n's
+        # exact binomials, and their Smith form that of the p^n x p^n
+        # brute force wherever p^n <= 243
+        q, d = p**N, len(coeffs) - 1
+        f = series(coeffs, p)
+        pres = _layer_presentation(f, n, N)
+        rows, copies, pad = pres
+        assert (len(rows), copies, pad) == (d, 1, p**n - d)
+        inv = pow(coeffs[-1], -1, q)
+        monic = [c * inv % q for c in coeffs]
+        assert rows == _companion_rows(omega_int_coeffs(p, n), monic, q)
+        if p**n <= 243:
+            brute = [[x.residue for x in row]
+                     for row in quotient_presentation(mod(f, p=p), n)]
+            want, _ = _snf_core(brute, p, N, track=False)
+            assert _presented_exponents(pres, p, N) == want
+
+
+_omega = functools.cache(ip_omega)
+
+
+@st.composite
+def monic_cases(draw):
+    """(P, p, n, N): P monic of degree 1..2p+2 mod p^N whose lower
+    coefficients are all units, all divisible by p, or either; N small or
+    with p^N just below or just above 2^55; p^n <= 729, which keeps the
+    exact division of omega_n small."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.one_of(st.integers(1, 12), st.sampled_from(
+        {3: [34, 35], 5: [23, 24], 7: [19, 20]}[p])))
+    n = draw(st.integers(0, {3: 6, 5: 4, 7: 3}[p]))
+    q = p**N
+    d = draw(st.integers(1, 2 * p + 2))
+    low = draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["unit", "non-unit", "any"]))
+    if kind == "unit":
+        low = [c - c % p + draw(st.integers(1, p - 1)) for c in low]
+    elif kind == "non-unit":
+        low = [c - c % p for c in low]
+    return low + [1], p, n, N
+
+
+class TestOnePlusXPower:
+    """(1+X)^{p^n} mod (P, p^N) by repeated p-th powers, against omega_n
+    mod P by exact division of its integer binomials."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=monic_cases())
+    def test_matches_exact_division(self, case):
+        P, p, n, N = case
+        q, d = p**N, len(P) - 1
+        _, rem = ip_divmod(_omega(p, n), P)
+        want = [c % q for c in rem] + [0] * (d - len(rem))
+        r = _one_plus_x_power(P, p, n, q, [])
+        assert [(r[0] - 1) % q] + r[1:] == want
+        # level by level through one list, as the tower engine does
+        powers = []
+        for k in range(n + 1):
+            _one_plus_x_power(P, p, k, q, powers)
+        assert len(powers) == n + 1 and powers[n] == r
+        assert _one_plus_x_power(P, p, 0, q, powers) == powers[0]
+
+
+class TestHighLevels:
+    def test_small_path_above_the_brute_force_levels(self, monkeypatch):
+        # {X^2 + 6X + 3, p} at p = 3: lambda = 2, mu = 1; only level 0,
+        # where d = 2 >= p^0, builds omega's binomials
+        calls = []
+        real = modules.omega_int_coeffs
+
+        def counted(prime, n):
+            calls.append(n)
+            return real(prime, n)
+
+        monkeypatch.setattr(modules, "omega_int_coeffs", counted)
+        report = tower_report(mod(series([3, 6, 1]), series([3])), 9)
+        assert (report.lambda_invariant, report.mu_invariant) == (2, 1)
+        assert report.level(1).match is False
+        assert all(report.level(n).match for n in range(2, 10))
+        assert report.level(9).nabla == nabla_closed(2, 1, 9, prime=3) == 13124
+        assert calls and set(calls) == {0}
 
 
 @st.composite

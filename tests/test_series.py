@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from iwkit import (
     DegreeOverflowError,
+    InputError,
     IwasawaSeries,
     PadicInt,
     PrecisionExhaustedError,
@@ -82,6 +83,13 @@ class TestPhiOmega:
         with pytest.raises(DegreeOverflowError) as err:
             omega(3, prime=3, precision=24, degree_cap=20)
         assert err.value.required_cap == 27
+
+    @pytest.mark.parametrize("cap", [3**40 + 8, 10**30])
+    def test_window_too_large_names_cap(self, cap):
+        for make in (lambda: IwasawaSeries.make(3, 24, [1], cap),
+                     lambda: IwasawaSeries.zero(3, 24, cap)):
+            with pytest.raises(InputError, match=f"degree cap {cap} "):
+                make()
 
 
 class TestWeierstrass:
