@@ -42,8 +42,8 @@ from typing import Mapping, Sequence
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
-from .series import (IwasawaSeries, _conv, _pack, _unpack, deg_phi, phi,
-                     phi_int_coeffs, require_cap)
+from .series import (IwasawaSeries, _conv, _pack, _unpack, _zero_window,
+                     deg_phi, phi, phi_int_coeffs, require_cap)
 
 
 @dataclass(frozen=True)
@@ -309,6 +309,9 @@ class WedgeTower:
         # the same DegreeOverflowError, in the same order, as building C_1..C_n
         for k in range(1, n + 1):
             require_cap(f"Phi_{k}", deg_phi(p, k), cap)
+        # the window is laid out before any Phi_k is: a default cap that
+        # grows with n refuses here at once
+        window = _zero_window(cap)
         while len(self._phis) < n:
             self._phis.append([c % q for c in
                                phi_int_coeffs(p, len(self._phis) + 1)])
@@ -353,7 +356,7 @@ class WedgeTower:
                     v[j] = c
         if not first_row_only:
             vecs = [list(col) for col in zip(*vecs)]
-        return [[IwasawaSeries._reduced(p, prec, tuple(c) + (0,) * (limit - len(c)))
+        return [[IwasawaSeries._reduced(p, prec, tuple(c + window[len(c):]))
                  for c in v] for v in vecs]
 
 

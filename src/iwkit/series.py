@@ -12,6 +12,14 @@ lift, which the tower's distinguished polynomials share.  Terms above X^D
 would change P only from the digit p^floor((D + 1) / lambda) on, so all
 N - mu digits of P are determined when lambda (N - mu) <= D + 1.
 
+Division by a monic P (``_poly_divmod_monic``) runs by rows, reducing each
+quotient term and the final remainder mod p^N once, or, given the reciprocal
+rev(P)^-1 mod X^(deg P), in blocks of deg P quotient terms, each one
+``_conv`` product.  Only the Hensel lift divides by one P often enough to pay
+for that reciprocal: from lambda = _BLOCKED_MIN (32) on it makes one per
+doubling step and one for the final quotient; every other division, and the
+lift below that crossover, runs by rows.
+
 Phi_0 = X and, for n >= 1, Phi_n = ((1+X)^{p^n} - 1) / ((1+X)^{p^{n-1}} - 1),
 computed as the exact binomial sum  sum_{j<p} (1+X)^{j p^{n-1}}.
 omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
@@ -82,13 +90,9 @@ class IwasawaSeries:
                     f"coefficients of degree {len(cs) - 1} exceed cap {degree_cap}",
                     required_cap=len(cs) - 1,
                 )
-            try:
-                cs += [0] * (degree_cap + 1 - len(cs))
-            except (OverflowError, MemoryError):
-                raise InputError(
-                    f"degree cap {degree_cap} is too large: its window of "
-                    f"{degree_cap + 1} coefficients cannot be laid out"
-                ) from None
+            window = _zero_window(degree_cap)
+            window[:len(cs)] = cs
+            cs = window
         return cls(prime, precision, tuple(cs))
 
     @classmethod
@@ -252,6 +256,19 @@ def deg_phi(prime: int, n: int) -> int:
     return 1 if n == 0 else prime**n - prime ** (n - 1)
 
 
+def _zero_window(degree_cap: int) -> list[int]:
+    """The degree_cap + 1 zero coefficients of a window at that cap; an
+    InputError when they cannot be laid out, raised before anything else of
+    that size is built."""
+    try:
+        return [0] * (degree_cap + 1)
+    except (OverflowError, MemoryError):
+        raise InputError(
+            f"degree cap {degree_cap} is too large: its window of "
+            f"{degree_cap + 1} coefficients cannot be laid out"
+        ) from None
+
+
 def require_cap(name: str, deg: int, degree_cap: int | None) -> None:
     """Raise DegreeOverflowError when the polynomial ``name`` of degree
     ``deg`` does not fit under ``degree_cap``: checked from the degree alone,
@@ -273,7 +290,11 @@ def phi(n: int, *, prime: int, precision: int,
 
 def omega(n: int, *, prime: int, precision: int,
           degree_cap: int | None = None) -> IwasawaSeries:
-    """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision."""
+    """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision.
+
+    Public API kept for library users: iwkit itself reduces by omega_n
+    through ``omega_int_coeffs`` or, for the tower's layers, through
+    (1+X)^{p^n} mod f, so nothing inside the package calls this."""
     if n < 0:
         raise InputError("level must be >= 0")
     require_cap(f"omega_{n}", prime**n, degree_cap)
@@ -281,8 +302,24 @@ def omega(n: int, *, prime: int, precision: int,
                               degree_cap)
 
 
-def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Long division of f by a monic polynomial, all coefficients mod q."""
+def _poly_divmod_monic(f: Sequence[int], p_poly: Sequence[int], q: int,
+                       inv: Sequence[int] | None = None
+                       ) -> tuple[list[int], list[int]]:
+    """Long division of f by a monic polynomial P, all coefficients mod q:
+    (quotient, remainder), the quotient with len(f) - deg P terms.
+
+    Without ``inv``, by rows: each quotient term t is the remainder's top
+    term reduced mod q, and t * P is subtracted without reducing, so a
+    remainder term collects at most deg P products below q^2 and is reduced
+    once at the end.  With ``inv`` = rev(P)^-1 mod X^(deg P), coefficients
+    >= 0 and correct mod q (``_series_inv`` of P's reversed coefficients at
+    a multiple of q), by blocks of deg P quotient terms (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 9.1): the block is the reversed top of
+    the remainder times inv, and one ``_conv`` of it with P's low terms
+    updates the remainder, so a division costs O(len(f) / deg P) products
+    in place of O(len(f) * deg P) steps.  The reciprocal pays for itself
+    only when the caller divides by P repeatedly; see _BLOCKED_MIN.
+    """
     deg_p = len(p_poly) - 1
     while deg_p > 0 and p_poly[deg_p] % q == 0:
         deg_p -= 1
@@ -291,23 +328,37 @@ def _poly_divmod_monic(f: list[int], p_poly: list[int], q: int) -> tuple[list[in
     rem = [c % q for c in f]
     if len(rem) - 1 < deg_p:
         return [0], rem
-    low = p_poly[:deg_p]
+    low = [c % q for c in p_poly[:deg_p]]
     quot = [0] * (len(rem) - deg_p)
-    for k in range(len(rem) - 1, deg_p - 1, -1):
-        t = rem[k]
-        if t:
-            j = k - deg_p
-            quot[j] = t
-            rem[j:k] = [(r - t * w) % q for r, w in zip(rem[j:k], low)]
-    return quot, rem[:deg_p] if deg_p > 0 else [0]
+    if inv is None or not deg_p:
+        for k in range(len(rem) - 1, deg_p - 1, -1):
+            t = rem[k]
+            if t and (t := t % q):
+                j = k - deg_p
+                quot[j] = t
+                rem[j:k] = [r - t * w for r, w in zip(rem[j:k], low)]
+        return quot, [c % q for c in rem[:deg_p]] if deg_p > 0 else [0]
+    top = len(rem)
+    while top > deg_p:
+        # quotient terms lo .. lo+b-1 clear remainder terms top-b .. top-1
+        b = min(deg_p, top - deg_p)
+        lo = top - deg_p - b
+        block = _conv(rem[top - b:top][::-1], inv, b, q)[::-1]
+        quot[lo:lo + b] = block
+        mid = top - b
+        rem[lo:mid] = [(r - s) % q for r, s in
+                       zip(rem[lo:mid], _conv(block, low, deg_p, q))]
+        top = mid
+    return quot, rem[:deg_p]
 
 
 def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],
-            q: int) -> list[int]:
+            q: int, inv: Sequence[int] | None = None) -> list[int]:
     """a * b mod (modulus, q) for a monic modulus of exact degree d >= 1, as
-    its d residue coefficients; a and b have at most d coefficients, >= 0."""
+    its d residue coefficients; a and b have at most d coefficients, >= 0.
+    ``inv`` is the modulus's reciprocal for ``_poly_divmod_monic``."""
     d = len(modulus) - 1
-    return _poly_divmod_monic(_conv(a, b, 2 * d - 1, q), modulus, q)[1]
+    return _poly_divmod_monic(_conv(a, b, 2 * d - 1, q), modulus, q, inv)[1]
 
 
 def _companion_rows(h: Sequence[int], modulus: Sequence[int], q: int,
@@ -371,6 +422,12 @@ def _unpack(x: int, n: int, sb: int, q: int) -> list[int]:
 # Up to this many terms in the shorter operand (trailing zeros dropped) the
 # schoolbook loop is faster than packing: the measured crossover.
 _SCHOOLBOOK_MAX = 5
+
+# From this distinguished degree lambda on, ``_hensel_lift`` divides by P in
+# blocks through one reciprocal per P (``_poly_divmod_monic``); below it the
+# reciprocal costs more than it saves and the rows are faster: the measured
+# crossover.
+_BLOCKED_MIN = 32
 
 
 def _conv(a: Sequence[int], b: Sequence[int], limit: int, q: int) -> list[int]:
@@ -479,18 +536,30 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
     """
     P, k = [0] * lam + [1], 1 if lam else precision
     s = _series_inv(fb[lam:], p, p, lam)
+    blocked = lam >= _BLOCKED_MIN
+    inv = inv_k = None
     while k < precision:
         pk, q = p**k, p ** min(2 * k, precision)
+        if blocked:
+            # one reciprocal of this step's P serves its five divisions;
+            # q // pk divides pk, so the mod-pk copy serves both
+            inv = _series_inv(P[::-1], q, p, lam)
+            inv_k = [c % pk for c in inv]
         # X^(j lam) = 0 mod (P, p^j): fb's low terms fix r mod q, and
         # u's fix U mod (P, p^k), which is all the Newton step needs
-        u, r = _poly_divmod_monic(fb[:2 * k * lam], P, q)
+        u, r = _poly_divmod_monic(fb[:2 * k * lam], P, q, inv)
         if k > 1:
-            su = _mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk)[1], P, pk)
-            s = [(2 * a - b) % pk for a, b in zip(s, _mulmod(s, su, P, pk))]
-        step = _mulmod(s, [c // pk for c in r], P, q // pk)
+            su = _mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk, inv_k)[1],
+                         P, pk, inv_k)
+            s = [(2 * a - b) % pk
+                 for a, b in zip(s, _mulmod(s, su, P, pk, inv_k))]
+        step = _mulmod(s, [c // pk for c in r], P, q // pk, inv_k)
         P = [a + pk * b for a, b in zip(P, step + [0])]
         k *= 2
-    return P, _poly_divmod_monic(fb, P, p**precision)[0]
+    q = p**precision
+    if blocked:
+        inv = _series_inv(P[::-1], q, p, lam)
+    return P, _poly_divmod_monic(fb, P, q, inv)[0]
 
 
 def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:

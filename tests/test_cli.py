@@ -76,6 +76,13 @@ class TestGolden:
         out = run("--no-timestamp", "wprep", str(SCEN / "series_wprep_p5.json"))
         assert out == (GOLDEN / "wprep_p5.csv").read_text()
 
+    def test_wprep_large_lambda(self):
+        # lambda = 48 divides by P in blocks through its reciprocal; made by
+        # the row-by-row long division, it must keep the same bytes
+        out = run("--no-timestamp", "wprep",
+                  str(SCEN / "series_wprep_large_lambda.json"))
+        assert out == (GOLDEN / "wprep_large_lambda.csv").read_text()
+
     def test_tower_mu(self):
         out = run("--no-timestamp", "--n-max", "3", "tower",
                   str(SCEN / "module_mu.json"))
@@ -471,6 +478,8 @@ MALFORMED = [
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
      ["--n-max", "40", "tower"]),
     ("--degree-cap 10**30", WPREP_P5, ["--degree-cap", str(10**30), "wprep"]),
+    # logmatrix's default cap grows with n: refused before Phi_1..Phi_n
+    ("logmatrix --n 40", FROBENIUS, ["logmatrix", "--n", "40"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

@@ -19,6 +19,7 @@ from iwkit import (
     weierstrass_prepare,
 )
 from iwkit.series import (
+    _BLOCKED_MIN,
     WeierstrassFactorization,
     _conv,
     _hensel_lift,
@@ -430,6 +431,23 @@ def prep_cases(draw):
     return f, fb, lam, mu, n2
 
 
+@st.composite
+def blocked_lift_cases(draw):
+    """A polynomial fb of valuation 0 with lambda in [_BLOCKED_MIN,
+    3 _BLOCKED_MIN] and degree D >= 4 lambda, so every division of the lift
+    runs in blocks."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n2 = draw(st.integers(1, 16))
+    lam = draw(st.integers(_BLOCKED_MIN, 3 * _BLOCKED_MIN))
+    D = draw(st.integers(4 * lam, 4 * lam + 40))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    q2 = p**n2
+    fb = [p * rng.randrange(q2) % q2 for _ in range(lam)]
+    fb.append(rng.randrange(1, p) + p * rng.randrange(q2) % q2)
+    fb += [rng.randrange(q2) for _ in range(D - lam)]
+    return fb, lam, p, n2
+
+
 class TestHenselLift:
     """The quadratic Hensel lift against the fixed-point division it
     replaces and the digit-at-a-time lift of polynomials."""
@@ -475,15 +493,41 @@ class TestHenselLift:
         assert list(w.unit.coeffs[:len(unit)]) == unit
         assert not any(w.unit.coeffs[len(unit):])
 
+    @settings(max_examples=25, deadline=None)
+    @given(case=blocked_lift_cases())
+    def test_blocked_lift_matches_digit_lift(self, case):
+        fb, lam, p, n2 = case
+        q2 = p**n2
+        dist, unit = _hensel_lift(fb, lam, p, n2)
+        assert dist == _digit_lift(fb, lam, p, n2)
+        assert ip_trim(ip_reduce_mod(ip_mul(dist, unit), q2)) == \
+            ip_trim(ip_reduce_mod(fb, q2))
+
     @settings(max_examples=150, deadline=None)
-    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 30),
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 45),
+           deg=st.one_of(st.integers(0, 12), st.integers(0, 96)),
+           length=st.one_of(st.integers(1, 60), st.integers(1, 800)),
            seed=st.integers(0, 10**9))
-    def test_long_division(self, p, n, seed):
+    @example(p=3, n=41, deg=96, length=800, seed=1)  # q above 2^64
+    @example(p=7, n=3, deg=40, length=20, seed=2)    # dividend below divisor
+    def test_long_division(self, p, n, deg, length, seed):
+        """Rows and blocks against exact integer division: negative and
+        unreduced coefficients, a divisor leading 1 + q k with a top term
+        that is 0 mod q above it, a dividend whose top term is 0 mod q."""
         rng = random.Random(seed)
         q = p**n
-        f = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(1, 40))]
-        g = [rng.randrange(-q, 2 * q) for _ in range(rng.randint(0, 12))] + [1]
+        f = [rng.randrange(-q, 2 * q) for _ in range(length)]
+        if rng.random() < 0.3:
+            f[-1] = q * rng.randint(-2, 2)
+        g = [rng.randrange(-q, 2 * q) for _ in range(deg)]
+        g.append(1 + q * rng.randint(-1, 1))
+        if rng.random() < 0.3:
+            g.append(q * rng.randint(-2, 2))
+        monic = [c % q for c in g[:deg + 1]]
         quot, rem = _poly_divmod_monic(f, g, q)
-        want_q, want_r = ip_divmod(f, g)
+        want_q, want_r = ip_divmod(f, g[:deg] + [1])
         assert ip_trim(ip_reduce_mod(quot, q)) == ip_trim(ip_reduce_mod(want_q, q))
         assert ip_trim(ip_reduce_mod(rem, q)) == ip_trim(ip_reduce_mod(want_r, q))
+        # the reciprocal may come from any multiple of q
+        inv = _series_inv(monic[::-1], q * p ** rng.randint(0, 2), p, deg)
+        assert _poly_divmod_monic(f, g, q, inv) == (quot, rem)
