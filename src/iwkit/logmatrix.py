@@ -28,6 +28,12 @@ g-th.  A run that asks for several of them shares one ``WedgeTower``, which
 builds each power once: Phi_1..Phi_n and C_p^{-1} once for all powers, the
 character row read off a minor table already built, and at g = 1, where
 wedge^1 H_n = H_n, the minor table and the character row read off H_n.
+The word is pushed on packed ints (Kronecker substitution, one byte slot per
+coefficient): every vector entry stays one int from the first step to the
+last, each step is whole-int products, and ``series._slot_reducer`` then
+brings every slot of an entry back below 4 p^N at once by Barrett steps of
+shifts, masks and scalar products.  An entry is unpacked, and its
+coefficients reduced mod p^N, only once, at the end.
 ``c_n``, ``LogMatrix.matmul`` and the Laplace expansion ``_series_det``
 serve ``m_n`` and ``LogMatrix.det``, and are the tests' oracle for the
 kernel.
@@ -37,13 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul
 from typing import Mapping, Sequence
 
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
-from .series import (IwasawaSeries, _conv, _pack, _unpack, _zero_window,
-                     deg_phi, phi, phi_int_coeffs, require_cap)
+from .series import (IwasawaSeries, _conv, _pack, _slot_reducer, _unpack,
+                     _zero_window, deg_phi, phi, phi_int_coeffs, require_cap)
 
 
 @dataclass(frozen=True)
@@ -293,19 +300,26 @@ class WedgeTower:
     def _build(self, r: int, n: int, cap: int,
                first_row_only: bool) -> list[list[IwasawaSeries]]:
         """Row vectors are pushed from the left through a word in the E_k
-        and a constant matrix: scaling entry K by Phi_k^{e_K} goes through
-        ``_conv``, and v -> v M is the combination sum_K v_K M_{K,J} on
-        packed ints, whose slots hold the m (q-1)^2 bound of a sum of m
-        products.  The first row (e_I = 0 there) is e_1 E_n W ... E_1 W.  The
-        whole power is read off the transpose W^T E_1 W^T E_2 ... W^T E_n,
-        whose rows meet the long Phi_n^{e_K} last, on the shortest entries.
-        Truncation mod X^{cap+1} is a ring map, so capping every product is
-        exact.
+        and a constant matrix, every entry one packed int (``_pack``, one
+        sb-byte slot per coefficient) from the first step to the last.
+        v -> v M is the combination sum_K v_K M_{K,J} on the packed ints;
+        scaling entry K by Phi_k^{e_K} is one product with Phi_k^e, packed
+        once per (k, e), truncated mod X^{cap+1} by one mask, exact because
+        truncation is a ring map.  After every step ``_slot_reducer`` brings
+        each slot back below 4q, so a slot only ever holds a sum of at most
+        max(m, length) products of a reduced slot and a residue mod q.  Each
+        entry is unpacked once, at the end, up to its highest occupied slot.
+        No entry is longer than ``length`` = min(cap + 1, e_max (p^n - 1) + 1),
+        e_max the largest e_K, so the masks span that many slots, not the
+        window.
+
+        The first row (e_I = 0 there) is e_1 E_n W ... E_1 W.  The whole
+        power is read off the transpose W^T E_1 W^T E_2 ... W^T E_n, whose
+        rows meet the long Phi_n^{e_K} last, on the shortest entries.
         """
         frob = self.frob
         p, prec = frob.prime, frob.precision
         q = p**prec
-        limit = cap + 1
         # the same DegreeOverflowError, in the same order, as building C_1..C_n
         for k in range(1, n + 1):
             require_cap(f"Phi_{k}", deg_phi(p, k), cap)
@@ -318,46 +332,43 @@ class WedgeTower:
         if self._inv is None:
             self._inv = [[x.residue for x in row]
                          for row in mat_inv(frob.c_p_lists())]
-        phis = self._phis
         w = _compound(self._inv, r, q)
         exps = [sum(i >= frob.g for i in s)
                 for s in combinations(range(2 * frob.g), r)]
-        m = len(w)
-        sb = (2 * (q - 1).bit_length() + m.bit_length() + 7) // 8
-
-        def times(a: list[int], b: list[int]) -> list[int]:
-            return _conv(a, b, min(len(a) + len(b) - 1, limit), q)
+        m, e_max = len(w), max(exps)
+        length = min(cap + 1, e_max * (p**n - 1) + 1)
+        sb, reduce = _slot_reducer(q, max(m, length), length)
+        trunc = (1 << (8 * sb * length)) - 1
 
         if first_row_only:
             w_cols = list(zip(*w))
             word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
-            vecs = [[[1]] + [[] for _ in range(m - 1)]]
+            vecs = [[1] + [0] * (m - 1)]
         else:
             word = [x for k in range(1, n + 1) for x in (w, k)]
-            vecs = [[[1] if j == i else [] for j in range(m)] for i in range(m)]
+            vecs = [[int(j == i) for j in range(m)] for i in range(m)]
         for step in word:
             if isinstance(step, int):
-                powers = [[1], phis[step - 1]]
-                for _ in range(2, max(exps) + 1):
-                    powers.append(times(powers[-1], phis[step - 1]))
+                phik = self._phis[step - 1]
+                power, packed = phik, [0, _pack(phik, sb)]
+                for _ in range(2, e_max + 1):
+                    power = _conv(power, phik,
+                                  min(len(power) + len(phik) - 1, length), q)
+                    packed.append(_pack(power, sb))
                 for v in vecs:
                     for j, e in enumerate(exps):
                         if e and v[j]:
-                            v[j] = times(v[j], powers[e])
+                            v[j] = reduce(v[j] * packed[e] & trunc)
                 continue
             for v in vecs:
-                packed = [_pack(c, sb) for c in v]
-                length = max(map(len, v))
-                for j, col in enumerate(step):
-                    c = _unpack(sum(x * y for x, y in zip(packed, col) if x),
-                                length, sb, q)
-                    while c and not c[-1]:
-                        c.pop()
-                    v[j] = c
+                v[:] = [reduce(sum(map(mul, v, col))) for col in step]
         if not first_row_only:
             vecs = [list(col) for col in zip(*vecs)]
+        width = 8 * sb
         return [[IwasawaSeries._reduced(p, prec, tuple(c + window[len(c):]))
-                 for c in v] for v in vecs]
+                 for c in (_unpack(x, -(-x.bit_length() // width), sb, q)
+                           for x in v)]
+                for v in vecs]
 
 
 def _tower_for(frob: FrobeniusData, tower: WedgeTower | None) -> WedgeTower:

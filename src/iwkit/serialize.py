@@ -105,7 +105,11 @@ def minor_table_to_dict(t: MinorTable) -> dict:
     values = {}
     for (rows, cols), v in sorted(t.values.items()):
         key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
-        values[key] = [str(c) for c in v.coeffs]
+        # the zero tail above the degree as one shared "0" each
+        d = v.degree()
+        top = 0 if d is None else d + 1
+        values[key] = ([str(c) for c in v.coeffs[:top]]
+                       + ["0"] * (len(v.coeffs) - top))
     return {
         "n": t.n,
         "g": t.g,

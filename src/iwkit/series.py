@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import is_odd_prime
 from .errors import (
@@ -112,8 +112,9 @@ class IwasawaSeries:
 
     def degree(self) -> int | None:
         """Largest index with a nonzero stored coefficient; None if all zero."""
-        for i in range(self.degree_cap, -1, -1):
-            if self.coeffs[i]:
+        cs = self.coeffs
+        for i in range(len(cs) - 1, -1, -1):
+            if cs[i]:
                 return i
         return None
 
@@ -417,6 +418,64 @@ def _unpack(x: int, n: int, sb: int, q: int) -> list[int]:
     buf = x.to_bytes(max(n * sb, (x.bit_length() + 7) // 8), "little")
     return [int.from_bytes(buf[k:k + sb], "little") % q
             for k in range(0, n * sb, sb)]
+
+
+# ``_slot_reducer`` leaves every slot below this multiple of q.
+_SLOT_BOUND = 4
+
+
+def _slot_reducer(q: int, terms: int,
+                  slots: int) -> tuple[int, Callable[[int], int]]:
+    """(sb, reduce) for packed ints of at most ``slots`` sb-byte slots, each
+    slot a sum of at most ``terms`` products a * b with 0 <= a < 4q and
+    0 <= b < q: reduce(x) is congruent to x mod q slot by slot, every slot
+    below 4q (``_SLOT_BOUND``), with nothing above x's last slot.  sb is the
+    fewest bytes that hold the input maximum X = terms (4q - 1) (q - 1).
+
+    One pass is a Barrett step (Barrett, CRYPTO '86) on every slot at once,
+    made of whole-int shifts, masks and scalar products.  With t = bits(q),
+    s = t - 1, R = floor(2^(s+t) / q) and S = 8 sb slot bits, a slot x < 2^S
+    gives hi = floor(x / 2^t) < 2^(S-t), Q = floor(hi R / 2^s) and x - q Q:
+
+    * no slot reaches into another: hi R < 2^(S-t) 2^(s+t) / q < 2^S, as
+      q > 2^(t-1), so the packed product hi R has no carry between slots,
+      and after the shift by s a slot's low S - s bits are its own Q;
+    * 0 <= q Q <= x, since hi R / 2^s <= hi 2^t / q <= x / q, so the packed
+      subtraction borrows from no slot and leaves the slots above x's last
+      one zero;
+    * x - q Q < 2^t + q + hi q / 2^s <= q (3 + hi / 2^s): x < (hi + 1) 2^t
+      and q R > 2^(s+t) - q give q Q > hi 2^t - hi q / 2^s - q.
+
+    So a pass maps a slot bound x <= X to
+    x <= X' = 2^t + q - 1 + ceil(floor(X / 2^t) q / 2^s), and the passes are
+    scheduled here, once, from X until X' < 4q.  X' < 3q + X / 2^(t-1), so a
+    bound at or above 6q falls at every pass, and from below 6q one pass
+    gives X' < 3q + 12 (q / 2^t)^2 < 4q when q > 12; for q = 3, 5, 7, 9 and
+    11 the iteration reaches 4q from every bound too (its fixed point is at
+    most 3.2q).  Two passes do it when q > 16 terms + 6; tiny q with many
+    terms take more (3^1 at 5000 terms: 14).
+    """
+    t = q.bit_length()
+    s = t - 1
+    r = (1 << (s + t)) // q
+    bound = terms * (_SLOT_BOUND * q - 1) * (q - 1)
+    sb = (bound.bit_length() + 7) // 8
+    width = 8 * sb
+    passes = 0
+    while bound >= _SLOT_BOUND * q:
+        bound = (1 << t) + q - 1 - (-((bound >> t) * q) >> s)
+        passes += 1
+    # the per-slot masks repeated over every slot: hi's S - t bits, Q's S - s
+    ones = ((1 << (width * slots)) - 1) // ((1 << width) - 1)
+    m_hi = ((1 << (width - t)) - 1) * ones
+    m_q = ((1 << (width - s)) - 1) * ones
+
+    def reduce(x: int) -> int:
+        for _ in range(passes):
+            x -= q * ((((x >> t) & m_hi) * r >> s) & m_q)
+        return x
+
+    return sb, reduce
 
 
 # Up to this many terms in the shorter operand (trailing zeros dropped) the

@@ -106,6 +106,16 @@ class TestGolden:
                         "--minors")
         assert out == (GOLDEN / "logmatrix_n2.json").read_text()
 
+    def test_logmatrix_g3(self):
+        # g = 3 runs the 20 x 20 minor table and the character row; made by
+        # the kernel that unpacked every entry at every step, the packed
+        # word must give the same bytes
+        out = run("--no-timestamp", "--format", "json", "logmatrix",
+                  str(SCEN / "frobenius_g3_p3.json"), "--n", "3", "--minors",
+                  "--col-values", str(SCEN / "colvalues_g3_p3.json"),
+                  "--theta-level", "2")
+        assert out == (GOLDEN / "logmatrix_g3.json").read_text()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):

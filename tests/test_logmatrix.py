@@ -358,6 +358,30 @@ class TestCauchyBinetKernel:
                 assert condition_character(frob, n, cols, theta) == (
                     val < prec, val)
 
+    # N = 1 and 2, where the slot reduction runs the most passes, and
+    # p^N = 3^41 above 2^64
+    @pytest.mark.parametrize("g,p,n,prec", [
+        (1, 3, 3, 1), (2, 3, 2, 1), (3, 3, 1, 1), (1, 7, 2, 2), (2, 5, 2, 2),
+        (3, 3, 2, 2), (1, 3, 3, 41), (2, 3, 2, 41), (3, 3, 2, 41)])
+    def test_extreme_precisions_truncating_caps_and_first_row(self, g, p, n,
+                                                               prec):
+        rng = random.Random(100 * g + 10 * p + n + prec)
+        frob = FrobeniusData.from_int_rows(g, p, prec,
+                                           rand_gl(g, p, prec, rng))
+        sets = index_sets(g)
+        default = g * p**n + 8
+        truncating = max(deg_phi(p, n), (deg_phi(p, n) + g * (p**n - 1)) // 2)
+        for cap in (default, truncating, deg_phi(p, n)):
+            h = oracle_h(frob, n, cap)
+            want = [[oracle_minor(h, i, j) for j in sets] for i in sets]
+            # the row first, so that it is built, not read off the table
+            tower = WedgeTower(frob)
+            assert tower.power(g, n, cap, first_row_only=True) == want[:1]
+            assert tower.power(g, n, cap) == want
+            assert tower.power(1, n, cap, first_row_only=True) == [
+                list(h.entries[0])]
+            assert h_n(frob, n, degree_cap=cap) == h
+
     @pytest.mark.parametrize("cap", [1, deg_phi(3, 2) - 1])
     def test_cap_below_phi_n_overflows_like_the_chain(self, cap):
         # the chain names the first Phi_k that does not fit, Phi_1 at cap 1

@@ -20,11 +20,14 @@ from iwkit import (
 )
 from iwkit.series import (
     _BLOCKED_MIN,
+    _SLOT_BOUND,
     WeierstrassFactorization,
     _conv,
     _hensel_lift,
+    _pack,
     _poly_divmod_monic,
     _series_inv,
+    _slot_reducer,
     lambda_mu,
     reconstruction_residual_valuation,
 )
@@ -358,6 +361,45 @@ class TestProductKernel:
 
         with pytest.raises(InputError):
             _series_inv([3, 1], 3**10, 3, 5)
+
+
+class TestSlotReducer:
+    """``_slot_reducer`` against its stated contract, at the stated input
+    maximum terms (4q - 1)(q - 1) in every slot and at random slots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 60),
+           terms=st.integers(1, 5000), slots=st.integers(1, 12),
+           seed=st.integers(0, 10**9))
+    @example(p=3, n=1, terms=5000, slots=4, seed=0)
+    @example(p=5, n=2, terms=1, slots=1, seed=1)
+    @example(p=7, n=60, terms=5000, slots=12, seed=2)
+    def test_congruent_bounded_and_in_place(self, p, n, terms, slots, seed):
+        q = p**n
+        sb, reduce = _slot_reducer(q, terms, slots)
+        width = 8 * sb
+        top = terms * (_SLOT_BOUND * q - 1) * (q - 1)
+        assert top >> width == 0
+        rng = random.Random(seed)
+        occupied = rng.randint(1, slots)
+        cases = [[top] * slots, [top] * occupied,
+                 [rng.randint(0, top) for _ in range(slots)],
+                 [rng.choice((0, q - 1, q, top - 1, top))
+                  for _ in range(occupied)],
+                 # a real sum of products of reduced operands
+                 [sum(rng.randrange(_SLOT_BOUND * q) * rng.randrange(q)
+                      for _ in range(min(terms, 50)))
+                  for _ in range(occupied)]]
+        for ins in cases:
+            out = reduce(_pack(ins, sb))
+            assert out >= 0
+            # nothing lands above the last input slot
+            assert out >> (width * len(ins)) == 0
+            got = [(out >> (width * i)) & ((1 << width) - 1)
+                   for i in range(len(ins))]
+            for x, y in zip(ins, got):
+                assert y < _SLOT_BOUND * q
+                assert (x - y) % q == 0
 
 
 def _fixed_point_prepare(f, margin=4):
