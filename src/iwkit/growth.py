@@ -226,13 +226,12 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     with the cofactor q_i = f_j / Phi_{c_i}, so the level-n cokernel is
     Lambda/(f_j, q_1, ..., q_k, omega_n) per generator.  Each q_i divides f_j
     exactly mod p^N (the division left remainder 0), so that ideal is
-    (q_1, ..., q_k, omega_n): the tower engine takes q_1 as the generator and
-    q_2, ..., q_k as extra relations.  With one cofactor it is a cyclic
-    quotient Lambda/(q_1, omega_n), presented lambda x lambda (or, for
-    q_1 = p^mu * g, through g at precision N - mu) wherever lambda < p^n;
-    the brute-force [mult(q_1) | mult(q_2) ...] on Z_p[X]/omega_n is left
-    for the rest.  Levels where the cokernel has positive free rank are
-    reported as non-finite rather than silently skipped.
+    (q_1, ..., q_k, omega_n): the tower engine takes [q_1, ..., q_k] as the
+    summand's relations ([f_j] for a generator with no summand) and presents
+    it by its one rule: p^a pulled out, the base the q_i of least lambda made
+    monic, and the ring (Z/p^(N-a))[X]/(base) wherever lambda < p^n.  Levels
+    where the cokernel has positive free rank are reported as non-finite
+    rather than silently skipped.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -245,14 +244,11 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     if level_n0 < mw_shape.n0_candidate:
         raise InputError("n0 override below max(c_list)")
 
-    per_gen_cofactors: dict[int, list[IwasawaSeries]] = {}
+    cofactors: dict[int, list[IwasawaSeries]] = {}
     for j, quot in assigns:
-        per_gen_cofactors.setdefault(j, []).append(quot)
-    gens = [per_gen_cofactors.get(j, [f])[0]
-            for j, f in enumerate(sel_module.generators)]
-    extra = {j: qs[1:] for j, qs in per_gen_cofactors.items() if len(qs) > 1}
-
-    eng = _TowerEngine(ElementaryModule(prime, tuple(gens)), margin, extra=extra)
+        cofactors.setdefault(j, []).append(quot)
+    eng = _TowerEngine(prime, [cofactors.get(j, [f]) for j, f in
+                               enumerate(sel_module.generators)], margin)
     ranks, lengths = zip(*(eng.invariants(n) for n in range(n_max + 1)))
 
     non_finite = tuple(n for n in range(n_max + 1) if ranks[n] > 0)

@@ -87,14 +87,7 @@ class FrobeniusData:
         return cls.from_int_rows(1, prime, precision, [[0, -1], [1, 0]])
 
     def block_anti_diagonal(self) -> bool:
-        g = self.g
-        for i in range(g):
-            for j in range(g):
-                if not self.c_p[i][j].is_zero():
-                    return False
-                if not self.c_p[g + i][g + j].is_zero():
-                    return False
-        return True
+        return _is_block_anti_diagonal(self.c_p, self.g)
 
     def c_p_lists(self) -> list[list[PadicInt]]:
         return [list(r) for r in self.c_p]

@@ -1,23 +1,31 @@
 """Elementary torsion Lambda-modules and their cyclotomic quotient towers.
 
 A module is a finite direct sum of cyclic quotients Lambda/(f_i).  Its level-n
-layer N/omega_n N is a finitely generated Z_p-module, presented block by
-block.  The brute-force block, kept as ``quotient_presentation`` and as the
+layer N/omega_n N is a finitely generated Z_p-module, presented summand by
+summand.  The brute-force block, kept as ``quotient_presentation`` and as the
 tests' oracle, is the p^n x p^n matrix of multiplication by f_i on
-Z_p[X]/omega_n.  The tower uses the smallest presentation with the same
-elementary divisors: for f_i of degree d < p^n with a unit leading
-coefficient, the d x d matrix of multiplication by omega_n on Z_p[X]/(f_i);
-for a constant c, p^n copies of [c].  That d x d matrix needs only
-omega_n mod f = r_n - 1, r_n = (1+X)^{p^n} mod (f, p^N), and a tower run
-makes r_n from r_{n-1} by one p-th power mod f, so a level costs O(log p)
-products of size d however large p^n is: p = 3 towers reach level 9
-(p^n = 19683) in a fraction of a second.  omega_n's exact binomials are
-built only for the p^n x p^n matrices.  A generator with mu = 0 and lambda
-below its degree is first replaced by its distinguished polynomial, which
-generates the same ideal and is monic of degree lambda.  A generator
-f = p^mu * g with mu > 0 is presented through g at precision N - mu, every
-elementary exponent raised by mu: over Z/p^N the Smith form of p^mu * M is
-mu plus that of M mod p^(N - mu).  The tower index
+Z_p[X]/omega_n.  The tower presents every summand Lambda/(h_1, ..., h_k)
+(one relation per generator; the growth verifier's cofactors give more) by
+one rule with the same elementary divisors:
+
+1. pull out a, the least coefficient valuation of all the relations mod
+   p^N: over Z/p^N the Smith form of p^a * M is a plus that of M mod
+   p^(N - a);
+2. for the base B take the relation of least lambda among those left with a
+   unit coefficient, made monic of degree lambda: its distinguished
+   polynomial, or itself scaled by its leading unit when lambda is its
+   degree;
+3. present on the smaller ring: (Z/p^(N-a))[X]/(B), with rows
+   [W_n | H_2 | ...] (multiplication by omega_n and by the other relations)
+   and p^n - lambda zero exponents, while lambda < p^n; otherwise
+   (Z/p^(N-a))[X]/omega_n, the brute-force blocks.
+
+A constant u * p^k is shift k with lambda = 0: no rows at all.  W_n needs
+only omega_n mod B = r_n - 1, r_n = (1+X)^{p^n} mod (B, p^N), and a tower
+run makes r_n from r_{n-1} by one p-th power mod B, so a level costs
+O(log p) products of size lambda however large p^n is: p = 3 towers reach
+level 9 (p^n = 19683) in a fraction of a second.  omega_n's exact binomials
+are built only for the brute-force blocks.  The tower index
 (Kobayashi rank)
 
     nabla N_n = len(ker pi_n) - len(coker pi_n) + rank_{Z_p} N_{n-1}
@@ -40,6 +48,7 @@ from .padic import (
     PadicInt,
     _invariants_from_exponents,
     _invariants_raw,
+    _min_valuation,
     _validate_matrix,
     padic_matrix,
 )
@@ -143,88 +152,84 @@ def _one_plus_x_power(monic: list[int], p: int, n: int, q: int,
     return powers[n]
 
 
-def _layer_presentation(f: IwasawaSeries, n: int, precision: int,
-                        extra: Sequence[IwasawaSeries] = (),
-                        powers: list[list[int]] | None = None
-                        ) -> tuple[list[list[int]], int, int]:
-    """Smallest presentation of (Z/p^N)[X]/(f, omega_n, *extra), N =
-    precision, as (rows, copies, pad): the elementary exponents of the
-    brute-force [mult(f) | mult(g) ...] on Z_p[X]/omega_n are ``copies``
-    times those of ``rows`` plus ``pad`` zeros.
+def _summand(relations: Sequence[IwasawaSeries], precision: int
+             ) -> tuple[int, IwasawaSeries, list[IwasawaSeries]]:
+    """(a, B, others) for the summand Lambda/(h_1, ..., h_k) mod p^N,
+    N = precision.  a is the least coefficient valuation of the h_i mod p^N.
+    Of the h_i / p^a with a unit coefficient, the one of least lambda gives
+    B, monic of degree lambda: itself scaled by its leading unit when lambda
+    is its degree, else its distinguished polynomial, Hensel-lifted exactly
+    (h = B * U for a polynomial h, and U is a unit mod omega_n, where X is
+    nilpotent mod p), so B and h generate the same ideal with omega_n.
+    ``others`` are the other h_i / p^a.  B and the others are known mod
+    p^(N - a).  When every h_i vanishes mod p^N, a = N over the base 1."""
+    p, q = relations[0].prime, relations[0].prime**precision
+    lists = [[c % q for c in h.coeffs] for h in relations]
+    a = _min_valuation((c for cs in lists for c in cs), p, precision)
+    if a == precision:
+        return a, IwasawaSeries(p, 1, (1,)), []
+    pa, m = p**a, precision - a
+    lists = [[c // pa for c in cs] for cs in lists]
+    lam, i = min((next(j for j, c in enumerate(cs) if c % p), i)
+                 for i, cs in enumerate(lists) if any(c % p for c in cs))
+    h = lists.pop(i)
+    d = max(j for j, c in enumerate(h) if c)
+    if lam == d:
+        inv = pow(h[d], -1, p**m)
+        base = [c * inv for c in h[:d + 1]]
+    else:
+        base, _ = _hensel_lift(h[:d + 1], lam, p, m)
+    return a, IwasawaSeries(p, m, tuple(base)), \
+        [IwasawaSeries(p, m, tuple(cs)) for cs in lists]
 
-    - f of trimmed degree 1 <= d < p^n with a unit leading coefficient:
-      (Z/p^N)[X]/(f) is free on 1, ..., X^{d-1}; rows are [W_n | G ...], the
-      d x d matrices of multiplication by omega_n and by each g on it, and
-      pad = p^n - d.  omega_n mod f comes from ``_one_plus_x_power``, which
-      keeps its levels in ``powers`` when the caller passes the same list for
-      every level of one f and N.
-    - f a constant c without extra relations: p^n copies of [c].
-    - otherwise (mu > 0 or another non-unit leading coefficient, d >= p^n, a
-      constant with extra relations): the brute-force matrix itself.
+
+def _layer_presentation(summand: tuple[int, IwasawaSeries, list[IwasawaSeries]],
+                        n: int, powers: list[list[int]] | None = None
+                        ) -> tuple[list[list[int]], int]:
+    """Level n of a summand (a, B, others) from ``_summand``, as (rows, pad):
+    the elementary exponents of the brute-force [mult(B) | mult(h) ...] on
+    (Z/p^(N-a))[X]/omega_n are those of ``rows`` plus ``pad`` zeros.  The
+    ring is the smaller of two, for B of degree lambda:
+
+    - lambda < p^n: (Z/p^(N-a))[X]/(B), free on 1, ..., X^(lambda-1); rows
+      are [W_n | H ...], the lambda x lambda matrices of multiplication by
+      omega_n and by each other relation on it (no rows when lambda = 0),
+      and pad = p^n - lambda.  omega_n mod B comes from
+      ``_one_plus_x_power``, which keeps its levels in ``powers`` when the
+      caller passes the same list for every level of one summand.
+    - lambda >= p^n: (Z/p^(N-a))[X]/omega_n itself, the brute-force blocks,
+      pad = 0.
     """
-    p = f.prime
-    q, size = p**precision, p**n
-    coeffs = [c % q for c in f.coeffs]
-    d = len(coeffs) - 1
-    while d > 0 and not coeffs[d]:
-        d -= 1
-    if 1 <= d < size and coeffs[d] % p:
-        inv = pow(coeffs[d], -1, q)
-        monic = [c * inv % q for c in coeffs[:d + 1]]
-        r = _one_plus_x_power(monic, p, n, q, [] if powers is None else powers)
+    _, base, others = summand
+    size, lam = base.prime**n, len(base.coeffs) - 1
+    if not lam:
+        return [], size
+    if lam >= size:
+        blocks, pad = [_mult_matrix_rows(g, n) for g in [base, *others]], 0
+    else:
+        monic, q = list(base.coeffs), base.q
+        r = _one_plus_x_power(monic, base.prime, n, q,
+                              [] if powers is None else powers)
         blocks = [_companion_rows([r[0] - 1] + r[1:], monic, q)]
-        blocks += [_companion_rows(g.coeffs, monic, q) for g in extra]
-        return [sum(parts, []) for parts in zip(*blocks)], 1, size - d
-    if d == 0 and not extra:
-        return [[coeffs[0]]], size, 0
-    rows = _mult_matrix_rows(f, n)
-    for g in extra:
-        rows = [r + e for r, e in zip(rows, _mult_matrix_rows(g, n))]
-    return rows, 1, 0
+        blocks += [_companion_rows(g.coeffs, monic, q) for g in others]
+        pad = size - lam
+    return [sum(parts, []) for parts in zip(*blocks)], pad
 
 
-def _presentable_generator(f: IwasawaSeries, precision: int) -> IwasawaSeries:
-    """f, or, when f has mu = 0 and lambda below its degree d, its
-    distinguished polynomial P mod p^N, N = precision: the same ideal, but
-    monic of degree lambda, so every level with lambda < p^n is presented
-    lambda x lambda (a constant when lambda = 0), whatever f's degree and
-    top digit.  The unit part of a polynomial is a polynomial (f = P * U
-    exactly), so the Hensel-lifted P is exact."""
-    p, q = f.prime, f.prime**precision
-    coeffs = [c % q for c in f.coeffs]
-    d = max((i for i, c in enumerate(coeffs) if c), default=0)
-    lam = next((i for i, c in enumerate(coeffs) if c % p), None)
-    if lam is None or lam == d:
-        return f
-    dist, _ = _hensel_lift(coeffs[:d + 1], lam, p, precision)
-    return IwasawaSeries(p, precision, tuple(dist))
-
-
-def _split_p_power(f: IwasawaSeries, precision: int) -> tuple[IwasawaSeries, int]:
-    """(g, mu) with f = p^mu * g mod p^N, N = precision: mu is the least
-    coefficient valuation of f mod p^N and g = f / p^mu is known mod
-    p^(N - mu).  (f, 0) when mu = 0 or f vanishes mod p^N."""
-    mu = f.min_valuation()
-    if not 0 < mu < precision:
-        return f, 0
-    pmu = f.prime**mu
-    return IwasawaSeries(f.prime, precision - mu,
-                         tuple(c // pmu for c in f.coeffs)), mu
-
-
-def _presented_exponents(pres: tuple[list[list[int]], int, int], prime: int,
+def _presented_exponents(pres: tuple[list[list[int]], int], prime: int,
                          precision: int, shift: int = 0) -> list[int]:
     """The elementary exponents over Z/p^N, N = precision, that a
-    presentation from _layer_presentation stands for.  With shift = mu it is
-    the presentation of g at precision N - mu and stands for p^mu * g: every
-    exponent, pad zeros and copies included, gains mu."""
-    rows, copies, pad = pres
+    presentation from _layer_presentation stands for.  With shift = a it
+    presents h / p^a at precision N - a and stands for h: every exponent,
+    pad zeros included, gains a."""
+    rows, pad = pres
     # looked up on the module so that a tracer rebinding it sees this call
-    exps, _ = padic._snf_core(rows, prime, precision - shift, track=False)
-    return [shift + e for e in [0] * pad + exps * copies]
+    exps = padic._snf_core(rows, prime, precision - shift, track=False)[0] \
+        if rows else []
+    return [shift + e for e in [0] * pad + exps]
 
 
-def _presented_invariants(pres: tuple[list[list[int]], int, int], prime: int,
+def _presented_invariants(pres: tuple[list[list[int]], int], prime: int,
                           precision: int, margin: int,
                           shift: int = 0) -> tuple[int, int]:
     """(free rank, finite length) of a presentation from _layer_presentation,
@@ -277,54 +282,48 @@ def _validate_fuzz(fuzz, prime: int, precision: int, margin: int) -> list[list[i
 
 
 class _TowerEngine:
-    """Shared layer data for one module (plus optional finite fuzz summand,
-    which has identity transitions and perturbs nothing).  ``extra`` maps a
-    generator index to further relations of that summand.
+    """Shared layer data for one module, given as one relation list
+    [h_1, ..., h_k] per summand Lambda/(h_1, ..., h_k) (plus optional finite
+    fuzz summand, which has identity transitions and perturbs nothing).
 
-    Each generator f is kept as (g, mu): f = p^mu * g with g presented at
-    precision N - mu (``_split_p_power``).  A generator with extra relations
-    keeps mu = 0, since the relations do not carry the factor p^mu."""
+    Each summand is kept as ``_summand``'s (a, B, others), and each of its
+    levels is presented by ``_layer_presentation`` on the smaller of
+    (Z/p^(N-a))[X]/(B) and (Z/p^(N-a))[X]/omega_n, every exponent raised
+    by a."""
 
-    def __init__(self, module: ElementaryModule, margin: int, fuzz=None,
-                 extra: dict[int, list[IwasawaSeries]] | None = None):
-        self.module = module
-        self.extra = extra or {}
-        self.margin = margin
-        self.prime = module.prime
-        self.precision = module.precision if module.generators else 0
-        self.generators, self.shifts = [], []
-        for gi, f in enumerate(module.generators):
-            g, mu = (f, 0) if gi in self.extra else _split_p_power(
-                f, self.precision)
-            self.generators.append(
-                _presentable_generator(g, self.precision - mu))
-            self.shifts.append(mu)
+    def __init__(self, prime: int,
+                 relations: Sequence[Sequence[IwasawaSeries]], margin: int,
+                 fuzz=None):
+        self.prime, self.margin = prime, margin
+        self.precision = min((h.precision for hs in relations for h in hs),
+                             default=0)
+        self.summands = [_summand(hs, self.precision) for hs in relations]
         self.fuzz_rows = None
         if fuzz is not None:
-            if not module.generators:
+            if not self.summands:
                 raise InputError("fuzz requires a nonempty module")
             self.fuzz_rows = _validate_fuzz(fuzz, self.prime, self.precision, margin)
-        self._pres: dict[tuple[int, int], tuple[list[list[int]], int, int]] = {}
-        # per generator, (1+X)^{p^k} mod its monic for k = 0, 1, ...
-        self._powers: list[list[list[int]]] = [[] for _ in self.generators]
+        self._pres: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
+        # per summand, (1+X)^{p^k} mod its base for k = 0, 1, ...
+        self._powers: list[list[list[int]]] = [[] for _ in self.summands]
         self._inv: dict[int, tuple[int, int]] = {}
 
-    def _layer(self, gi: int, n: int) -> tuple[list[list[int]], int, int]:
-        key = (gi, n)
+    def _layer(self, si: int, n: int) -> tuple[list[list[int]], int]:
+        key = (si, n)
         if key not in self._pres:
-            self._pres[key] = _layer_presentation(
-                self.generators[gi], n, self.precision - self.shifts[gi],
-                self.extra.get(gi, ()), self._powers[gi])
+            self._pres[key] = _layer_presentation(self.summands[si], n,
+                                                  self._powers[si])
         return self._pres[key]
 
     def invariants(self, n: int) -> tuple[int, int]:
         """(total free rank, total finite length) of N/omega_n N."""
         if n not in self._inv:
-            pres = [(self._layer(gi, n), mu) for gi, mu in enumerate(self.shifts)]
+            pres = [(self._layer(si, n), a)
+                    for si, (a, _, _) in enumerate(self.summands)]
             if self.fuzz_rows is not None:
-                pres.append(((self.fuzz_rows, 1, 0), 0))
+                pres.append(((self.fuzz_rows, 0), 0))
             parts = [_presented_invariants(x, self.prime, self.precision,
-                                           self.margin, mu) for x, mu in pres]
+                                           self.margin, a) for x, a in pres]
             self._inv[n] = (sum(f for f, _ in parts), sum(l for _, l in parts))
         return self._inv[n]
 
@@ -332,24 +331,24 @@ class _TowerEngine:
         """Length of coker(pi_n) from the explicit matrix of pi_n augmented by
         the target relations; None when it is not finite.
 
-        Where level n-1 has a small presentation, pi_n maps level-n
-        generators onto its generators one to one (I_d on Z_p[X]/(f); for a
-        constant, X^j -> X^j for j < p^{n-1}, and column operations clear the
-        other X^j), so the matrix is [I | presentation].  For f = p^mu * g
-        only the presentation block is multiplied by p^mu."""
+        Where level n-1 is presented on Z_p[X]/(B) (pad > 0), pi_n maps
+        level-n generators onto its generators one to one, so the matrix is
+        [I | presentation], empty when lambda = 0.  Otherwise it is
+        [reduction | presentation].  For a summand with shift a only the
+        presentation block is multiplied by p^a."""
         total, red = 0, None
-        for gi, mu in enumerate(self.shifts):
-            prev, copies, pad = self._layer(gi, n - 1)
-            if mu:
-                pmu = self.prime**mu
-                prev = [[x * pmu for x in row] for row in prev]
-            if pad or copies > 1:
+        for si, (a, _, _) in enumerate(self.summands):
+            prev, pad = self._layer(si, n - 1)
+            if a:
+                pa = self.prime**a
+                prev = [[x * pa for x in row] for row in prev]
+            if pad:
                 rows = [[int(i == j) for j in range(len(prev))] + row
                         for i, row in enumerate(prev)]
             else:
                 red = red or _reduction_matrix_rows(self.prime, self.precision, n)
                 rows = [r + b for r, b in zip(red, prev)]
-            free, length = _presented_invariants((rows, copies, 0), self.prime,
+            free, length = _presented_invariants((rows, 0), self.prime,
                                                  self.precision, self.margin)
             if free != 0:
                 return None
@@ -361,7 +360,7 @@ class _TowerEngine:
         """Brute-force tower index at level n; None when undefined."""
         if n < 1:
             raise InputError("level must be >= 1")
-        if not self.module.generators:
+        if not self.summands:
             return 0
         rank_n, len_n = self.invariants(n)
         rank_prev, len_prev = self.invariants(n - 1)
@@ -384,7 +383,8 @@ def nabla_brute(module: ElementaryModule, n: int, *, margin: int = 4,
 
     Returns None when the transition has infinite kernel (free rank jump).
     """
-    return _TowerEngine(module, margin, fuzz).nabla(n)
+    return _TowerEngine(module.prime, [[g] for g in module.generators],
+                        margin, fuzz).nabla(n)
 
 
 def nabla_additivity_check(m_prime: ElementaryModule,
@@ -459,7 +459,8 @@ def tower_report(module: ElementaryModule, n_max: int, *, margin: int = 4,
     stabilized closed form lambda + (p^n - p^{n-1}) mu."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    eng = _TowerEngine(module, margin, fuzz)
+    eng = _TowerEngine(module.prime, [[g] for g in module.generators],
+                       margin, fuzz)
     if module.generators:
         lam, mu = module.lambda_mu(margin=margin)
     else:

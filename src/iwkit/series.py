@@ -28,7 +28,6 @@ omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Sequence
 
 from .config import is_odd_prime
@@ -225,6 +224,18 @@ class IwasawaSeries:
         return f"{body} (mod {self.prime}^{self.precision}, X^{self.degree_cap + 1})"
 
 
+def _binomials(k: int) -> list[int]:
+    """C(k, 0), ..., C(k, k) exactly, by C(k, i+1) = C(k, i) (k - i) / (i + 1)
+    and C(k, i) = C(k, k - i): one product and one exact division per pair
+    of coefficients."""
+    row = [1] * (k + 1)
+    c = 1
+    for i in range(k // 2):
+        c = c * (k - i) // (i + 1)
+        row[i + 1] = row[k - 1 - i] = c
+    return row
+
+
 def phi_int_coeffs(prime: int, n: int) -> list[int]:
     """Exact integer coefficients of Phi_n in the variable X."""
     if n < 0:
@@ -232,12 +243,10 @@ def phi_int_coeffs(prime: int, n: int) -> list[int]:
     if n == 0:
         return [0, 1]
     step = prime ** (n - 1)
-    deg = step * (prime - 1)
-    out = [0] * (deg + 1)
+    out = [0] * (step * (prime - 1) + 1)
     for j in range(prime):
-        k = j * step
-        for i in range(k + 1):
-            out[i] += comb(k, i)
+        row = _binomials(j * step)
+        out[:len(row)] = [a + b for a, b in zip(out, row)]
     return out
 
 
@@ -245,8 +254,7 @@ def omega_int_coeffs(prime: int, n: int) -> list[int]:
     """Exact integer coefficients of omega_n = (1+X)^{p^n} - 1."""
     if n < 0:
         raise InputError("level must be >= 0")
-    m = prime**n
-    out = [comb(m, i) for i in range(m + 1)]
+    out = _binomials(prime**n)
     out[0] = 0
     return out
 

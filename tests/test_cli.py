@@ -99,6 +99,13 @@ class TestGolden:
         out = run("--no-timestamp", "growth", str(SCEN / "growth_rank_one.json"))
         assert out == (GOLDEN / "growth_rank_one.csv").read_text()
 
+    def test_growth_two_cofactors_mu(self):
+        # 3 * Phi_1 * Phi_2 * (X + 3) absorbs both summands: one summand
+        # with two relations and mu = 1; made by the p^n x p^n brute force
+        out = run("--no-timestamp", "growth",
+                  str(SCEN / "growth_two_cofactors_mu.json"))
+        assert out == (GOLDEN / "growth_two_cofactors_mu.csv").read_text()
+
     def test_logmatrix_json(self):
         # the one golden run through a real ``python -m iwkit`` child
         out = run_child("--no-timestamp", "--format", "json", "logmatrix",

@@ -295,8 +295,8 @@ def collapse_cases(draw):
 
 
 class TestCofactorCollapse:
-    """(f_j, q_1, ..., q_k) = (q_1, ..., q_k): the engine's generator q_1
-    with extra relations q_2, ... against the old [mult(f_j) | mult(q_i)]."""
+    """(f_j, q_1, ..., q_k) = (q_1, ..., q_k): the engine's summand with
+    relations q_1, ..., q_k against the brute-force [mult(f_j) | mult(q_i)]."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=collapse_cases())

@@ -11,6 +11,7 @@ from iwkit import (
     ElementaryModule,
     InputError,
     IwasawaSeries,
+    MWShape,
     PrecisionExhaustedError,
     module_invariants,
     nabla_additivity_check,
@@ -19,6 +20,7 @@ from iwkit import (
     phi,
     quotient_presentation,
     rank_phi_omega,
+    synthetic_tower_verify,
     tower_report,
     weierstrass_prepare,
 )
@@ -28,10 +30,9 @@ from iwkit.modules import (
     _layer_presentation,
     _mult_matrix_rows,
     _one_plus_x_power,
-    _presentable_generator,
     _presented_exponents,
     _presented_invariants,
-    _split_p_power,
+    _summand,
 )
 from iwkit.padic import _invariants_raw, _snf_core, padic_matrix
 from iwkit.series import _companion_rows, _poly_divmod_monic, omega_int_coeffs
@@ -264,11 +265,13 @@ class TestOracleEquivalence:
 
 @st.composite
 def layer_cases(draw):
-    """(f, extra, n, N, margin): a polynomial f whose trimmed degree lies
+    """(relations, n, N, margin): a polynomial f whose trimmed degree lies
     below or above p^n, with a unit or a non-unit leading coefficient, one
     with mu = 0, a non-unit leading coefficient and lambda below or above
-    p^n, or a constant u * p^k (k may reach N, i.e. f = 0 mod p^N); extra
-    relations as in the growth cofactor path."""
+    p^n, or a constant u * p^k (k may reach N, i.e. f = 0 mod p^N); and up
+    to two further relations, as in the growth cofactor path, each times its
+    own p^k (0 <= k <= N), before or after f.  So the common p-power, and
+    the base among several relations, are drawn too."""
     p = draw(st.sampled_from([3, 5, 7]))
     N = draw(st.integers(1, 12))
     margin = draw(st.integers(0, N + 1))
@@ -299,10 +302,12 @@ def layer_cases(draw):
     prec = N + draw(st.sampled_from([0, 2]))
     cap = len(coeffs) - 1 + draw(st.integers(0, 3))
     f = IwasawaSeries.make(p, prec, coeffs, cap)
-    extra = [IwasawaSeries.make(p, prec, draw(st.lists(
-                 st.integers(0, q - 1), min_size=1, max_size=p**n + 2)))
+    extra = [IwasawaSeries.make(p, prec, [c * p ** draw(st.integers(0, N))
+                                          for c in draw(st.lists(
+                 st.integers(0, q - 1), min_size=1, max_size=p**n + 2))])
              for _ in range(draw(st.integers(0, 2)))]
-    return f, extra, n, N, margin
+    at = draw(st.integers(0, len(extra)))
+    return extra[:at] + [f] + extra[at:], n, N, margin
 
 
 def _outcome(fn):
@@ -313,23 +318,33 @@ def _outcome(fn):
 
 
 class TestLayerPresentation:
-    """The small presentation, from the generator the tower engine uses,
-    against the brute-force p^n x p^n oracle of f itself."""
+    """The presentation of a summand by the one rule against the brute-force
+    [mult(h_1) | mult(h_2) ...] oracle of its relations themselves."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=layer_cases())
     def test_matches_brute_force(self, case):
-        f, extra, n, N, margin = case
-        p = f.prime
-        brute = _mult_matrix_rows(f, n)
-        for g in extra:
-            brute = [r + e for r, e in zip(brute, _mult_matrix_rows(g, n))]
-        pres = _layer_presentation(_presentable_generator(f, N), n, N, extra)
-        rows, copies, pad = pres
-        small, _ = _snf_core(rows, p, N, track=False)
+        relations, n, N, margin = case
+        p = relations[0].prime
+        blocks = [_mult_matrix_rows(h, n) for h in relations]
+        brute = [sum(parts, []) for parts in zip(*blocks)]
+        summand = _summand(relations, N)
+        shift, base = summand[0], summand[1]
+        lam = len(base.coeffs) - 1
+        assert base.coeffs[lam] == 1 and all(c % p == 0 for c in base.coeffs[:lam])
+        digits = [c % p**N for h in relations for c in h.coeffs]
+        assert all(c % p**shift == 0 for c in digits)
+        assert shift == N or any(c % p ** (shift + 1) for c in digits)
+        pres = _layer_presentation(summand, n)
+        rows, pad = pres
+        if lam < p**n:
+            assert (len(rows), pad) == (lam, p**n - lam)
+        else:
+            assert (len(rows), pad) == (p**n, 0)
         want, _ = _snf_core(brute, p, N, track=False)
-        assert [0] * pad + small * copies == want
-        assert _outcome(lambda: _presented_invariants(pres, p, N, margin)) == \
+        assert _presented_exponents(pres, p, N, shift) == want
+        assert _outcome(lambda: _presented_invariants(pres, p, N, margin,
+                                                      shift)) == \
             _outcome(lambda: _invariants_raw(brute, p, N, margin))
 
     @settings(max_examples=200, deadline=None)
@@ -346,7 +361,7 @@ class TestLayerPresentation:
         f.append(rng.randrange(1, p) + p * rng.randrange(q) % q)
         f += [rng.randrange(q) for _ in range(rng.randint(0, 12))]
         f.append(p * rng.randrange(1, q // p))
-        P = list(_presentable_generator(series(f, p, n, len(f)), n).coeffs)
+        P = list(_summand([series(f, p, n, len(f))], n)[1].coeffs)
         assert len(P) == lam + 1 and P[lam] == 1
         assert all(c % p == 0 for c in P[:lam])
         assert not any(_poly_divmod_monic(f, P, q)[1])
@@ -356,17 +371,22 @@ class TestLayerPresentation:
             assert list(w.distinguished.coeffs[:lam + 1]) == P
 
     @pytest.mark.parametrize("coeffs,shape", [
-        ([3, 1], (1, 1, 8)),        # degree 1 < 9, monic: 1 x 1, 8 zeros
-        ([3, 0, 9], (9, 1, 0)),     # mu > 0: 9 x 9
-        ([9], (1, 9, 0)),           # constant: 9 copies of [9]
-        ([1] * 12, (1, 9, 0)),      # mu = 0, lambda 0: P = 1, 9 copies of [1]
-        ([3, 1, 3], (1, 1, 8)),     # mu = 0, lambda 1: 1 x 1 from P = X + u
-        ([3] * 9 + [1, 3], (9, 1, 0)),  # mu = 0, lambda 9 >= 9: 9 x 9
+        ([[3, 1]], (0, 1, 8)),      # degree 1 < 9, monic: 1 x 1, 8 zeros
+        ([[3, 0, 9]], (1, 0, 9)),   # 3 * (1 + 3X^2): lambda 0, no rows
+        ([[9]], (2, 0, 9)),         # constant 9: shift 2, no rows
+        ([[1] * 12], (0, 0, 9)),    # mu = 0, lambda 0: P = 1, no rows
+        ([[3, 1, 3]], (0, 1, 8)),   # mu = 0, lambda 1: 1 x 1 from X + u
+        ([[3] * 9 + [1, 3]], (0, 9, 0)),  # lambda 9 >= 9: 9 x 9
+        ([[9, 3]], (1, 1, 8)),      # 3 * (X + 3): 1 x 1 at N - 1
+        # several relations: the shift is common, the base has least lambda
+        ([[0, 9], [3, 3, 3, 3]], (1, 0, 9)),   # base 1 from the second
+        ([[27, 9, 9], [9, 0, 3]], (1, 2, 7)),  # base X^2 + 3 from the second
+        ([[3, 1, 1], [1, 1]], (0, 0, 9)),      # X + 1 has lambda 0
     ])
     def test_case_selection(self, coeffs, shape):
-        f = _presentable_generator(series(coeffs), N)
-        rows, copies, pad = _layer_presentation(f, 2, N)
-        assert (len(rows), copies, pad) == shape
+        summand = _summand([series(h) for h in coeffs], N)
+        rows, pad = _layer_presentation(summand, 2)
+        assert (summand[0], len(rows), pad) == shape
 
     @pytest.mark.parametrize("p,coeffs,n", [
         (3, [3, 6, 1], 5),          # Eisenstein, d = 2, p^n = 243
@@ -383,13 +403,14 @@ class TestLayerPresentation:
         # p^n >> d: the rows equal those of the long division of omega_n's
         # exact binomials, and their Smith form that of the p^n x p^n
         # brute force wherever p^n <= 243
+        # f is the base itself, scaled monic, whatever its lambda
         q, d = p**N, len(coeffs) - 1
         f = series(coeffs, p)
-        pres = _layer_presentation(f, n, N)
-        rows, copies, pad = pres
-        assert (len(rows), copies, pad) == (d, 1, p**n - d)
         inv = pow(coeffs[-1], -1, q)
         monic = [c * inv % q for c in coeffs]
+        pres = _layer_presentation((0, IwasawaSeries(p, N, tuple(monic)), []), n)
+        rows, pad = pres
+        assert (len(rows), pad) == (d, p**n - d)
         assert rows == _companion_rows(omega_int_coeffs(p, n), monic, q)
         if p**n <= 243:
             brute = [[x.residue for x in row]
@@ -443,24 +464,41 @@ class TestOnePlusXPower:
         assert _one_plus_x_power(P, p, 0, q, powers) == powers[0]
 
 
+@pytest.fixture
+def omega_levels(monkeypatch):
+    """The levels at which ``modules`` builds omega_n's exact binomials."""
+    calls = []
+    real = modules.omega_int_coeffs
+
+    def counted(prime, n):
+        calls.append(n)
+        return real(prime, n)
+
+    monkeypatch.setattr(modules, "omega_int_coeffs", counted)
+    return calls
+
+
 class TestHighLevels:
-    def test_small_path_above_the_brute_force_levels(self, monkeypatch):
+    def test_small_path_above_the_brute_force_levels(self, omega_levels):
         # {X^2 + 6X + 3, p} at p = 3: lambda = 2, mu = 1; only level 0,
         # where d = 2 >= p^0, builds omega's binomials
-        calls = []
-        real = modules.omega_int_coeffs
-
-        def counted(prime, n):
-            calls.append(n)
-            return real(prime, n)
-
-        monkeypatch.setattr(modules, "omega_int_coeffs", counted)
         report = tower_report(mod(series([3, 6, 1]), series([3])), 9)
         assert (report.lambda_invariant, report.mu_invariant) == (2, 1)
         assert report.level(1).match is False
         assert all(report.level(n).match for n in range(2, 10))
         assert report.level(9).nabla == nabla_closed(2, 1, 9, prime=3) == 13124
-        assert calls and set(calls) == {0}
+        assert omega_levels and set(omega_levels) == {0}
+
+    def test_two_cofactors_with_mu(self, omega_levels):
+        # scenarios/growth_two_cofactors_mu.json: 3 * Phi_1 * Phi_2 * (X + 3)
+        # absorbs Phi_1 and Phi_2, so its summand has two relations with a
+        # common 3; the base Phi_1 * (X + 3) has lambda 3, and only levels 0
+        # and 1, where 3 >= p^n, build omega's binomials
+        f = series([3]) * phi_gen(1) * phi_gen(2) * series([3, 1])
+        report = synthetic_tower_verify(mod(f), MWShape((1, 2)), 5)
+        assert [lv.nabla for lv in report.levels[1:]] == [4, 7, 19, 55, 163]
+        assert report.stabilization_level == 2
+        assert omega_levels and set(omega_levels) == {0, 1}
 
 
 @st.composite
@@ -487,8 +525,8 @@ def unit_lead_cases(draw):
 
 class TestUnitLeadingCoefficient:
     """A mu = 0 polynomial with a unit leading coefficient and lambda < d is
-    presented through its distinguished polynomial: lambda x lambda, or the
-    constant path when lambda = 0, against the p^n x p^n oracle."""
+    presented through its distinguished polynomial: lambda x lambda, no rows
+    when lambda = 0, against the p^n x p^n oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=unit_lead_cases())
@@ -496,14 +534,13 @@ class TestUnitLeadingCoefficient:
         f, n, N, margin = case
         p = f.prime
         lam = next(i for i, c in enumerate(f.coeffs) if c % p)
-        g = _presentable_generator(f, N)
-        assert g.degree() == lam and g.coeffs[lam] == 1
-        pres = _layer_presentation(g, n, N)
-        rows, copies, pad = pres
-        if lam == 0:
-            assert (len(rows), copies, pad) == (1, p**n, 0)
-        elif lam < p**n:
-            assert (len(rows), copies, pad) == (lam, 1, p**n - lam)
+        summand = _summand([f], N)
+        g = summand[1]
+        assert summand[0] == 0 and g.degree() == lam and g.coeffs[lam] == 1
+        pres = _layer_presentation(summand, n)
+        rows, pad = pres
+        if lam < p**n:
+            assert (len(rows), pad) == (lam, p**n - lam)
         at_n = mod(IwasawaSeries(p, N, f.coeffs), p=p)
         brute = [[x.residue for x in row]
                  for row in quotient_presentation(at_n, n)]
@@ -560,9 +597,10 @@ class TestPPowerShift:
     def test_matches_brute_force(self, case):
         f, n, N, margin, mu = case
         p = f.prime
-        g, shift = _split_p_power(f, N)
-        assert shift == mu and g.precision == N - mu
-        pres = _layer_presentation(_presentable_generator(g, N - mu), n, N - mu)
+        summand = _summand([f], N)
+        shift = summand[0]
+        assert shift == mu and summand[1].precision == N - mu
+        pres = _layer_presentation(summand, n)
         brute = _mult_matrix_rows(f, n)
         want, _ = _snf_core(brute, p, N, track=False)
         assert _presented_exponents(pres, p, N, shift) == want
@@ -570,8 +608,8 @@ class TestPPowerShift:
         assert _outcome(lambda: _presented_invariants(pres, p, N, margin,
                                                       shift)) == oracle
         if f.precision == N:
-            eng = _TowerEngine(mod(f, p=p), margin)
-            assert eng.shifts == [mu]
+            eng = _TowerEngine(p, [[f]], margin)
+            assert [a for a, _, _ in eng.summands] == [mu]
             assert _outcome(lambda: eng.invariants(n)) == oracle
 
     @settings(max_examples=60, deadline=None)
@@ -579,13 +617,20 @@ class TestPPowerShift:
     def test_transition_cokernel_vanishes(self, case):
         # only the presentation block of [I | p^mu * presentation] is scaled
         f, n, N, margin, mu = case
-        eng = _TowerEngine(mod(IwasawaSeries(f.prime, N, f.coeffs), p=f.prime),
+        eng = _TowerEngine(f.prime, [[IwasawaSeries(f.prime, N, f.coeffs)]],
                            min(margin, N - 1))
         assert eng.transition_coker_length(n + 1) == 0
 
-    def test_extra_relations_keep_the_brute_force_path(self):
-        f = series([9, 3, 0, 3])
-        eng = _TowerEngine(mod(f), 4, extra={0: [series([3, 1])]})
-        assert eng.shifts == [0]
-        rows, copies, pad = eng._layer(0, 2)
-        assert (len(rows), len(rows[0]), copies, pad) == (9, 18, 1, 0)
+    def test_two_relations_take_the_smaller_base(self):
+        # 9 + 3X + 3X^3 has no unit coefficient, so X + 3 is the base: the
+        # layer is Z_p[X]/(X + 3), one row [W_2 | H], not 9 x 18
+        relations = [series([9, 3, 0, 3]), series([3, 1])]
+        eng = _TowerEngine(P, [relations], 4)
+        assert [a for a, _, _ in eng.summands] == [0]
+        rows, pad = eng._layer(0, 2)
+        assert (len(rows), len(rows[0]), pad) == (1, 2, 8)
+        brute = [r + e for r, e in zip(*(_mult_matrix_rows(h, 2)
+                                         for h in relations))]
+        want, _ = _snf_core(brute, P, N, track=False)
+        assert _presented_exponents((rows, pad), P, N) == want
+        assert eng.transition_coker_length(3) == 0

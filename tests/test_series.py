@@ -1,6 +1,7 @@
 """Truncated series arithmetic, Phi/omega, Weierstrass preparation, division."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from iwkit.series import (
     _BLOCKED_MIN,
     _SLOT_BOUND,
     WeierstrassFactorization,
+    _binomials,
     _conv,
     _hensel_lift,
     _pack,
@@ -29,6 +31,8 @@ from iwkit.series import (
     _series_inv,
     _slot_reducer,
     lambda_mu,
+    omega_int_coeffs,
+    phi_int_coeffs,
     reconstruction_residual_valuation,
 )
 
@@ -82,6 +86,27 @@ class TestPhiOmega:
         rec = omega(n - 1, prime=3, precision=24, degree_cap=cap) * \
             phi(n, prime=3, precision=24, degree_cap=cap)
         assert wn.congruent(rec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(0, 800))
+    @example(k=0)
+    @example(k=1)
+    def test_binomials_match_math_comb(self, k):
+        assert _binomials(k) == [comb(k, i) for i in range(k + 1)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(0, 4))
+    def test_int_coeffs_match_math_comb(self, p, n):
+        # Phi_n = sum_{j<p} (1+X)^{j p^(n-1)} and omega_n = (1+X)^{p^n} - 1
+        if n:
+            step = p ** (n - 1)
+            want = [sum(comb(j * step, i) for j in range(p))
+                    for i in range(step * (p - 1) + 1)]
+        else:
+            want = [0, 1]
+        assert phi_int_coeffs(p, n) == want
+        assert omega_int_coeffs(p, n) == [0] + [comb(p**n, i)
+                                                for i in range(1, p**n + 1)]
 
     def test_degree_overflow_names_required_cap(self):
         with pytest.raises(DegreeOverflowError) as err:
