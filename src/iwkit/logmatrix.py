@@ -32,10 +32,19 @@ The word is pushed on packed ints (Kronecker substitution, one byte slot per
 coefficient): every vector entry stays one int from the first step to the
 last, each step is whole-int products, and ``series._slot_reducer`` then
 brings every slot of an entry back below 4 p^N at once by Barrett steps of
-shifts, masks and scalar products.  An entry is unpacked, and its
-coefficients reduced mod p^N, only once, at the end.
-``c_n``, ``LogMatrix.matmul`` and the Laplace expansion ``_series_det``
-serve ``m_n`` and ``LogMatrix.det``, and are the tests' oracle for the
+shifts, masks and scalar products.  The full power starts from W^T, which
+is W applied to the identity, the first row from W's first row (E_n leaves
+e_1 alone), and W comes from one Laplace recurrence over rank-indexed
+subsets (``_compound``).  At the end each vector is unpacked
+by one ``series._unpack`` call on the little-endian bytes of all its
+entries: the low bytes of every slot, those that can hold a value below
+4 p^N, are gathered by byte planes into 64-bit words laid out in the host's
+byte order, read back by one ``memoryview`` cast, and reduced mod p^N in one
+list pass.
+M_n = p^{-(n+1)} A^{n+1} H_n with the integer matrix A = C_p diag(p I_g, I_g),
+so ``m_n`` is one constant combination of the entries of H_n.  ``c_n``,
+``c_phi``, ``LogMatrix.matmul``/``power`` and the Laplace expansion
+``_series_det`` serve ``LogMatrix.det`` and are the tests' oracle for the
 kernel.
 """
 
@@ -44,13 +53,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
-from .series import (IwasawaSeries, _conv, _pack, _slot_reducer, _unpack,
-                     _zero_window, deg_phi, phi, phi_int_coeffs, require_cap)
+from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
+                     _unpack, _zero_window, deg_phi, phi, phi_int_coeffs,
+                     require_cap)
 
 
 @dataclass(frozen=True)
@@ -245,16 +255,51 @@ def _compound(a: Sequence[Sequence[int]], r: int, q: int) -> list[list[int]]:
     """wedge^r of a square int matrix mod q: every r x r minor, rows and
     columns indexed by the r-subsets in lexicographic order.  Laplace
     expansion along the first row of each row set, each smaller minor
-    computed once."""
-    subsets: list[tuple[int, ...]] = [()]
-    minor = {((), ()): 1}
+    computed once: the s-subsets are indexed by their rank in a list, and
+    one table per level gives the rank of each subset with its t-th element
+    dropped, so a minor reads its cofactors by two list lookups."""
+    d = len(a)
+    minor = [[1]]
+    rank: dict[tuple[int, ...], int] = {(): 0}
     for s in range(1, r + 1):
-        subsets = list(combinations(range(len(a)), s))
-        minor = {(rows, cols): sum((-1)**t * a[rows[0]][j]
-                                   * minor[(rows[1:], cols[:t] + cols[t + 1:])]
-                                   for t, j in enumerate(cols)) % q
-                 for rows in subsets for cols in subsets}
-    return [[minor[(rows, cols)] for cols in subsets] for rows in subsets]
+        subsets = list(combinations(range(d), s))
+        drop = [[rank[c[:t] + c[t + 1:]] for t in range(s)] for c in subsets]
+        # column j at an odd position t of its subset reads -a[i][j], kept
+        # at index j + d of the signed head row
+        signed = [[j + d * (t & 1) for t, j in enumerate(c)] for c in subsets]
+        nxt = []
+        for rows, dr in zip(subsets, drop):
+            head = a[rows[0]]
+            get_h = (list(head) + [-x for x in head]).__getitem__
+            get_m = minor[dr[0]].__getitem__
+            nxt.append([sum(map(mul, map(get_h, cs), map(get_m, dc))) % q
+                        for cs, dc in zip(signed, drop)])
+        minor = nxt
+        rank = {c: i for i, c in enumerate(subsets)}
+    return minor
+
+
+def _w_step(vecs: list[list[int]], mat: Sequence[Sequence[int]],
+            reduce: Callable[[int], int]) -> None:
+    """v -> (sum_K v_K mat[J][K])_J on every packed vector, in place."""
+    for v in vecs:
+        v[:] = [reduce(sum(map(mul, v, row))) for row in mat]
+
+
+def _e_step(vecs: list[list[int]], exps: Sequence[int], phik: list[int],
+            length: int, q: int, sb: int,
+            reduce: Callable[[int], int]) -> None:
+    """Entry K of every packed vector times Phi_k^{e_K} mod X^length, in
+    place: Phi_k^e packed once per e, each product cut by one mask."""
+    trunc = (1 << (8 * sb * length)) - 1
+    power, packed = phik, [0, _pack(phik, sb)]
+    for _ in range(2, max(exps) + 1):
+        power = _conv(power, phik, min(len(power) + len(phik) - 1, length), q)
+        packed.append(_pack(power, sb))
+    for v in vecs:
+        for j, e in enumerate(exps):
+            if e and v[j]:
+                v[j] = reduce(v[j] * packed[e] & trunc)
 
 
 class WedgeTower:
@@ -295,20 +340,27 @@ class WedgeTower:
         """Row vectors are pushed from the left through a word in the E_k
         and a constant matrix, every entry one packed int (``_pack``, one
         sb-byte slot per coefficient) from the first step to the last.
-        v -> v M is the combination sum_K v_K M_{K,J} on the packed ints;
-        scaling entry K by Phi_k^{e_K} is one product with Phi_k^e, packed
-        once per (k, e), truncated mod X^{cap+1} by one mask, exact because
-        truncation is a ring map.  After every step ``_slot_reducer`` brings
-        each slot back below 4q, so a slot only ever holds a sum of at most
-        max(m, length) products of a reduced slot and a residue mod q.  Each
-        entry is unpacked once, at the end, up to its highest occupied slot.
-        No entry is longer than ``length`` = min(cap + 1, e_max (p^n - 1) + 1),
-        e_max the largest e_K, so the masks span that many slots, not the
-        window.
+        v -> v M is the combination sum_K v_K M_{K,J} on the packed ints
+        (``_w_step``); scaling entry K by Phi_k^{e_K} is one product with
+        Phi_k^e, packed once per (k, e), truncated mod X^{cap+1} by one
+        mask, exact because truncation is a ring map (``_e_step``).  After
+        every step ``_slot_reducer`` brings each slot back below 4q, so a
+        slot only ever holds a sum of at most max(m, length) products of a
+        reduced slot and a residue mod q.  No entry is longer than
+        ``length`` = min(cap + 1, e_max (p^n - 1) + 1), e_max the largest
+        e_K, so the masks span that many slots, not the window.
 
-        The first row (e_I = 0 there) is e_1 E_n W ... E_1 W.  The whole
-        power is read off the transpose W^T E_1 W^T E_2 ... W^T E_n, whose
-        rows meet the long Phi_n^{e_K} last, on the shortest entries.
+        At the end each vector is unpacked by one ``_unpack`` call: its
+        entries, ``length`` slots each, are joined as little-endian bytes,
+        and only the low bytes of a slot that can hold a value below 4q are
+        read.  One vector at a time, so the bytes of a whole power never
+        exist at once.
+
+        The first row is e_1 E_n W ... E_1 W; for r <= g, e_I0 = 0 and it
+        starts from W's first row, with no Phi_n^e built.  The whole power
+        is read off the transpose W^T E_1 W^T E_2 ... W^T E_n, whose rows
+        meet the long Phi_n^{e_K} last, on the shortest entries; W^T
+        applied to the identity is W^T itself, so the push starts there.
         """
         frob = self.frob
         p, prec = frob.prime, frob.precision
@@ -328,40 +380,42 @@ class WedgeTower:
         w = _compound(self._inv, r, q)
         exps = [sum(i >= frob.g for i in s)
                 for s in combinations(range(2 * frob.g), r)]
-        m, e_max = len(w), max(exps)
-        length = min(cap + 1, e_max * (p**n - 1) + 1)
+        m = len(w)
+        length = min(cap + 1, max(exps) * (p**n - 1) + 1)
         sb, reduce = _slot_reducer(q, max(m, length), length)
-        trunc = (1 << (8 * sb * length)) - 1
 
         if first_row_only:
             w_cols = list(zip(*w))
             word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
             vecs = [[1] + [0] * (m - 1)]
+            if n and not exps[0]:
+                # e_I0 = 0 (r <= g): e_1 E_n W is W's first row
+                word, vecs = word[2:], [list(w[0])]
+        elif n:
+            word = [x for k in range(1, n) for x in (k, w)] + [n]
+            vecs = [list(col) for col in zip(*w)]
         else:
-            word = [x for k in range(1, n + 1) for x in (w, k)]
-            vecs = [[int(j == i) for j in range(m)] for i in range(m)]
+            word, vecs = [], [[int(j == i) for j in range(m)]
+                              for i in range(m)]
         for step in word:
             if isinstance(step, int):
-                phik = self._phis[step - 1]
-                power, packed = phik, [0, _pack(phik, sb)]
-                for _ in range(2, e_max + 1):
-                    power = _conv(power, phik,
-                                  min(len(power) + len(phik) - 1, length), q)
-                    packed.append(_pack(power, sb))
-                for v in vecs:
-                    for j, e in enumerate(exps):
-                        if e and v[j]:
-                            v[j] = reduce(v[j] * packed[e] & trunc)
-                continue
-            for v in vecs:
-                v[:] = [reduce(sum(map(mul, v, col))) for col in step]
+                _e_step(vecs, exps, self._phis[step - 1], length, q, sb,
+                        reduce)
+            else:
+                _w_step(vecs, step, reduce)
         if not first_row_only:
             vecs = [list(col) for col in zip(*vecs)]
-        width = 8 * sb
-        return [[IwasawaSeries._reduced(p, prec, tuple(c + window[len(c):]))
-                 for c in (_unpack(x, -(-x.bit_length() // width), sb, q)
-                           for x in v)]
-                for v in vecs]
+        nbytes = sb * length
+        vb = ((_SLOT_BOUND * q - 1).bit_length() + 7) // 8
+        pad = tuple(window[length:])
+        out = []
+        for v in vecs:
+            cs = _unpack(b"".join([x.to_bytes(nbytes, "little") for x in v]),
+                         len(v) * length, sb, q, vb)
+            out.append([IwasawaSeries._reduced(p, prec,
+                                               tuple(cs[i:i + length]) + pad)
+                        for i in range(0, len(cs), length)])
+        return out
 
 
 def _tower_for(frob: FrobeniusData, tower: WedgeTower | None) -> WedgeTower:
@@ -384,12 +438,28 @@ def h_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
 
 
 def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
-    """M_n = C_phi^{n+1} * H_n, denominators summed then normalized."""
+    """M_n = C_phi^{n+1} * H_n, normalized.  C_phi = p^{-1} A with the
+    integer matrix A = C_p * diag(p I_g, I_g), so M_n is
+    p^{-(n+1)} (A^{n+1} mod p^N) H_n: one constant combination of the
+    entries of H_n from ``WedgeTower``."""
     if n < 1:
         raise InputError("level must be >= 1")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
-    return c_phi(frob, degree_cap=cap).power(n + 1).matmul(
-        h_n(frob, n, degree_cap=cap))
+    g, p, prec = frob.g, frob.prime, frob.precision
+    scale = PadicInt(p, p, prec)
+    a = [[x * scale if j < g else x for j, x in enumerate(row)]
+         for row in frob.c_p]
+    a_pow = a
+    for _ in range(n):
+        a_pow = mat_mul(a_pow, a)
+    q = p**prec
+    h_cols = list(zip(*h_n(frob, n, degree_cap=cap).entries))
+    rows = [[IwasawaSeries._reduced(p, prec, tuple(
+                sum(map(mul, coefs, cs)) % q
+                for cs in zip(*(e.coeffs for e in col))))
+             for col in h_cols]
+            for coefs in ([x.residue for x in row] for row in a_pow)]
+    return LogMatrix.normalized(rows, n + 1)
 
 
 def index_sets(g: int) -> list[tuple[int, ...]]:

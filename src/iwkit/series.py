@@ -27,6 +27,7 @@ omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -421,11 +422,46 @@ def _pack(cs: Sequence[int], sb: int) -> int:
                           "little")
 
 
-def _unpack(x: int, n: int, sb: int, q: int) -> list[int]:
-    """The lowest n sb-byte slots of a packed int x >= 0, each reduced mod q."""
-    buf = x.to_bytes(max(n * sb, (x.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(buf[k:k + sb], "little") % q
-            for k in range(0, n * sb, sb)]
+def _plane_offsets(byteorder: str) -> tuple[int, ...]:
+    """Where byte j (0 <= j < 16) of a value goes in a pair of 64-bit words,
+    low word first, each word in the given byte order."""
+    return tuple(8 * (j // 8) + (j % 8 if byteorder == "little" else 7 - j % 8)
+                 for j in range(16))
+
+
+_PLANE_OFFSETS = _plane_offsets(sys.byteorder)
+
+
+def _unpack(x: int | bytes, n: int, sb: int, q: int,
+            width: int | None = None) -> list[int]:
+    """The lowest n sb-byte slots of a packed int x >= 0, each reduced mod q.
+
+    x may also be given as its little-endian bytes, at least n sb of them.
+    ``width`` is the number of low bytes of each slot that can be nonzero
+    (all sb when None): the bytes above it are never read.
+
+    The slots are read by byte planes, not one by one: byte j of every slot
+    is one strided slice, copied into its place in an 8- or 16-byte word per
+    slot (``_PLANE_OFFSETS``, laid out in the host's ``sys.byteorder``), the
+    words are read back by one C-level ``memoryview`` cast to 64-bit
+    unsigned ints, and one list pass reduces them mod q.  A value wider
+    than two 64-bit words is sliced out slot by slot.
+    """
+    vb = sb if width is None else min(width, sb)
+    end = n * sb
+    buf = (x if isinstance(x, bytes)
+           else x.to_bytes(max(end, (x.bit_length() + 7) // 8), "little"))
+    if vb > 16:
+        return [int.from_bytes(buf[k:k + vb], "little") % q
+                for k in range(0, end, sb)]
+    wb = 8 if vb <= 8 else 16
+    planes = bytearray(wb * n)
+    for j in range(vb):
+        planes[_PLANE_OFFSETS[j]::wb] = buf[j:end:sb]
+    words = memoryview(planes).cast("Q").tolist()
+    if wb == 8:
+        return [w % q for w in words]
+    return [(hi << 64 | lo) % q for lo, hi in zip(words[::2], words[1::2])]
 
 
 # ``_slot_reducer`` leaves every slot below this multiple of q.

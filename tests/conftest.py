@@ -5,7 +5,8 @@ These helpers deliberately avoid the package's own series code so that
 Python integers, dense lists, schoolbook algorithms.
 """
 
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 
@@ -76,6 +77,18 @@ def ip_phi(p, n):
     quot, rem = ip_divmod(num, den)
     assert rem == [0]
     return quot
+
+
+def int_det(rows):
+    """Exact determinant of a square integer matrix by the Leibniz sum over
+    all permutations, each signed by its inversion count; 1 for 0 x 0."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1)**inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 def ip_reduce_mod(a, q):

@@ -1,8 +1,11 @@
 """The logarithmic matrix tower: products, minors, characters, base change."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iwkit import (
     DegreeOverflowError,
@@ -22,9 +25,11 @@ from iwkit import (
     minors,
     phi,
 )
-from iwkit.logmatrix import WedgeTower, _series_det
+from iwkit.logmatrix import WedgeTower, _compound, _series_det
 from iwkit.padic import mat_det, padic_matrix
 from iwkit.series import deg_phi
+
+from conftest import int_det
 
 P, N = 3, 24
 
@@ -233,6 +238,65 @@ class TestMn:
     def test_denominator_growth_bound(self, n):
         assert m_n(elliptic(), n).denom_exponent <= n + 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.sampled_from([1, 2]), p=st.sampled_from([3, 5, 7]),
+           n=st.integers(1, 3), prec=st.sampled_from([1, 2, 3, 6, 10, 24]),
+           extra=st.one_of(st.none(), st.integers(0, 30)),
+           seed=st.integers(0, 10**9))
+    @example(g=1, p=3, n=3, prec=2, extra=None, seed=0)
+    @example(g=2, p=7, n=2, prec=24, extra=3, seed=1)
+    def test_kernel_matches_the_c_phi_chain(self, g, p, n, prec, extra, seed):
+        """m_n from H_n and A^{n+1} gives the values, precisions and
+        denominator of the chain C_phi^{n+1} H_n of LogMatrix products,
+        and refuses (InputError) exactly where the chain does: where the
+        product is 0 mod p^N and cannot be normalized."""
+        rng = random.Random(seed)
+        frob = FrobeniusData.from_int_rows(g, p, prec,
+                                           rand_gl(g, p, prec, rng))
+        default = p**n + 8
+        cap = None if extra is None else deg_phi(p, n) + extra
+        try:
+            want = c_phi(frob, degree_cap=cap or default).power(n + 1).matmul(
+                h_n(frob, n, degree_cap=cap or default))
+        except InputError:
+            with pytest.raises(InputError):
+                m_n(frob, n, degree_cap=cap)
+            return
+        # LogMatrix equality: every entry's coefficients and precision,
+        # and the denominator exponent
+        assert m_n(frob, n, degree_cap=cap) == want
+
+    def test_product_zero_mod_p_n_refused_like_the_chain(self):
+        # elliptic: A^2 = -p I, so A^4 H_3 = 0 mod 3^2
+        frob = FrobeniusData.elliptic(3, 2)
+        with pytest.raises(InputError):
+            c_phi(frob, degree_cap=35).power(4).matmul(h_n(frob, 3))
+        with pytest.raises(InputError):
+            m_n(frob, 3)
+
+
+class TestCompound:
+    """``_compound`` (every r x r minor of an integer matrix mod q, by the
+    indexed Laplace recurrence) against exact Leibniz determinants."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.integers(1, 3), p=st.sampled_from([3, 5, 7]),
+           prec=st.integers(1, 41), seed=st.integers(0, 10**9))
+    @example(g=3, p=3, prec=24, seed=0)
+    @example(g=3, p=7, prec=1, seed=1)
+    def test_every_r_minor_is_the_determinant(self, g, p, prec, seed):
+        rng = random.Random(seed)
+        q = p**prec
+        d = 2 * g
+        # any square matrix: zero rows and columns, units or not
+        a = [[rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(d)]
+             for _ in range(d)]
+        for r in range(1, d + 1):
+            subsets = list(combinations(range(d), r))
+            want = [[int_det([[a[i][j] for j in cols] for i in rows]) % q
+                     for cols in subsets] for rows in subsets]
+            assert _compound(a, r, q) == want, r
+
 
 class TestMinors:
     def test_g1_minors_are_entries(self):
@@ -434,6 +498,30 @@ class TestWedgeTower:
                                         margin=0, tower=tower)
                     == condition_character(frob, n, cols, 0, degree_cap=cap,
                                            margin=0))
+
+    @pytest.mark.parametrize("g,p,n", [(1, 5, 2), (2, 3, 2), (3, 3, 1)])
+    def test_first_row_is_the_power_s_first_row_for_every_r(self, g, p, n):
+        # r <= g starts from W's first row, r > g (e_I0 > 0) from e_1
+        frob = kernel_frobenius(g, p, n)
+        for r in range(1, 2 * g + 1):
+            for cap in (deg_phi(p, n), r * p**n + 8):
+                row = WedgeTower(frob).power(r, n, cap, first_row_only=True)
+                assert row == WedgeTower(frob).power(r, n, cap)[:1], (r, cap)
+
+    @pytest.mark.parametrize("g,p", [(2, 3), (2, 7), (3, 3), (3, 5)])
+    def test_level_zero_is_the_identity(self, g, p):
+        # the empty word: no W^T start, no Phi_k at all
+        frob = kernel_frobenius(g, p, 1)
+        m = len(index_sets(g))
+        for cap in (0, 5):
+            one = IwasawaSeries.constant(1, p, frob.precision, cap)
+            zero = IwasawaSeries.zero(p, frob.precision, cap)
+            want = [[one if i == j else zero for j in range(m)]
+                    for i in range(m)]
+            tower = WedgeTower(frob)
+            assert tower.power(g, 0, cap, first_row_only=True) == want[:1]
+            assert tower.power(g, 0, cap) == want
+            assert WedgeTower(frob).power(g, 0, cap) == want
 
     def test_tower_of_another_frobenius_refused(self):
         tower = WedgeTower(kernel_frobenius(1, 3, 2))

@@ -1,6 +1,7 @@
 """Truncated series arithmetic, Phi/omega, Weierstrass preparation, division."""
 
 import random
+import sys
 from math import comb
 
 import pytest
@@ -21,15 +22,18 @@ from iwkit import (
 )
 from iwkit.series import (
     _BLOCKED_MIN,
+    _PLANE_OFFSETS,
     _SLOT_BOUND,
     WeierstrassFactorization,
     _binomials,
     _conv,
     _hensel_lift,
     _pack,
+    _plane_offsets,
     _poly_divmod_monic,
     _series_inv,
     _slot_reducer,
+    _unpack,
     lambda_mu,
     omega_int_coeffs,
     phi_int_coeffs,
@@ -425,6 +429,56 @@ class TestSlotReducer:
             for x, y in zip(ins, got):
                 assert y < _SLOT_BOUND * q
                 assert (x - y) % q == 0
+
+
+def _unpack_reference(x, n, sb, q):
+    """Oracle for _unpack: slot k of x is bits 8 sb k .. 8 sb (k + 1) - 1."""
+    mask = (1 << (8 * sb)) - 1
+    return [(x >> (8 * sb * k) & mask) % q for k in range(n)]
+
+
+class TestUnpack:
+    """``_unpack`` by byte planes against slot-by-slot shifts and masks:
+    values of one, two and three 64-bit words, with and without a value
+    width, slots live above n (as ``_conv`` passes them) and fewer live
+    slots than n."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sb=st.integers(1, 24),
+           width=st.one_of(st.none(), st.integers(1, 24)),
+           p=st.sampled_from([3, 5, 7]), e=st.integers(1, 40),
+           n=st.integers(0, 40), live=st.integers(0, 50),
+           seed=st.integers(0, 10**9))
+    @example(sb=8, width=None, p=3, e=24, n=30, live=30, seed=1)
+    @example(sb=12, width=6, p=3, e=24, n=30, live=30, seed=2)
+    @example(sb=15, width=None, p=3, e=35, n=30, live=40, seed=3)
+    @example(sb=30, width=15, p=7, e=40, n=20, live=20, seed=4)
+    @example(sb=24, width=None, p=7, e=40, n=20, live=10, seed=5)
+    def test_matches_slot_by_slot(self, sb, width, p, e, n, live, seed):
+        q = p**e
+        width = None if width is None else min(width, sb)
+        rng = random.Random(seed)
+        top = (1 << (8 * (width or sb))) - 1
+        slots = [min(rng.choice((0, 1, q - 1, q, top, rng.randrange(top + 1))),
+                     top)
+                 for _ in range(live)]
+        x = _pack(slots, sb)
+        want = _unpack_reference(x, n, sb, q)
+        assert _unpack(x, n, sb, q, width) == want
+        assert _unpack(x.to_bytes(max(n * sb, (x.bit_length() + 7) // 8),
+                                  "little"), n, sb, q, width) == want
+
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_plane_offsets_place_bytes_in_word_order(self, byteorder):
+        # a 16-byte value laid out by the offsets reads back as itself
+        # through two 64-bit words of that byte order, low word first
+        value = int.from_bytes(bytes(range(1, 17)), "little")
+        words = bytearray(16)
+        for j, at in enumerate(_plane_offsets(byteorder)):
+            words[at] = (value >> (8 * j)) & 0xFF
+        lo, hi = (int.from_bytes(words[k:k + 8], byteorder) for k in (0, 8))
+        assert hi << 64 | lo == value
+        assert _plane_offsets(sys.byteorder) == _PLANE_OFFSETS
 
 
 def _fixed_point_prepare(f, margin=4):
