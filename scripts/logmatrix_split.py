@@ -9,15 +9,17 @@ this process, ``--passes`` times, and reports per pass, as the median and
 the minimum over the passes of each stage, in milliseconds:
 
 * ``jobs``: the whole pass, ``cli.main`` included;
-* ``build``: every ``WedgeTower._build``, and inside it
+* ``build``: every ``WedgeTower._push`` (the powers and the character
+  row; ``WedgeTower._build`` on trees without ``_push``), and inside it
   ``unpack`` (the ``_unpack`` calls of ``logmatrix``), ``compound``
   (``_compound``), ``w_steps`` (``_w_step``), ``e_steps`` (``_e_step``,
-  with the Phi_k^e it packs) and ``other``, the rest of ``_build``.
+  with the Phi_k^e it packs) and ``other``, the rest of the push.
 
 A stage whose function the tree does not have is reported as null and its
-time stays in ``other``.  The wrappers cost one ``perf_counter`` pair per
-call, a few calls per build.  The perfbench tracer has no span inside
-``_build``, so this split is taken here.
+time stays in ``other``.  The one ``_unpack`` of the character's dot
+product runs outside the push but counts under ``unpack``.  The wrappers
+cost one ``perf_counter`` pair per call, a few calls per build.  The
+perfbench tracer has no span inside the push, so this split is taken here.
 """
 
 from __future__ import annotations
@@ -66,8 +68,10 @@ def main() -> int:
         if present[stage]:
             setattr(logmatrix, name,
                     _timed(getattr(logmatrix, name), totals, stage))
-    logmatrix.WedgeTower._build = _timed(logmatrix.WedgeTower._build,
-                                         totals, "build")
+    kernel = ("_push" if hasattr(logmatrix.WedgeTower, "_push")
+              else "_build")
+    setattr(logmatrix.WedgeTower, kernel,
+            _timed(getattr(logmatrix.WedgeTower, kernel), totals, "build"))
 
     per_pass = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -331,7 +331,7 @@ def _cmd_logmatrix(args, started: float) -> int:
         require_cap(f"Phi_{args.theta_level}",
                     deg_phi(frob.prime, args.theta_level), config.degree_cap)
     paths = [args.frobenius_file]
-    # one per run: h_n, minors and condition_character share its powers
+    # one per run: h_n and minors share its powers
     tower = WedgeTower(frob)
     h = h_n(frob, args.n, tower=tower)
     kv = {
@@ -364,8 +364,7 @@ def _cmd_logmatrix(args, started: float) -> int:
                 col_data[key], degree_cap=config.degree_cap,
                 precision=config.precision))
         nonzero, val = condition_character(
-            frob, args.n, cols, args.theta_level, margin=config.margin,
-            tower=tower)
+            frob, args.n, cols, args.theta_level, margin=config.margin)
         kv["character_nonzero"] = nonzero
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n

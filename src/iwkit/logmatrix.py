@@ -22,25 +22,24 @@ Cauchy-Binet the r x r minors of H_n form
 
 n constant square matrices (the r-minors of C_p^{-1}, computed once) between
 diagonal powers of Phi_k, with no determinant of series anywhere.  ``h_n``
-answers from the first exterior power (r = 1, W = C_p^{-1}), ``minors`` from
-the g-th, and ``condition_character`` from the first row (I0 = {1..g}) of the
-g-th.  A run that asks for several of them shares one ``WedgeTower``, which
-builds each power once: Phi_1..Phi_n and C_p^{-1} once for all powers, the
-character row read off a minor table already built, and at g = 1, where
-wedge^1 H_n = H_n, the minor table and the character row read off H_n.
+answers from the first exterior power (r = 1, W = C_p^{-1}) and ``minors``
+from the g-th; a run that asks for both shares one ``WedgeTower``.
+``condition_character`` answers in Z/p^N[X]/(Phi_theta(1+X)), with no
+X-adic window: there Phi_k is p for k > theta (Washington, Introduction to
+Cyclotomic Fields), 0 for k = theta and itself for k < theta, so row
+I0 = {1..g} of the g-th power is the same word pushed with those values.
+Its entries are exact polynomials of degree at most
+g (p^{min(theta - 1, n)} - 1); each is multiplied by its column value
+exactly, and the sum is reduced mod Phi_theta once.
 The word is pushed on packed ints (Kronecker substitution, one byte slot per
 coefficient): every vector entry stays one int from the first step to the
 last, each step is whole-int products, and ``series._slot_reducer`` then
-brings every slot of an entry back below 4 p^N at once by Barrett steps of
-shifts, masks and scalar products.  The full power starts from W^T, which
-is W applied to the identity, the first row from W's first row (E_n leaves
-e_1 alone), and W comes from one Laplace recurrence over rank-indexed
-subsets (``_compound``).  At the end each vector is unpacked
-by one ``series._unpack`` call on the little-endian bytes of all its
-entries: the low bytes of every slot, those that can hold a value below
-4 p^N, are gathered by byte planes into 64-bit words laid out in the host's
-byte order, read back by one ``memoryview`` cast, and reduced mod p^N in one
-list pass.
+brings every slot of an entry back below 4 p^N at once by Barrett steps.
+The full power starts from W^T, which is W applied to the identity, the
+character row from W's first row (E_n leaves e_1 alone), and W comes from
+one Laplace recurrence over rank-indexed subsets (``_compound``).  At the
+end each vector is unpacked by one ``series._unpack`` call on the
+little-endian bytes of all its entries, read by byte planes.
 M_n = p^{-(n+1)} A^{n+1} H_n with the integer matrix A = C_p diag(p I_g, I_g),
 so ``m_n`` is one constant combination of the entries of H_n.  ``c_n``,
 ``c_phi``, ``LogMatrix.matmul``/``power`` and the Laplace expansion
@@ -51,6 +50,7 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -101,6 +101,11 @@ class FrobeniusData:
 
     def c_p_lists(self) -> list[list[PadicInt]]:
         return [list(r) for r in self.c_p]
+
+    @cached_property
+    def _inverse_residues(self) -> list[list[int]]:
+        """C_p^{-1} mod p^N as residues, computed once per matrix."""
+        return [[x.residue for x in row] for row in mat_inv(self.c_p_lists())]
 
 
 @dataclass(frozen=True)
@@ -210,25 +215,24 @@ def _default_cap(frob: FrobeniusData, n: int, *, minors_of_h: bool = False) -> i
     return (frob.g * base + 8) if minors_of_h else (base + 8)
 
 
-def _const_matrix(rows: Sequence[Sequence[PadicInt]], prime: int, precision: int,
-                  degree_cap: int) -> list[list[IwasawaSeries]]:
+def _const_matrix(rows: Sequence[Sequence[PadicInt | int]], prime: int,
+                  precision: int, degree_cap: int) -> list[list[IwasawaSeries]]:
     return [[IwasawaSeries.constant(x, prime, precision, degree_cap) for x in row]
             for row in rows]
 
 
+def _a_matrix(frob: FrobeniusData) -> list[list[PadicInt]]:
+    """A = C_p * diag(p I_g, I_g): C_p with its first g columns times p."""
+    scale = PadicInt(frob.prime, frob.prime, frob.precision)
+    return [[x * scale if j < frob.g else x for j, x in enumerate(row)]
+            for row in frob.c_p]
+
+
 def c_phi(frob: FrobeniusData, *, degree_cap: int | None = None) -> LogMatrix:
-    """C_phi = C_p * diag(I_g, (1/p) I_g), stored as p^{-1} * (C_p with the
-    first g columns scaled by p)."""
+    """C_phi = C_p * diag(I_g, (1/p) I_g), stored as p^{-1} * A."""
     cap = degree_cap if degree_cap is not None else 8
-    g, p = frob.g, frob.prime
-    rows = []
-    for i in range(2 * g):
-        row = []
-        for j in range(2 * g):
-            x = frob.c_p[i][j]
-            row.append(x * PadicInt(p, p, x.precision) if j < g else x)
-        rows.append(row)
-    return LogMatrix.normalized(_const_matrix(rows, p, frob.precision, cap), 1)
+    return LogMatrix.normalized(
+        _const_matrix(_a_matrix(frob), frob.prime, frob.precision, cap), 1)
 
 
 def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
@@ -236,19 +240,11 @@ def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
     if n < 1:
         raise InputError("level must be >= 1")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
-    g, p = frob.g, frob.prime
-    inv = mat_inv(frob.c_p_lists())
-    phin = phi(n, prime=p, precision=frob.precision, degree_cap=cap)
-    rows = []
-    for i in range(2 * g):
-        row = []
-        for j in range(2 * g):
-            e = IwasawaSeries.constant(inv[i][j], p, frob.precision, cap)
-            if i >= g:
-                e = e * phin
-            row.append(e)
-        rows.append(row)
-    return LogMatrix.normalized(rows, 0)
+    p, prec = frob.prime, frob.precision
+    phin = phi(n, prime=p, precision=prec, degree_cap=cap)
+    rows = _const_matrix(frob._inverse_residues, p, prec, cap)
+    return LogMatrix.normalized(
+        rows[:frob.g] + [[e * phin for e in row] for row in rows[frob.g:]], 0)
 
 
 def _compound(a: Sequence[Sequence[int]], r: int, q: int) -> list[list[int]]:
@@ -304,117 +300,111 @@ def _e_step(vecs: list[list[int]], exps: Sequence[int], phik: list[int],
 
 class WedgeTower:
     """The exterior powers of H_n for one Frobenius matrix, each built at
-    most once: the product E_n W ... E_1 W of the module docstring.
-
-    Every power starts from the same setup, made here once: the coefficient
-    lists of Phi_1..Phi_n mod p^N and the residues of C_p^{-1}.  A built
-    power is kept under (r, n, cap) and also answers for its first row.  As
-    wedge^1 H_n = H_n, at g = 1 the minor table and the character row are
-    H_n's own entries (the default caps agree there).  One object serves one
-    run: ``h_n``, ``minors`` and ``condition_character`` take it as
-    ``tower=``, and without it each call builds its own, so nothing is kept
-    beyond the run that made it.
+    most once (the product E_n W ... E_1 W of the module docstring), and the
+    character row.  Every push shares the Phi_k mod p^N made once per object
+    and the C_p^{-1} made once per matrix.  One object serves one run:
+    ``h_n`` and ``minors`` take it as ``tower=``, and without it each call
+    builds its own, so nothing is kept beyond the run that made it.
     """
 
     def __init__(self, frob: FrobeniusData):
         self.frob = frob
         self._phis: list[list[int]] = []
-        self._inv: list[list[int]] | None = None
-        self._powers: dict[tuple[int, int, int, bool],
+        self._powers: dict[tuple[int, int, int],
                            list[list[IwasawaSeries]]] = {}
 
-    def power(self, r: int, n: int, cap: int, *,
-              first_row_only: bool = False) -> list[list[IwasawaSeries]]:
-        """wedge^r H_n mod (p^N, X^{cap+1}), or only its first row, rows and
-        columns indexed by the r-subsets of {1..2g} in lexicographic order."""
-        full = self._powers.get((r, n, cap, False))
-        if full is not None:
-            return full[:1] if first_row_only else full
-        key = (r, n, cap, first_row_only)
+    def power(self, r: int, n: int, cap: int) -> list[list[IwasawaSeries]]:
+        """wedge^r H_n mod (p^N, X^{cap+1}), rows and columns indexed by the
+        r-subsets of {1..2g} in lexicographic order."""
+        key = (r, n, cap)
         if key not in self._powers:
-            self._powers[key] = self._build(r, n, cap, first_row_only)
+            self._powers[key] = self._build(r, n, cap)
         return self._powers[key]
 
-    def _build(self, r: int, n: int, cap: int,
-               first_row_only: bool) -> list[list[IwasawaSeries]]:
-        """Row vectors are pushed from the left through a word in the E_k
-        and a constant matrix, every entry one packed int (``_pack``, one
-        sb-byte slot per coefficient) from the first step to the last.
-        v -> v M is the combination sum_K v_K M_{K,J} on the packed ints
-        (``_w_step``); scaling entry K by Phi_k^{e_K} is one product with
-        Phi_k^e, packed once per (k, e), truncated mod X^{cap+1} by one
-        mask, exact because truncation is a ring map (``_e_step``).  After
-        every step ``_slot_reducer`` brings each slot back below 4q, so a
-        slot only ever holds a sum of at most max(m, length) products of a
-        reduced slot and a residue mod q.  No entry is longer than
-        ``length`` = min(cap + 1, e_max (p^n - 1) + 1), e_max the largest
-        e_K, so the masks span that many slots, not the window.
-
-        At the end each vector is unpacked by one ``_unpack`` call: its
-        entries, ``length`` slots each, are joined as little-endian bytes,
-        and only the low bytes of a slot that can hold a value below 4q are
-        read.  One vector at a time, so the bytes of a whole power never
-        exist at once.
-
-        The first row is e_1 E_n W ... E_1 W; for r <= g, e_I0 = 0 and it
-        starts from W's first row, with no Phi_n^e built.  The whole power
-        is read off the transpose W^T E_1 W^T E_2 ... W^T E_n, whose rows
-        meet the long Phi_n^{e_K} last, on the shortest entries; W^T
-        applied to the identity is W^T itself, so the push starts there.
-        """
+    def _build(self, r: int, n: int, cap: int) -> list[list[IwasawaSeries]]:
         frob = self.frob
-        p, prec = frob.prime, frob.precision
-        q = p**prec
+        p = frob.prime
         # the same DegreeOverflowError, in the same order, as building C_1..C_n
         for k in range(1, n + 1):
             require_cap(f"Phi_{k}", deg_phi(p, k), cap)
         # the window is laid out before any Phi_k is: a default cap that
         # grows with n refuses here at once
         window = _zero_window(cap)
-        while len(self._phis) < n:
+        # no entry has degree above max e_K (p^n - 1), max e_K = min(r, g)
+        length = min(cap + 1, min(r, frob.g) * (p**n - 1) + 1)
+        pad = tuple(window[length:])
+        return [[IwasawaSeries._reduced(p, frob.precision, tuple(cs) + pad)
+                 for cs in row]
+                for row in zip(*self._push(r, n, length, None))]
+
+    def character_row(self, n: int, theta: int) -> list[list[int]]:
+        """Row I0 = {1..g} of wedge^g H_n (n >= 1), each Phi_k replaced by p
+        for k > theta, 0 for k = theta: exact coefficient lists mod p^N of
+        g (p^t - 1) + 1 terms, t = min(theta - 1, n) (0 when theta <= 1)."""
+        t = max(0, min(theta - 1, n))
+        length = self.frob.g * (self.frob.prime**t - 1) + 1
+        # refused at once, before any Phi_k is built, like ``_build``
+        _zero_window(length - 1)
+        return self._push(self.frob.g, n, length, theta)[0]
+
+    def _push(self, r: int, n: int, length: int,
+              theta: int | None) -> list[list[list[int]]]:
+        """Row vectors pushed from the left through a word in the E_k and a
+        constant matrix, then unpacked: per vector, the coefficient lists of
+        its entries.  Every entry is one packed int (``_pack``) throughout.
+        v -> v M is the combination sum_K v_K M_{K,J} (``_w_step``); entry K
+        times Phi_k^{e_K} is one product with Phi_k^e, packed once per
+        (k, e) and cut to ``length`` slots by a mask (``_e_step``).  After
+        every step ``_slot_reducer`` brings each slot back below 4q, so a
+        slot only ever sums max(m, length) products of a reduced slot and a
+        residue mod q.
+
+        With ``theta`` None, wedge^r H_n is read off its transpose
+        W^T E_1 W^T E_2 ... W^T E_n, which meets the long Phi_n^{e_K} last
+        and starts from W^T (W^T applied to the identity).  Otherwise the
+        row e_1 E_n W ... E_1 W of ``character_row`` is pushed; e_I0 = 0,
+        so it starts from W's first row.  Each vector is unpacked by one
+        ``_unpack`` call on its entries' joined little-endian bytes, reading
+        only the low bytes of a slot that can hold a value below 4q.
+        """
+        frob = self.frob
+        p = frob.prime
+        q = p**frob.precision
+        live = n if theta is None else max(0, min(theta - 1, n))
+        while len(self._phis) < live:
             self._phis.append([c % q for c in
                                phi_int_coeffs(p, len(self._phis) + 1)])
-        if self._inv is None:
-            self._inv = [[x.residue for x in row]
-                         for row in mat_inv(frob.c_p_lists())]
-        w = _compound(self._inv, r, q)
+        w = _compound(frob._inverse_residues, r, q)
         exps = [sum(i >= frob.g for i in s)
                 for s in combinations(range(2 * frob.g), r)]
         m = len(w)
-        length = min(cap + 1, max(exps) * (p**n - 1) + 1)
-        sb, reduce = _slot_reducer(q, max(m, length), length)
-
-        if first_row_only:
+        if theta is not None:
+            # Phi_k mod Phi_theta(1+X): itself, 0 at k = theta, p above it
+            phis = [self._phis[k - 1] if k < theta
+                    else [p % q if k > theta else 0] for k in range(1, n + 1)]
             w_cols = list(zip(*w))
-            word = [x for k in range(n, 0, -1) for x in (k, w_cols)]
-            vecs = [[1] + [0] * (m - 1)]
-            if n and not exps[0]:
-                # e_I0 = 0 (r <= g): e_1 E_n W is W's first row
-                word, vecs = word[2:], [list(w[0])]
+            word = [x for k in range(n - 1, 0, -1) for x in (k, w_cols)]
+            vecs = [list(w[0])]
         elif n:
+            phis = self._phis
             word = [x for k in range(1, n) for x in (k, w)] + [n]
             vecs = [list(col) for col in zip(*w)]
         else:
-            word, vecs = [], [[int(j == i) for j in range(m)]
-                              for i in range(m)]
+            phis, word = [], []
+            vecs = [[int(j == i) for j in range(m)] for i in range(m)]
+        sb, reduce = _slot_reducer(q, max(m, length), length)
         for step in word:
             if isinstance(step, int):
-                _e_step(vecs, exps, self._phis[step - 1], length, q, sb,
-                        reduce)
+                _e_step(vecs, exps, phis[step - 1], length, q, sb, reduce)
             else:
                 _w_step(vecs, step, reduce)
-        if not first_row_only:
-            vecs = [list(col) for col in zip(*vecs)]
         nbytes = sb * length
         vb = ((_SLOT_BOUND * q - 1).bit_length() + 7) // 8
-        pad = tuple(window[length:])
         out = []
         for v in vecs:
             cs = _unpack(b"".join([x.to_bytes(nbytes, "little") for x in v]),
                          len(v) * length, sb, q, vb)
-            out.append([IwasawaSeries._reduced(p, prec,
-                                               tuple(cs[i:i + length]) + pad)
-                        for i in range(0, len(cs), length)])
+            out.append([cs[i:i + length] for i in range(0, len(cs), length)])
         return out
 
 
@@ -441,15 +431,14 @@ def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
     """M_n = C_phi^{n+1} * H_n, normalized.  C_phi = p^{-1} A with the
     integer matrix A = C_p * diag(p I_g, I_g), so M_n is
     p^{-(n+1)} (A^{n+1} mod p^N) H_n: one constant combination of the
-    entries of H_n from ``WedgeTower``."""
+    entries of H_n from ``WedgeTower``.  Raises PrecisionExhaustedError
+    when that product is 0 mod p^N and n + 1 >= N: p^{-(n+1)} times it has
+    no digit left."""
     if n < 1:
         raise InputError("level must be >= 1")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
-    g, p, prec = frob.g, frob.prime, frob.precision
-    scale = PadicInt(p, p, prec)
-    a = [[x * scale if j < g else x for j, x in enumerate(row)]
-         for row in frob.c_p]
-    a_pow = a
+    p, prec = frob.prime, frob.precision
+    a = a_pow = _a_matrix(frob)
     for _ in range(n):
         a_pow = mat_mul(a_pow, a)
     q = p**prec
@@ -459,6 +448,10 @@ def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
                 for cs in zip(*(e.coeffs for e in col))))
              for col in h_cols]
             for coefs in ([x.residue for x in row] for row in a_pow)]
+    if n + 1 >= prec and all(e.is_zero() for row in rows for e in row):
+        raise PrecisionExhaustedError(
+            f"A^{n + 1} H_{n} is 0 mod {p}^{prec}: M_{n} at level {n} has "
+            f"no digit left at precision N = {prec}")
     return LogMatrix.normalized(rows, n + 1)
 
 
@@ -482,13 +475,11 @@ class MinorTable:
         return self.values[(tuple(sorted(rows)), tuple(sorted(cols)))]
 
 
-def _minor_cap(frob: FrobeniusData, n: int, degree_cap: int | None) -> int:
+def _require_table(frob: FrobeniusData, n: int) -> None:
     if n < 1:
         raise InputError("level must be >= 1")
     if frob.g > 3:
         raise InputError("minor tables are limited to g <= 3")
-    return degree_cap if degree_cap is not None else _default_cap(
-        frob, n, minors_of_h=True)
 
 
 def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
@@ -500,7 +491,9 @@ def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
     wedge^g H_{k-1} (see ``WedgeTower``).  At g = 1 it is H_n itself, read
     off ``tower`` when ``h_n`` already built it at the same cap.
     """
-    cap = _minor_cap(frob, n, degree_cap)
+    _require_table(frob, n)
+    cap = degree_cap if degree_cap is not None else _default_cap(
+        frob, n, minors_of_h=True)
     table = MinorTable(n=n, g=frob.g, prime=frob.prime, precision=frob.precision)
     sets = index_sets(frob.g)
     for rows_set, row in zip(sets, _tower_for(frob, tower).power(frob.g, n, cap)):
@@ -512,20 +505,18 @@ def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
 def condition_character(frob: FrobeniusData, n: int,
                         col_values: Sequence[IwasawaSeries] | Mapping,
                         theta_level: int | None = None, *,
-                        margin: int = 4,
-                        degree_cap: int | None = None,
-                        tower: WedgeTower | None = None) -> tuple[bool, int]:
-    """Evaluate sum_J H_{I0,J,n} * col_J at a character of the given level.
+                        margin: int = 4) -> tuple[bool, int]:
+    """Evaluate sum_J H_{I0,J,n} * col_J at a character of level theta.
 
     ``col_values`` supplies the caller's column determinants, one per
     g-element index set J (lexicographic order, or a mapping keyed by the
-    sets).  Only row I0 = {1..g} of the minor table is needed, at the cap
-    ``minors`` would use: row I0 of the table when ``tower`` already holds
-    it (at g = 1, the first row of H_n), else the one row vector pushed
-    through the Cauchy-Binet recurrence of ``WedgeTower``.  Returns
-    (is_nonzero mod p^N, minimal coefficient valuation).  Raises
-    PrecisionExhaustedError when every coefficient survives only inside the
-    margin band.
+    sets), each read as the polynomial its window holds.  The sum is
+    answered in Z/p^N[X]/(Phi_theta(1+X)) with no degree cap: the exact row
+    of ``WedgeTower.character_row`` times the columns, summed as one
+    Kronecker dot product and reduced once by ``cyclo_eval``.  Returns
+    (is_nonzero mod p^N, minimal coefficient valuation), N the least
+    precision of C_p and the columns.  Raises PrecisionExhaustedError when
+    every coefficient survives only inside the margin band.
     """
     sets = index_sets(frob.g)
     if isinstance(col_values, Mapping):
@@ -535,15 +526,22 @@ def condition_character(frob: FrobeniusData, n: int,
         if len(vals) != len(sets):
             raise InputError(
                 f"need {len(sets)} column values, got {len(vals)}")
-    cap = _minor_cap(frob, n, degree_cap)
-    row = _tower_for(frob, tower).power(frob.g, n, cap,
-                                        first_row_only=True)[0]
-    acc = None
-    for m, v in zip(row, vals):
-        term = m * v
-        acc = term if acc is None else acc + term
+    _require_table(frob, n)
+    p = frob.prime
+    if not all(isinstance(v, IwasawaSeries) and v.prime == p for v in vals):
+        raise InputError(f"column values must be series at p = {p}")
     level = n if theta_level is None else theta_level
-    ev = cyclo_eval(acc, level)
+    row = WedgeTower(frob).character_row(n, level)
+    cols = [v.coeffs[:(v.degree() or 0) + 1] for v in vals]
+    la, lc = len(row[0]), max(map(len, cols))
+    # a slot of the dot product sums len(row) * min(la, lc) products
+    top = max(frob.precision, *(v.precision for v in vals))
+    sb = (2 * (p**top).bit_length()
+          + (len(row) * min(la, lc)).bit_length() + 7) // 8
+    prec = min(frob.precision, *(v.precision for v in vals))
+    acc = _unpack(sum(_pack(a, sb) * _pack(b, sb) for a, b in zip(row, cols)),
+                  la + lc - 1, sb, p**prec)
+    ev = cyclo_eval(IwasawaSeries._reduced(p, prec, tuple(acc)), level)
     val = ev.min_valuation()
     if val >= ev.precision:
         return False, ev.precision

@@ -5,7 +5,7 @@ These helpers deliberately avoid the package's own series code so that
 Python integers, dense lists, schoolbook algorithms.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, prod
 
 import pytest
@@ -93,6 +93,73 @@ def int_det(rows):
 
 def ip_reduce_mod(a, q):
     return [x % q for x in a]
+
+
+def ip_det(rows):
+    """Exact determinant of a square matrix of integer polynomials by the
+    Leibniz sum, like ``int_det``."""
+    n = len(rows)
+    total = [0]
+    for perm in permutations(range(n)):
+        term = [1]
+        for i in range(n):
+            term = ip_mul(term, rows[i][perm[i]])
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = ip_add(total, ip_neg(term) if inversions % 2 else term)
+    return total
+
+
+def ip_row_minors(c_p, g, p, prec, n):
+    """Row I0 = {1..g} of wedge^g H_n mod p^prec, as exact integer
+    polynomials: C_p^{-1} = adj(C_p) / det(C_p) mod p^prec,
+    H_n = C_n ... C_1 with C_k = diag(I_g, Phi_k I_g) C_p^{-1}, and the
+    minors by Leibniz sums, the column sets in lexicographic order."""
+    q, d = p**prec, 2 * g
+    unit = pow(int_det(c_p), -1, q)
+    inv = [[(-1)**(i + j) * unit * int_det(
+                [r[:i] + r[i + 1:] for k, r in enumerate(c_p) if k != j]) % q
+            for j in range(d)] for i in range(d)]
+    h = [[[int(i == j)] for j in range(d)] for i in range(d)]
+    for k in range(1, n + 1):
+        phik = ip_phi(p, k)
+        nxt = []
+        for i in range(d):
+            row = []
+            for j in range(d):
+                e = [0]
+                for t in range(d):
+                    e = ip_add(e, [inv[i][t] * c for c in h[t][j]])
+                if i >= g:
+                    e = ip_mul(phik, e)
+                row.append(ip_trim(ip_reduce_mod(e, q)))
+            nxt.append(row)
+        h = nxt
+    return [ip_trim(ip_reduce_mod(
+                ip_det([[h[i][j] for j in col_set] for i in range(g)]), q))
+            for col_set in combinations(range(d), g)]
+
+
+def ip_character(c_p, g, p, prec, n, cols, theta, col_prec=None):
+    """(nonzero, min valuation) of sum_J H_{I0,J,n} col_J mod
+    (Phi_theta(1+X), p^N), N the least of ``prec`` and ``col_prec``: the
+    minors of ``ip_row_minors`` times the columns, one division by
+    Phi_theta."""
+    acc = [0]
+    for minor, col in zip(ip_row_minors(c_p, g, p, prec, n), cols):
+        acc = ip_add(acc, ip_mul(minor, col))
+    _, rem = ip_divmod(acc, ip_phi(p, theta))
+    top = min(prec, prec if col_prec is None else col_prec)
+    vals = [_valuation(c % p**top, p) for c in rem if c % p**top]
+    return bool(vals), min(vals, default=top)
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 @pytest.fixture

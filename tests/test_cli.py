@@ -15,6 +15,8 @@ from iwkit import cli, logmatrix
 from iwkit.logmatrix import WedgeTower, index_sets
 from iwkit.padic import mat_det, padic_matrix
 
+from conftest import ip_character
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = ROOT / "scenarios"
@@ -284,6 +286,30 @@ class TestLogmatrix:
         assert "character_nonzero,true" in out
         assert "character_min_valuation,0" in out
 
+    @pytest.mark.parametrize("g,n", [(1, 5), (2, 3)])
+    def test_character_below_n_needs_no_cap(self, tmp_path, g, n):
+        # --n-max 1 reads the column values at the default cap 3 + 8, far
+        # below the minors' degree g (3^n - 1): the character is exact
+        # anyway, at every level whose Phi_theta fits that cap
+        if g == 1:
+            frob, cols = (SCEN / "frobenius_elliptic.json",
+                          SCEN / "colvalues_units.json")
+        else:
+            frob = _frobenius_file(tmp_path / "frob.json", g)
+            cols = _col_values_file(tmp_path / "cols.json", g)
+        rows = [[int(x) for x in r]
+                for r in json.loads(frob.read_text())["matrix"]]
+        coeffs = [[int(x) for x in c["coeffs"]]
+                  for c in json.loads(cols.read_text()).values()]
+        for theta in range(3):
+            out = json.loads(run(
+                "--no-timestamp", "--format", "json", "--n-max", "1",
+                "logmatrix", str(frob), "--n", str(n), "--col-values",
+                str(cols), "--theta-level", str(theta)))["report"]
+            assert (out["character_nonzero"],
+                    out["character_min_valuation"]) == ip_character(
+                        rows, g, 3, 24, n, coeffs, theta), theta
+
 
 def _frobenius_file(path, g, p=3, precision=24):
     """A seeded C_p in GL_{2g}(Z_p), written as a Frobenius input file."""
@@ -326,15 +352,15 @@ def _logmatrix_argv(tmp_path, g, flags, n=2):
 
 
 class TestLogmatrixOneTower:
-    """One run shares a WedgeTower between h_n, minors and
-    condition_character, so each exterior power of H_n is built once."""
+    """One run shares a WedgeTower between h_n and minors, so each exterior
+    power of H_n is built once; the character pushes only its row."""
 
     @pytest.mark.parametrize("flags", sorted(LOGMATRIX_FLAGS))
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_output_equals_separate_calls(self, tmp_path, monkeypatch, g, flags):
         argv = _logmatrix_argv(tmp_path, g, flags)
         shared = run(*argv)
-        for name in ("h_n", "minors", "condition_character"):
+        for name in ("h_n", "minors"):
             fn = getattr(cli, name)
             # the same call, without the run's tower: built from scratch
             monkeypatch.setattr(cli, name, lambda *a, _fn=fn, tower=None, **kw:
@@ -347,9 +373,9 @@ class TestLogmatrixOneTower:
         built = []
         build = WedgeTower._build
 
-        def counting(self, r, n, cap, first_row_only):
+        def counting(self, r, n, cap):
             built.append(r)
-            return build(self, r, n, cap, first_row_only)
+            return build(self, r, n, cap)
 
         inverses = []
         mat_inv = logmatrix.mat_inv
@@ -357,9 +383,11 @@ class TestLogmatrixOneTower:
         monkeypatch.setattr(logmatrix, "mat_inv",
                             lambda m: inverses.append(1) or mat_inv(m))
         run(*_logmatrix_argv(tmp_path, g, flags))
-        # g = 1: the minor table and the character row are H_n's entries
-        assert sorted(built) == sorted({1, g})
-        # every power starts from the one C_p^{-1}
+        # g = 1: the minor table is H_n itself; the character builds no
+        # power, only its row
+        minors_too = "--minors" in LOGMATRIX_FLAGS[flags]
+        assert sorted(built) == sorted({1, g} if minors_too else {1})
+        # every power and the character row start from the one C_p^{-1}
         assert len(inverses) == 1
 
     @pytest.mark.parametrize("tail,message", [

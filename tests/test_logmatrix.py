@@ -29,7 +29,8 @@ from iwkit.logmatrix import WedgeTower, _compound, _series_det
 from iwkit.padic import mat_det, padic_matrix
 from iwkit.series import deg_phi
 
-from conftest import int_det
+from conftest import (int_det, ip_character, ip_divmod, ip_phi,
+                      ip_reduce_mod, ip_row_minors, ip_trim)
 
 P, N = 3, 24
 
@@ -248,8 +249,9 @@ class TestMn:
     def test_kernel_matches_the_c_phi_chain(self, g, p, n, prec, extra, seed):
         """m_n from H_n and A^{n+1} gives the values, precisions and
         denominator of the chain C_phi^{n+1} H_n of LogMatrix products,
-        and refuses (InputError) exactly where the chain does: where the
-        product is 0 mod p^N and cannot be normalized."""
+        and refuses exactly where the chain does: where the product is
+        0 mod p^N and cannot be normalized.  The chain raises InputError
+        there, m_n PrecisionExhaustedError."""
         rng = random.Random(seed)
         frob = FrobeniusData.from_int_rows(g, p, prec,
                                            rand_gl(g, p, prec, rng))
@@ -259,7 +261,7 @@ class TestMn:
             want = c_phi(frob, degree_cap=cap or default).power(n + 1).matmul(
                 h_n(frob, n, degree_cap=cap or default))
         except InputError:
-            with pytest.raises(InputError):
+            with pytest.raises(PrecisionExhaustedError):
                 m_n(frob, n, degree_cap=cap)
             return
         # LogMatrix equality: every entry's coefficients and precision,
@@ -267,11 +269,13 @@ class TestMn:
         assert m_n(frob, n, degree_cap=cap) == want
 
     def test_product_zero_mod_p_n_refused_like_the_chain(self):
-        # elliptic: A^2 = -p I, so A^4 H_3 = 0 mod 3^2
+        # elliptic: A^2 = -p I, so A^4 H_3 = 0 mod 3^2; the chain's
+        # normalization refuses the division, m_n names the shortfall
         frob = FrobeniusData.elliptic(3, 2)
         with pytest.raises(InputError):
             c_phi(frob, degree_cap=35).power(4).matmul(h_n(frob, 3))
-        with pytest.raises(InputError):
+        with pytest.raises(PrecisionExhaustedError,
+                           match=r"M_3 at level 3 .* precision N = 2"):
             m_n(frob, 3)
 
 
@@ -438,13 +442,14 @@ class TestCauchyBinetKernel:
         for cap in (default, truncating, deg_phi(p, n)):
             h = oracle_h(frob, n, cap)
             want = [[oracle_minor(h, i, j) for j in sets] for i in sets]
-            # the row first, so that it is built, not read off the table
-            tower = WedgeTower(frob)
-            assert tower.power(g, n, cap, first_row_only=True) == want[:1]
-            assert tower.power(g, n, cap) == want
-            assert tower.power(1, n, cap, first_row_only=True) == [
-                list(h.entries[0])]
+            assert WedgeTower(frob).power(g, n, cap) == want
             assert h_n(frob, n, degree_cap=cap) == h
+            if cap == default:
+                # past level n every Phi_k stays itself: the character row
+                # is the power's first row, exact below the default cap
+                row = WedgeTower(frob).character_row(n, n + 1)
+                assert [e + [0] * (cap + 1 - len(e)) for e in row] == [
+                    list(e.coeffs) for e in want[0]]
 
     @pytest.mark.parametrize("cap", [1, deg_phi(3, 2) - 1])
     def test_cap_below_phi_n_overflows_like_the_chain(self, cap):
@@ -452,10 +457,8 @@ class TestCauchyBinetKernel:
         frob = kernel_frobenius(2, 3, 2)
         with pytest.raises(DegreeOverflowError) as chain:
             oracle_h(frob, 2, cap)
-        cols = [const(1, 30)] * len(index_sets(2))
         for call in (lambda: h_n(frob, 2, degree_cap=cap),
-                     lambda: minors(frob, 2, degree_cap=cap),
-                     lambda: condition_character(frob, 2, cols, degree_cap=cap)):
+                     lambda: minors(frob, 2, degree_cap=cap)):
             with pytest.raises(DegreeOverflowError) as got:
                 call()
             assert str(got.value) == str(chain.value)
@@ -463,50 +466,20 @@ class TestCauchyBinetKernel:
 
 
 class TestWedgeTower:
-    """One WedgeTower shared by h_n, minors and condition_character gives
-    what each gives alone, in any order and at any cap."""
+    """One WedgeTower shared by h_n and minors gives what each gives alone,
+    in any order and at any cap."""
 
     @pytest.mark.parametrize("g,p,n", [(1, 3, 3), (1, 5, 2), (2, 3, 2),
                                        (2, 7, 1), (3, 3, 2)])
     def test_shared_equals_alone(self, g, p, n):
         frob = kernel_frobenius(g, p, n)
-        rng = random.Random(g + p + n)
-        q, prec = p**frob.precision, frob.precision
-        cols = [IwasawaSeries.make(p, prec, [rng.randrange(q) for _ in range(5)],
-                                   g * p**n + 8)
-                for _ in index_sets(g)]
         caps = (None, deg_phi(p, n))
-        # the character row first, so a later full table is not its prefix
-        tower = WedgeTower(frob)
-        for cap in caps:
-            assert (condition_character(frob, n, cols, 0, degree_cap=cap,
-                                        margin=0, tower=tower)
-                    == condition_character(frob, n, cols, 0, degree_cap=cap,
-                                           margin=0))
-            assert (minors(frob, n, degree_cap=cap, tower=tower).values
-                    == minors(frob, n, degree_cap=cap).values)
-            assert (h_n(frob, n, degree_cap=cap, tower=tower)
-                    == h_n(frob, n, degree_cap=cap))
-        # and the other way round: the row read off the table
-        tower = WedgeTower(frob)
-        for cap in caps:
-            assert (h_n(frob, n, degree_cap=cap, tower=tower)
-                    == h_n(frob, n, degree_cap=cap))
-            assert (minors(frob, n, degree_cap=cap, tower=tower).values
-                    == minors(frob, n, degree_cap=cap).values)
-            assert (condition_character(frob, n, cols, 0, degree_cap=cap,
-                                        margin=0, tower=tower)
-                    == condition_character(frob, n, cols, 0, degree_cap=cap,
-                                           margin=0))
-
-    @pytest.mark.parametrize("g,p,n", [(1, 5, 2), (2, 3, 2), (3, 3, 1)])
-    def test_first_row_is_the_power_s_first_row_for_every_r(self, g, p, n):
-        # r <= g starts from W's first row, r > g (e_I0 > 0) from e_1
-        frob = kernel_frobenius(g, p, n)
-        for r in range(1, 2 * g + 1):
-            for cap in (deg_phi(p, n), r * p**n + 8):
-                row = WedgeTower(frob).power(r, n, cap, first_row_only=True)
-                assert row == WedgeTower(frob).power(r, n, cap)[:1], (r, cap)
+        for order in ((minors, h_n), (h_n, minors)):
+            tower = WedgeTower(frob)
+            for cap in caps:
+                for fn in order:
+                    assert (fn(frob, n, degree_cap=cap, tower=tower)
+                            == fn(frob, n, degree_cap=cap)), (fn, cap)
 
     @pytest.mark.parametrize("g,p", [(2, 3), (2, 7), (3, 3), (3, 5)])
     def test_level_zero_is_the_identity(self, g, p):
@@ -518,9 +491,6 @@ class TestWedgeTower:
             zero = IwasawaSeries.zero(p, frob.precision, cap)
             want = [[one if i == j else zero for j in range(m)]
                     for i in range(m)]
-            tower = WedgeTower(frob)
-            assert tower.power(g, 0, cap, first_row_only=True) == want[:1]
-            assert tower.power(g, 0, cap) == want
             assert WedgeTower(frob).power(g, 0, cap) == want
 
     def test_tower_of_another_frobenius_refused(self):
@@ -560,12 +530,65 @@ class TestConditionCharacter:
         assert nonzero
 
     def test_margin_band_raises(self):
-        from iwkit import PrecisionExhaustedError
-
         # the sum survives only with valuation N - 2, inside the margin band
         cols = [const(3 ** (N - 2), 30), IwasawaSeries.zero(P, N, 30)]
         with pytest.raises(PrecisionExhaustedError):
             condition_character(elliptic(), 2, cols, 2, margin=4)
+
+    def test_short_column_windows_are_exact(self):
+        # at n = 5 the minors reach degree 242: column values 1 at cap 9
+        # must not cut the products at X^9
+        one = const(1, 9)
+        for theta in (2, 4):
+            assert condition_character(elliptic(), 5, [one, one],
+                                       theta) == (False, N)
+
+    def test_least_precision_rules(self):
+        # row I0 of H_2 is (-Phi_1, 0): 27 Phi_1 survives mod 3^24, but the
+        # second column is known only mod 3^2, and so is the sum
+        cols = [const(27), IwasawaSeries.constant(1, P, 2, 8)]
+        assert condition_character(elliptic(), 2, cols, 2, margin=0) == (
+            False, 2)
+        assert condition_character(elliptic(), 2, cols[:1] + [const(1)], 2,
+                                   margin=0) == (True, 3)
+
+    def test_foreign_column_refused(self):
+        cols = [const(1), IwasawaSeries.constant(1, 5, N, 8)]
+        with pytest.raises(InputError):
+            condition_character(elliptic(), 2, cols)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.integers(1, 3), p=st.sampled_from([3, 5, 7]),
+           prec=st.sampled_from([1, 2, 8, 24, 41]),
+           seed=st.integers(0, 10**9))
+    @example(g=3, p=3, prec=41, seed=0)
+    @example(g=1, p=7, prec=1, seed=1)
+    def test_equals_the_exact_oracle(self, g, p, prec, seed):
+        """The ring path against exact integer polynomials, with column
+        values of any window from their own degree up (not padded to the
+        minors' degree), at every level from 0 to n + 1."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 3 if p == 3 else 2)
+        theta = rng.randint(0, n + 1)
+        rows = rand_gl(g, p, prec, rng)
+        col_prec = rng.choice((prec, rng.randint(1, prec)))
+        coeffs = [[rng.randrange(p**prec) for _ in range(rng.randint(1, 9))]
+                  for _ in index_sets(g)]
+        cols = [IwasawaSeries.make(p, col_prec, c,
+                                   len(c) - 1 + rng.randint(0, 12))
+                for c in coeffs]
+        frob = FrobeniusData.from_int_rows(g, p, prec, rows)
+        assert condition_character(frob, n, cols, theta, margin=0) == (
+            ip_character(rows, g, p, prec, n, coeffs, theta, col_prec))
+        # the pushed row itself, residue by residue mod (Phi_theta, p^N)
+        phi_t = ip_phi(p, theta)
+
+        def residue(a):
+            return ip_trim(ip_reduce_mod(ip_divmod(a, phi_t)[1], p**prec))
+
+        assert [residue(e) for e in WedgeTower(frob).character_row(
+            n, theta)] == [residue(m) for m in ip_row_minors(
+                rows, g, p, prec, n)]
 
 
 class TestChangeBasis:
