@@ -6,9 +6,9 @@
 Cases: the elliptic C_p = [[0, -1], [1, 0]] at p = 3, n = 7 and 8, and
 seeded random C_p at g = 3, p = 3, n = 5, at g = 2, p = 3, n = 5 and at
 g = 1, p = 3, n = 7, all at N = 24; levels theta = 1, 2 and n.  The
-column values are seeded polynomials of degree <= 8, padded to the
-minors' cap g p^n + 8, so a tree that multiplies in that X-adic window
-truncates nothing and every tree must give the same answer.
+column values are seeded polynomials of degree <= 8 at the minors' cap
+g p^n + 8, so a tree that multiplies at that cap truncates nothing and
+every tree must give the same answer.
 
 Each call is ``condition_character(frob, n, cols, theta, margin=0)`` on a
 Frobenius matrix and column values made once per case.  With ``--against``,

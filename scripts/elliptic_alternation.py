@@ -23,7 +23,7 @@ def factor_into_phis(entry, prime, n_max):
             quot, rem = divide_distinguished(f, pk)
             if rem.is_zero() and not quot.is_zero():
                 parts.append(f"Phi_{k}")
-                f = quot.padded(entry.degree_cap)
+                f = quot
             else:
                 break
     const = f.coeffs[0]

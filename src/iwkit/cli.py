@@ -35,7 +35,8 @@ from .errors import (
     ZeroSeriesError,
 )
 from .growth import synthetic_tower_verify, rk_solver
-from .logmatrix import WedgeTower, condition_character, h_n, index_sets, minors
+from .logmatrix import (WedgeTower, _checked_columns, condition_character, h_n,
+                        index_sets, minors)
 from .modules import tower_report
 from .series import (
     deg_phi,
@@ -331,6 +332,19 @@ def _cmd_logmatrix(args, started: float) -> int:
         require_cap(f"Phi_{args.theta_level}",
                     deg_phi(frob.prime, args.theta_level), config.degree_cap)
     paths = [args.frobenius_file]
+    if args.col_values:
+        paths.append(args.col_values)
+        col_data = serialize.load_json(args.col_values)
+        cols = []
+        for s in index_sets(frob.g):
+            key = ",".join(map(str, s))
+            if key not in col_data:
+                raise InputError(f"col-values file misses index set {key}")
+            cols.append(serialize.series_from_dict(
+                col_data[key], degree_cap=config.degree_cap,
+                precision=config.precision))
+        # every column is checked before anything is pushed
+        cols = _checked_columns(frob, cols)
     # one per run: h_n and minors share its powers
     tower = WedgeTower(frob)
     h = h_n(frob, args.n, tower=tower)
@@ -339,12 +353,9 @@ def _cmd_logmatrix(args, started: float) -> int:
         "n": args.n,
         "block_anti_diagonal": frob.block_anti_diagonal(),
     }
-    def _trimmed(e):
-        d = e.degree()
-        return [str(c) for c in e.coeffs[:d + 1]] if d is not None else ["0"]
-
     rows = [
-        {"i": i + 1, "j": j + 1, "coeffs": _trimmed(h.entry(i, j))}
+        {"i": i + 1, "j": j + 1,
+         "coeffs": [str(c) for c in h.entry(i, j).coeffs] or ["0"]}
         for i in range(2 * frob.g) for j in range(2 * frob.g)
     ]
     extra: dict = {}
@@ -352,17 +363,6 @@ def _cmd_logmatrix(args, started: float) -> int:
         table = minors(frob, args.n, tower=tower)
         extra["minors"] = serialize.minor_table_to_dict(table)["minors"]
     if args.col_values:
-        paths.append(args.col_values)
-        col_data = serialize.load_json(args.col_values)
-        sets = index_sets(frob.g)
-        cols = []
-        for s in sets:
-            key = ",".join(map(str, s))
-            if key not in col_data:
-                raise InputError(f"col-values file misses index set {key}")
-            cols.append(serialize.series_from_dict(
-                col_data[key], degree_cap=config.degree_cap,
-                precision=config.precision))
         nonzero, val = condition_character(
             frob, args.n, cols, args.theta_level, margin=config.margin)
         kv["character_nonzero"] = nonzero

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,10 +52,11 @@ class Config:
             raise InputError("n_max must be >= 0")
         if self.degree_cap is None:
             object.__setattr__(self, "degree_cap", self.prime**self.n_max + 8)
-        if self.degree_cap < self.prime**self.n_max:
+        # above sys.maxsize no sequence of coefficients reaches the cap
+        if not self.prime**self.n_max <= self.degree_cap <= sys.maxsize:
             raise InputError(
-                f"degree_cap {self.degree_cap} below p^n_max = {self.prime**self.n_max}"
-            )
+                f"degree_cap {self.degree_cap} is not between p^n_max = "
+                f"{self.prime**self.n_max} and sys.maxsize = {sys.maxsize}")
         if self.output_format not in ("csv", "json"):
             raise InputError(f"unknown output format {self.output_format!r}")
 

@@ -16,20 +16,21 @@ from .series import (IwasawaSeries, _companion_rows, _conv, _poly_divmod_monic,
 
 
 def _mod_phi(coeffs, prime: int, level: int, q: int) -> tuple[int, ...]:
-    """coeffs reduced mod (Phi_level(1+X), q), deg Phi_level entries."""
+    """coeffs reduced mod (Phi_level(1+X), q), deg Phi_level entries;
+    Phi_level is built only when coeffs reach its degree."""
     d = deg_phi(prime, level)
-    modulus = [c % q for c in phi_int_coeffs(prime, level)]
-    _, rem = _poly_divmod_monic(list(coeffs), modulus, q)
-    return tuple(rem[:d]) + (0,) * (d - len(rem))
+    rem = coeffs if len(coeffs) <= d else _poly_divmod_monic(
+        coeffs, phi_int_coeffs(prime, level), q)[1]
+    return tuple(c % q for c in rem) + (0,) * (d - len(rem))
 
 
 @dataclass(frozen=True)
 class CyclotomicElement:
     """Residue in Z_p[X]/(Phi_level(1+X), p^precision), dense power basis.
 
-    ``truncation_warning`` is set when the input's stored window ended below
-    deg Phi_level with a nonzero top coefficient - the visible symptom of a
-    truncated tail the evaluation cannot account for.
+    ``truncation_warning`` is set when the input's degree cap is below
+    deg Phi_level - 1 and its coefficient at the cap is nonzero - the visible
+    symptom of a tail cut off that the evaluation cannot account for.
     """
 
     prime: int
@@ -97,9 +98,9 @@ def cyclo_eval(f: IwasawaSeries, level: int) -> CyclotomicElement:
     if level < 0:
         raise InputError("level must be >= 0")
     d = deg_phi(f.prime, level)
-    # the window ends strictly below the modulus degree with a live top
+    # the cap ends strictly below the modulus degree with a live top
     # coefficient: reduction cannot see whatever the cap cut off
-    warn = f.degree_cap + 1 < d and f.coeffs[f.degree_cap] != 0
+    warn = f.degree_cap + 1 < d and f.degree() == f.degree_cap
     return CyclotomicElement(f.prime, level, f.precision,
                              _mod_phi(f.coeffs, f.prime, level, f.q),
                              truncation_warning=warn)

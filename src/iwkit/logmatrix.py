@@ -25,7 +25,7 @@ diagonal powers of Phi_k, with no determinant of series anywhere.  ``h_n``
 answers from the first exterior power (r = 1, W = C_p^{-1}) and ``minors``
 from the g-th; a run that asks for both shares one ``WedgeTower``.
 ``condition_character`` answers in Z/p^N[X]/(Phi_theta(1+X)), with no
-X-adic window: there Phi_k is p for k > theta (Washington, Introduction to
+degree cap: there Phi_k is p for k > theta (Washington, Introduction to
 Cyclotomic Fields), 0 for k = theta and itself for k < theta, so row
 I0 = {1..g} of the g-th power is the same word pushed with those values.
 Its entries are exact polynomials of degree at most
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -59,7 +59,7 @@ from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
 from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
-                     _unpack, _zero_window, deg_phi, phi, phi_int_coeffs,
+                     _strip, _unpack, deg_phi, phi, phi_int_coeffs,
                      require_cap)
 
 
@@ -327,13 +327,9 @@ class WedgeTower:
         # the same DegreeOverflowError, in the same order, as building C_1..C_n
         for k in range(1, n + 1):
             require_cap(f"Phi_{k}", deg_phi(p, k), cap)
-        # the window is laid out before any Phi_k is: a default cap that
-        # grows with n refuses here at once
-        window = _zero_window(cap)
         # no entry has degree above max e_K (p^n - 1), max e_K = min(r, g)
         length = min(cap + 1, min(r, frob.g) * (p**n - 1) + 1)
-        pad = tuple(window[length:])
-        return [[IwasawaSeries._reduced(p, frob.precision, tuple(cs) + pad)
+        return [[IwasawaSeries._reduced(p, frob.precision, _strip(cs), cap)
                  for cs in row]
                 for row in zip(*self._push(r, n, length, None))]
 
@@ -343,8 +339,6 @@ class WedgeTower:
         g (p^t - 1) + 1 terms, t = min(theta - 1, n) (0 when theta <= 1)."""
         t = max(0, min(theta - 1, n))
         length = self.frob.g * (self.frob.prime**t - 1) + 1
-        # refused at once, before any Phi_k is built, like ``_build``
-        _zero_window(length - 1)
         return self._push(self.frob.g, n, length, theta)[0]
 
     def _push(self, r: int, n: int, length: int,
@@ -370,14 +364,16 @@ class WedgeTower:
         frob = self.frob
         p = frob.prime
         q = p**frob.precision
+        exps = [sum(i >= frob.g for i in s)
+                for s in combinations(range(2 * frob.g), r)]
+        m = len(exps)
+        # an entry no int can hold is refused here, before any Phi_k is built
+        sb, reduce = _slot_reducer(q, max(m, length), length)
         live = n if theta is None else max(0, min(theta - 1, n))
         while len(self._phis) < live:
             self._phis.append([c % q for c in
                                phi_int_coeffs(p, len(self._phis) + 1)])
         w = _compound(frob._inverse_residues, r, q)
-        exps = [sum(i >= frob.g for i in s)
-                for s in combinations(range(2 * frob.g), r)]
-        m = len(w)
         if theta is not None:
             # Phi_k mod Phi_theta(1+X): itself, 0 at k = theta, p above it
             phis = [self._phis[k - 1] if k < theta
@@ -392,7 +388,6 @@ class WedgeTower:
         else:
             phis, word = [], []
             vecs = [[int(j == i) for j in range(m)] for i in range(m)]
-        sb, reduce = _slot_reducer(q, max(m, length), length)
         for step in word:
             if isinstance(step, int):
                 _e_step(vecs, exps, phis[step - 1], length, q, sb, reduce)
@@ -441,11 +436,11 @@ def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
     a = a_pow = _a_matrix(frob)
     for _ in range(n):
         a_pow = mat_mul(a_pow, a)
-    q = p**prec
     h_cols = list(zip(*h_n(frob, n, degree_cap=cap).entries))
-    rows = [[IwasawaSeries._reduced(p, prec, tuple(
-                sum(map(mul, coefs, cs)) % q
-                for cs in zip(*(e.coeffs for e in col))))
+    rows = [[IwasawaSeries(p, prec, tuple(
+                sum(map(mul, coefs, cs))
+                for cs in zip_longest(*(e.coeffs for e in col), fillvalue=0)),
+                cap)
              for col in h_cols]
             for coefs in ([x.residue for x in row] for row in a_pow)]
     if n + 1 >= prec and all(e.is_zero() for row in rows for e in row):
@@ -502,6 +497,18 @@ def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
     return table
 
 
+def _checked_columns(frob: FrobeniusData, col_values) -> list[IwasawaSeries]:
+    """The column values in ``index_sets`` order, each a series at p."""
+    sets, p = index_sets(frob.g), frob.prime
+    vals = ([col_values[s] for s in sets] if isinstance(col_values, Mapping)
+            else list(col_values))
+    if len(vals) != len(sets):
+        raise InputError(f"need {len(sets)} column values, got {len(vals)}")
+    if not all(isinstance(v, IwasawaSeries) and v.prime == p for v in vals):
+        raise InputError(f"column values must be series at p = {p}")
+    return vals
+
+
 def condition_character(frob: FrobeniusData, n: int,
                         col_values: Sequence[IwasawaSeries] | Mapping,
                         theta_level: int | None = None, *,
@@ -510,7 +517,7 @@ def condition_character(frob: FrobeniusData, n: int,
 
     ``col_values`` supplies the caller's column determinants, one per
     g-element index set J (lexicographic order, or a mapping keyed by the
-    sets), each read as the polynomial its window holds.  The sum is
+    sets), each read as the polynomial its coefficients hold.  The sum is
     answered in Z/p^N[X]/(Phi_theta(1+X)) with no degree cap: the exact row
     of ``WedgeTower.character_row`` times the columns, summed as one
     Kronecker dot product and reduced once by ``cyclo_eval``.  Returns
@@ -518,22 +525,13 @@ def condition_character(frob: FrobeniusData, n: int,
     precision of C_p and the columns.  Raises PrecisionExhaustedError when
     every coefficient survives only inside the margin band.
     """
-    sets = index_sets(frob.g)
-    if isinstance(col_values, Mapping):
-        vals = [col_values[s] for s in sets]
-    else:
-        vals = list(col_values)
-        if len(vals) != len(sets):
-            raise InputError(
-                f"need {len(sets)} column values, got {len(vals)}")
+    vals = _checked_columns(frob, col_values)
     _require_table(frob, n)
     p = frob.prime
-    if not all(isinstance(v, IwasawaSeries) and v.prime == p for v in vals):
-        raise InputError(f"column values must be series at p = {p}")
     level = n if theta_level is None else theta_level
     row = WedgeTower(frob).character_row(n, level)
-    cols = [v.coeffs[:(v.degree() or 0) + 1] for v in vals]
-    la, lc = len(row[0]), max(map(len, cols))
+    cols = [v.coeffs for v in vals]
+    la, lc = len(row[0]), max(1, *map(len, cols))
     # a slot of the dot product sums len(row) * min(la, lc) products
     top = max(frob.precision, *(v.precision for v in vals))
     sb = (2 * (p**top).bit_length()
@@ -541,7 +539,8 @@ def condition_character(frob: FrobeniusData, n: int,
     prec = min(frob.precision, *(v.precision for v in vals))
     acc = _unpack(sum(_pack(a, sb) * _pack(b, sb) for a, b in zip(row, cols)),
                   la + lc - 1, sb, p**prec)
-    ev = cyclo_eval(IwasawaSeries._reduced(p, prec, tuple(acc)), level)
+    ev = cyclo_eval(IwasawaSeries._reduced(p, prec, _strip(acc), len(acc) - 1),
+                    level)
     val = ev.min_valuation()
     if val >= ev.precision:
         return False, ev.precision

@@ -180,7 +180,7 @@ def _summand(relations: Sequence[IwasawaSeries], precision: int
     else:
         base, _ = _hensel_lift(h[:d + 1], lam, p, m)
     return a, IwasawaSeries(p, m, tuple(base)), \
-        [IwasawaSeries(p, m, tuple(cs)) for cs in lists]
+        [IwasawaSeries.make(p, m, cs) for cs in lists]
 
 
 def _layer_presentation(summand: tuple[int, IwasawaSeries, list[IwasawaSeries]],
@@ -233,9 +233,15 @@ def _presented_invariants(pres: tuple[list[list[int]], int], prime: int,
                           precision: int, margin: int,
                           shift: int = 0) -> tuple[int, int]:
     """(free rank, finite length) of a presentation from _layer_presentation,
-    with the same margin check as the brute-force matrix."""
-    return _invariants_from_exponents(
-        _presented_exponents(pres, prime, precision, shift), precision, margin)
+    with the same margin check as the brute-force matrix.  The pad zeros all
+    stand for p^shift: one is checked, the rest counted, never listed."""
+    rows, pad = pres
+    free, length = _invariants_from_exponents(
+        _presented_exponents((rows, min(pad, 1)), prime, precision, shift),
+        precision, margin)
+    rest = max(pad - 1, 0)
+    return ((free + rest, length) if shift == precision
+            else (free, length + shift * rest))
 
 
 def quotient_presentation(module: ElementaryModule, n: int) -> list[list[PadicInt]]:

@@ -21,7 +21,7 @@ from .series import IwasawaSeries, phi
 
 def _int_field(value: Any, name: str) -> int:
     """A JSON integer or decimal string; a boolean or a non-integral number
-    is not one, and is never truncated to one."""
+    is not one, and is never rounded to one."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise InputError(f"{name} must be an integer, got {value!r}")
@@ -105,11 +105,9 @@ def minor_table_to_dict(t: MinorTable) -> dict:
     values = {}
     for (rows, cols), v in sorted(t.values.items()):
         key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
-        # the zero tail above the degree as one shared "0" each
-        d = v.degree()
-        top = 0 if d is None else d + 1
-        values[key] = ([str(c) for c in v.coeffs[:top]]
-                       + ["0"] * (len(v.coeffs) - top))
+        # printed through the cap: the terms above the degree as "0"
+        values[key] = ([str(c) for c in v.coeffs]
+                       + ["0"] * (v.degree_cap + 1 - len(v.coeffs)))
     return {
         "n": t.n,
         "g": t.g,

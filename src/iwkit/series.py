@@ -1,16 +1,16 @@
-"""The Iwasawa algebra Lambda = Z_p[[X]] as truncated series.
+"""The Iwasawa algebra Lambda = Z_p[[X]] as series cut at a degree cap.
 
-A series is stored as a dense coefficient window of degrees 0..D at absolute
-precision N; the truncation is part of the value (coefficients beyond the cap
-do not exist).  Cyclotomic polynomials Phi_n and omega_n, Weierstrass
-preparation (mu/lambda invariants) and division with remainder by monic
-polynomials live here.
+A series is stored as its coefficients mod p^N, trailing zeros dropped, and
+a degree cap D: terms above X^D are not part of the value, and the cap is a
+bound, never laid out as zeros.  Cyclotomic polynomials Phi_n and omega_n,
+Weierstrass preparation (mu/lambda invariants) and division with remainder
+by monic polynomials live here.
 
-Weierstrass preparation reads the window as a polynomial of degree <= D and
-factors f / p^mu = P * U exactly mod p^(N - mu) by one quadratic Hensel
-lift, which the tower's distinguished polynomials share.  Terms above X^D
-would change P only from the digit p^floor((D + 1) / lambda) on, so all
-N - mu digits of P are determined when lambda (N - mu) <= D + 1.
+Weierstrass preparation reads the coefficients as a polynomial of degree
+<= D and factors f / p^mu = P * U exactly mod p^(N - mu) by one quadratic
+Hensel lift, which the tower's distinguished polynomials share.  Terms
+above X^D would change P only from the digit p^floor((D + 1) / lambda) on,
+so all N - mu digits of P are determined when lambda (N - mu) <= D + 1.
 
 Division by a monic P (``_poly_divmod_monic``) runs by rows, reducing each
 quotient term and the final remainder mod p^N once, or, given the reciprocal
@@ -28,7 +28,8 @@ omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from .config import is_odd_prime
@@ -43,57 +44,57 @@ from .padic import PadicInt, _min_valuation
 
 @dataclass(frozen=True)
 class IwasawaSeries:
-    """Truncated element of Z_p[[X]]: degrees 0..degree_cap mod p^precision."""
+    """Truncated element of Z_p[[X]]: degrees 0..degree_cap mod p^precision,
+    stored as the coefficients without trailing zeros (none for 0), the cap
+    len(coeffs) - 1 of the coefficients given unless it is given too."""
 
     prime: int
     precision: int
     coeffs: tuple[int, ...]
+    degree_cap: int | None = None
 
     def __post_init__(self):
         if not is_odd_prime(self.prime):
             raise InputError(f"prime must be an odd prime, got {self.prime}")
         if self.precision < 1:
             raise InputError("precision must be >= 1")
-        if not self.coeffs:
+        cap = len(self.coeffs) - 1 if self.degree_cap is None else self.degree_cap
+        if cap < 0:
             raise InputError("series needs at least the degree-0 coefficient")
+        if cap > sys.maxsize:
+            raise InputError(f"degree cap {cap} is too large: no sequence "
+                             f"reaches sys.maxsize = {sys.maxsize}")
         q = self.q
-        object.__setattr__(self, "coeffs", tuple(c % q for c in self.coeffs))
+        cs = _strip([c % q for c in self.coeffs])
+        if len(cs) - 1 > cap:
+            raise DegreeOverflowError(f"coefficients of degree {len(cs) - 1} "
+                                      f"exceed cap {cap}",
+                                      required_cap=len(cs) - 1)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "degree_cap", cap)
 
     @classmethod
-    def _reduced(cls, prime: int, precision: int,
-                 coeffs: tuple[int, ...]) -> "IwasawaSeries":
-        """A series from a coefficient tuple already reduced mod
-        prime**precision, built without the checks and the re-reduction of
-        ``__post_init__``: for results of the ring operations, whose
+    def _reduced(cls, prime: int, precision: int, coeffs: tuple[int, ...],
+                 degree_cap: int) -> "IwasawaSeries":
+        """A series from coefficients already reduced mod prime**precision,
+        with no trailing zero and within degree_cap, built without the checks
+        of ``__post_init__``: for results of the ring operations, whose
         operands were validated when they were made."""
         s = object.__new__(cls)
         object.__setattr__(s, "prime", prime)
         object.__setattr__(s, "precision", precision)
         object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "degree_cap", degree_cap)
         return s
 
     @property
     def q(self) -> int:
         return self.prime**self.precision
 
-    @property
-    def degree_cap(self) -> int:
-        return len(self.coeffs) - 1
-
     @classmethod
     def make(cls, prime: int, precision: int, coeffs: Sequence[int],
              degree_cap: int | None = None) -> "IwasawaSeries":
-        cs = list(coeffs) or [0]
-        if degree_cap is not None:
-            if len(cs) - 1 > degree_cap:
-                raise DegreeOverflowError(
-                    f"coefficients of degree {len(cs) - 1} exceed cap {degree_cap}",
-                    required_cap=len(cs) - 1,
-                )
-            window = _zero_window(degree_cap)
-            window[:len(cs)] = cs
-            cs = window
-        return cls(prime, precision, tuple(cs))
+        return cls(prime, precision, tuple(coeffs) or (0,), degree_cap)
 
     @classmethod
     def zero(cls, prime: int, precision: int, degree_cap: int = 0) -> "IwasawaSeries":
@@ -111,15 +112,11 @@ class IwasawaSeries:
         return cls.make(prime, precision, [0] * k + [1], degree_cap)
 
     def degree(self) -> int | None:
-        """Largest index with a nonzero stored coefficient; None if all zero."""
-        cs = self.coeffs
-        for i in range(len(cs) - 1, -1, -1):
-            if cs[i]:
-                return i
-        return None
+        """Largest index with a nonzero coefficient; None if all zero."""
+        return len(self.coeffs) - 1 if self.coeffs else None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs
 
     def min_valuation(self) -> int:
         """Smallest coefficient valuation; precision when the series is 0 mod p^N."""
@@ -139,14 +136,15 @@ class IwasawaSeries:
             other = IwasawaSeries.constant(other, self.prime, self.precision,
                                            self.degree_cap)
         n, cap, q = self._binop_params(other)
-        cs = [(self.coeffs[i] + other.coeffs[i]) % q for i in range(cap + 1)]
-        return IwasawaSeries._reduced(self.prime, n, tuple(cs))
+        cs = [(a + b) % q for a, b in zip_longest(
+            self.coeffs[:cap + 1], other.coeffs[:cap + 1], fillvalue=0)]
+        return IwasawaSeries._reduced(self.prime, n, _strip(cs), cap)
 
     __radd__ = __add__
 
     def __neg__(self):
         return IwasawaSeries(self.prime, self.precision,
-                             tuple(-c for c in self.coeffs))
+                             tuple(-c for c in self.coeffs), self.degree_cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -160,14 +158,17 @@ class IwasawaSeries:
                 raise InputError("mixed primes")
             n = min(self.precision, other.precision)
             q = self.prime**n
-            return IwasawaSeries._reduced(
-                self.prime, n, tuple(c * other.residue % q for c in self.coeffs))
+            return IwasawaSeries._reduced(self.prime, n, _strip(
+                [c * other.residue % q for c in self.coeffs]), self.degree_cap)
         if isinstance(other, int):
             return IwasawaSeries(self.prime, self.precision,
-                                 tuple(c * other for c in self.coeffs))
+                                 tuple(c * other for c in self.coeffs),
+                                 self.degree_cap)
         n, cap, q = self._binop_params(other)
-        return IwasawaSeries._reduced(
-            self.prime, n, tuple(_conv(self.coeffs, other.coeffs, cap + 1, q)))
+        a, b = self.coeffs, other.coeffs
+        limit = min(cap + 1, len(a) + len(b) - 1) if a and b else 0
+        return IwasawaSeries._reduced(self.prime, n,
+                                      _strip(_conv(a, b, limit, q)), cap)
 
     __rmul__ = __mul__
 
@@ -177,7 +178,7 @@ class IwasawaSeries:
             raise InputError("k must be >= 0")
         pk = self.prime**k
         return IwasawaSeries(self.prime, self.precision + k,
-                             tuple(c * pk for c in self.coeffs))
+                             tuple(c * pk for c in self.coeffs), self.degree_cap)
 
     def exact_div_p_power(self, k: int) -> "IwasawaSeries":
         """Divide every coefficient by p^k; precision drops by k."""
@@ -189,21 +190,7 @@ class IwasawaSeries:
         if any(c % pk for c in self.coeffs):
             raise InputError(f"series is not divisible by p^{k}")
         return IwasawaSeries(self.prime, self.precision - k,
-                             tuple(c // pk for c in self.coeffs))
-
-    def truncated(self, degree_cap: int) -> "IwasawaSeries":
-        if degree_cap >= self.degree_cap:
-            return self
-        return IwasawaSeries(self.prime, self.precision,
-                             self.coeffs[:degree_cap + 1])
-
-    def padded(self, degree_cap: int) -> "IwasawaSeries":
-        """Extend the window with zeros.  Only valid when the value is known
-        to be a polynomial within the current cap."""
-        if degree_cap <= self.degree_cap:
-            return self
-        return IwasawaSeries(self.prime, self.precision,
-                             self.coeffs + (0,) * (degree_cap - self.degree_cap))
+                             tuple(c // pk for c in self.coeffs), self.degree_cap)
 
     def congruent(self, other: "IwasawaSeries", *, mod_exp: int | None = None,
                   up_to_degree: int | None = None) -> bool:
@@ -216,13 +203,21 @@ class IwasawaSeries:
         if up_to_degree is not None:
             cap = min(cap, up_to_degree)
         m = self.prime**e
-        return all((self.coeffs[i] - other.coeffs[i]) % m == 0
-                   for i in range(cap + 1))
+        return all((a - b) % m == 0 for a, b in zip_longest(
+            self.coeffs[:cap + 1], other.coeffs[:cap + 1], fillvalue=0))
 
     def __str__(self) -> str:
         terms = [f"{c}*X^{i}" for i, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"{body} (mod {self.prime}^{self.precision}, X^{self.degree_cap + 1})"
+
+
+def _strip(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs without its trailing zeros, as a tuple."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
 
 
 def _binomials(k: int) -> list[int]:
@@ -264,19 +259,6 @@ def deg_phi(prime: int, n: int) -> int:
     if n < 0:
         raise InputError("level must be >= 0")
     return 1 if n == 0 else prime**n - prime ** (n - 1)
-
-
-def _zero_window(degree_cap: int) -> list[int]:
-    """The degree_cap + 1 zero coefficients of a window at that cap; an
-    InputError when they cannot be laid out, raised before anything else of
-    that size is built."""
-    try:
-        return [0] * (degree_cap + 1)
-    except (OverflowError, MemoryError):
-        raise InputError(
-            f"degree cap {degree_cap} is too large: its window of "
-            f"{degree_cap + 1} coefficients cannot be laid out"
-        ) from None
 
 
 def require_cap(name: str, deg: int, degree_cap: int | None) -> None:
@@ -403,16 +385,12 @@ def divide_distinguished(f: IwasawaSeries,
     deg_p = p_poly.degree()
     if deg_p is None:
         raise InputError("divisor is zero mod p^N")
-    pl = [c % q_mod for c in p_poly.coeffs[:deg_p + 1]]
-    if pl[deg_p] != 1:
+    if p_poly.coeffs[deg_p] % q_mod != 1:
         raise InputError("divisor must be monic")
-    quot, rem = _poly_divmod_monic([c % q_mod for c in f.coeffs], pl, q_mod)
-    q_cap = max(f.degree_cap - deg_p, 0)
-    quot = quot[:q_cap + 1] + [0] * (q_cap + 1 - len(quot))
-    r_cap = min(f.degree_cap, max(deg_p - 1, 0))
-    rem = rem[:r_cap + 1] + [0] * (r_cap + 1 - len(rem))
-    return (IwasawaSeries(f.prime, n, tuple(quot)),
-            IwasawaSeries(f.prime, n, tuple(rem)))
+    quot, rem = _poly_divmod_monic(f.coeffs, p_poly.coeffs, q_mod)
+    cap = f.degree_cap
+    return (IwasawaSeries(f.prime, n, tuple(quot), max(cap - deg_p, 0)),
+            IwasawaSeries(f.prime, n, tuple(rem), min(cap, max(deg_p - 1, 0))))
 
 
 def _pack(cs: Sequence[int], sb: int) -> int:
@@ -474,7 +452,9 @@ def _slot_reducer(q: int, terms: int,
     slot a sum of at most ``terms`` products a * b with 0 <= a < 4q and
     0 <= b < q: reduce(x) is congruent to x mod q slot by slot, every slot
     below 4q (``_SLOT_BOUND``), with nothing above x's last slot.  sb is the
-    fewest bytes that hold the input maximum X = terms (4q - 1) (q - 1).
+    fewest bytes that hold the input maximum X = terms (4q - 1) (q - 1); an
+    InputError when sb * slots exceeds sys.maxsize or the masks of that size
+    cannot be allocated.
 
     One pass is a Barrett step (Barrett, CRYPTO '86) on every slot at once,
     made of whole-int shifts, masks and scalar products.  With t = bits(q),
@@ -504,15 +484,22 @@ def _slot_reducer(q: int, terms: int,
     r = (1 << (s + t)) // q
     bound = terms * (_SLOT_BOUND * q - 1) * (q - 1)
     sb = (bound.bit_length() + 7) // 8
+    size = f"{slots} coefficients in {sb}-byte slots ({sb * slots} bytes)"
+    if sb * slots > sys.maxsize:
+        raise InputError(f"{size} exceed sys.maxsize = {sys.maxsize}")
     width = 8 * sb
     passes = 0
     while bound >= _SLOT_BOUND * q:
         bound = (1 << t) + q - 1 - (-((bound >> t) * q) >> s)
         passes += 1
-    # the per-slot masks repeated over every slot: hi's S - t bits, Q's S - s
-    ones = ((1 << (width * slots)) - 1) // ((1 << width) - 1)
-    m_hi = ((1 << (width - t)) - 1) * ones
-    m_q = ((1 << (width - s)) - 1) * ones
+    # the per-slot masks repeated over every slot: hi's S - t bits, Q's S - s;
+    # each is as large as a packed int of that many slots
+    try:
+        ones = ((1 << (width * slots)) - 1) // ((1 << width) - 1)
+        m_hi = ((1 << (width - t)) - 1) * ones
+        m_q = ((1 << (width - s)) - 1) * ones
+    except (OverflowError, MemoryError):
+        raise InputError(f"{size} cannot be laid out") from None
 
     def reduce(x: int) -> int:
         for _ in range(passes):
@@ -606,12 +593,16 @@ class WeierstrassFactorization:
         return self.distinguished.precision
 
     def reconstruct(self) -> IwasawaSeries:
-        prod = self.distinguished.padded(self.unit.degree_cap) * self.unit
+        """p^mu * P * U, exact up to degree lambda + cap(U): the cap D of
+        the series that was prepared."""
+        cap = self.distinguished.degree_cap + self.unit.degree_cap
+        prod = (replace(self.distinguished, degree_cap=cap)
+                * replace(self.unit, degree_cap=cap))
         return prod.mul_p_power(self.mu)
 
 
 def lambda_mu(f: IwasawaSeries, *, margin: int = 4) -> tuple[int, int]:
-    """(lambda, mu) of a nonzero truncated series by one valuation scan: mu
+    """(lambda, mu) of a nonzero series by one valuation scan: mu
     is the least coefficient valuation, lambda the first index attaining it.
     The same refusal as a full preparation: fewer than margin + 1 digits left
     after dividing by p^mu raise PrecisionExhaustedError."""
@@ -666,7 +657,7 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
 
 
 def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
-    """Weierstrass preparation f = p^mu * P * U of a nonzero truncated series.
+    """Weierstrass preparation f = p^mu * P * U of a nonzero series.
 
     mu and lambda come from the valuation scan of ``lambda_mu``; f / p^mu is
     read as a polynomial of degree <= D and lifted by ``_hensel_lift``: P
@@ -684,7 +675,7 @@ def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFact
         mu=mu,
         lambda_=lam,
         distinguished=IwasawaSeries(f.prime, n2, tuple(dist)),
-        unit=IwasawaSeries(f.prime, n2, tuple(unit)),
+        unit=IwasawaSeries(f.prime, n2, tuple(unit), f.degree_cap - lam),
     )
 
 
@@ -693,8 +684,6 @@ def reconstruction_residual_valuation(f: IwasawaSeries,
                                       *, up_to_degree: int | None = None) -> int:
     """min valuation of f - p^mu*P*U over the comparison window; equals the
     comparison precision when the reconstruction is perfect there."""
-    rec = w.reconstruct()
-    diff = f - rec
-    if up_to_degree is not None:
-        diff = diff.truncated(up_to_degree)
-    return diff.min_valuation()
+    diff = f - w.reconstruct()
+    cs = diff.coeffs if up_to_degree is None else diff.coeffs[:up_to_degree + 1]
+    return _min_valuation(cs, diff.prime, diff.precision)

@@ -79,6 +79,98 @@ def ip_phi(p, n):
     return quot
 
 
+def dense_trim(window):
+    """A coefficient list without its trailing zeros, as a tuple (empty for
+    the zero polynomial): how ``IwasawaSeries.coeffs`` stores a value."""
+    cs = list(window)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+class DenseWindow:
+    """Oracle for truncated series stored as a zero-padded window: the
+    cap + 1 coefficients of degrees 0..cap mod p^precision, every operation
+    computed over the whole window by schoolbook loops and ``ip_divmod``."""
+
+    def __init__(self, p, precision, window):
+        self.p, self.precision = p, precision
+        self.window = [c % p**precision for c in window]
+
+    @classmethod
+    def of(cls, p, precision, coeffs, cap=None):
+        cap = len(coeffs) - 1 if cap is None else cap
+        assert len(coeffs) <= cap + 1
+        return cls(p, precision, list(coeffs) + [0] * (cap + 1 - len(coeffs)))
+
+    @property
+    def cap(self):
+        return len(self.window) - 1
+
+    def matches(self, s):
+        """Whether the series s holds this window's value: the same prime,
+        precision and cap, and the window's coefficients trimmed."""
+        return (s.prime, s.precision, s.degree_cap, s.coeffs) == (
+            self.p, self.precision, self.cap, dense_trim(self.window))
+
+    def _common(self, other):
+        assert other.p == self.p
+        return min(self.precision, other.precision), min(self.cap, other.cap)
+
+    def __add__(self, other):
+        n, cap = self._common(other)
+        return DenseWindow(self.p, n, [self.window[i] + other.window[i]
+                                       for i in range(cap + 1)])
+
+    def __neg__(self):
+        return DenseWindow(self.p, self.precision, [-c for c in self.window])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        n, cap = self._common(other)
+        out = [0] * (cap + 1)
+        for i in range(cap + 1):
+            for j in range(cap + 1 - i):
+                out[i + j] += self.window[i] * other.window[j]
+        return DenseWindow(self.p, n, out)
+
+    def mul_p_power(self, k):
+        return DenseWindow(self.p, self.precision + k,
+                           [c * self.p**k for c in self.window])
+
+    def exact_div_p_power(self, k):
+        assert all(c % self.p**k == 0 for c in self.window)
+        return DenseWindow(self.p, self.precision - k,
+                           [c // self.p**k for c in self.window])
+
+    def divide(self, monic, precision):
+        """(quotient, remainder) of the window by a monic integer polynomial
+        at the given precision: the quotient's window at cap - deg P, the
+        remainder's at min(cap, deg P - 1), neither below cap 0."""
+        deg = len(monic) - 1
+        quot, rem = ip_divmod(self.window, monic)
+        return (DenseWindow.of(self.p, precision, ip_trim(quot),
+                               max(self.cap - deg, 0)),
+                DenseWindow.of(self.p, precision, ip_trim(rem),
+                               min(self.cap, max(deg - 1, 0))))
+
+    def prepare(self, lam, mu, dist):
+        """(distinguished, unit) windows of the Weierstrass preparation
+        f = p^mu * P * U with P = ``dist``, checked to be the distinguished
+        polynomial (unique for a polynomial f): monic of degree lambda, its
+        lower terms divisible by p, dividing the window of f / p^mu exactly
+        mod p^(N - mu).  U is the quotient, in a window of cap - lambda."""
+        p, n2 = self.p, self.precision - mu
+        assert len(dist) == lam + 1 and dist[lam] == 1
+        assert all(c % p == 0 for c in dist[:lam])
+        quot, rem = ip_divmod([c // p**mu for c in self.window], list(dist))
+        assert all(c % p**n2 == 0 for c in rem)
+        return (DenseWindow(p, n2, dist),
+                DenseWindow.of(p, n2, quot, self.cap - lam))
+
+
 def int_det(rows):
     """Exact determinant of a square integer matrix by the Leibniz sum over
     all permutations, each signed by its inversion count; 1 for 0 x 0."""

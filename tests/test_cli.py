@@ -182,6 +182,18 @@ class TestTower:
         assert rows[1].split(",")[3] == "2"
         assert rows[2].split(",")[3] == "2"
 
+    def test_high_level_answers_without_a_window(self, tmp_path):
+        # --n-max 30 sets the default cap 3^30 + 8, and nothing of that size
+        # is laid out: Phi_1 is presented on (Z/p^N)[X]/(Phi_1) at every
+        # level, and the rows are the closed form lambda = 2, mu = 0
+        f = tmp_path / "phi1.json"
+        f.write_text(json.dumps({"prime": 3, "generators": [{"phi": 1}]}))
+        out = run("--no-timestamp", "--n-max", "30", "tower", str(f))
+        assert f'"degree_cap": {3**30 + 8}' in out
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert rows == ["1,2,0,,2,"] + [f"{n},2,0,2,2,true"
+                                        for n in range(2, 31)]
+
     def test_empty_module_zeros(self, tmp_path):
         f = tmp_path / "empty.json"
         f.write_text(json.dumps({"prime": 3, "generators": []}))
@@ -406,6 +418,24 @@ class TestLogmatrixOneTower:
                       *[a.replace("{tmp}", str(tmp_path)) for a in tail])
         assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
 
+    def test_foreign_columns_refused_before_any_push(self, tmp_path,
+                                                     monkeypatch):
+        # a column file at p = 5 for a Frobenius matrix at p = 3 exits 2
+        # before H_n is built
+        def refuse(*args):
+            raise AssertionError("pushed before the columns were checked")
+
+        monkeypatch.setattr(WedgeTower, "_push", refuse)
+        cols = tmp_path / "cols.json"
+        cols.write_text(json.dumps({
+            key: {"prime": 5, "precision": 24, "coeffs": ["1"]}
+            for key in ("1", "2")}))
+        proc = invoke("--no-timestamp", "logmatrix",
+                      str(SCEN / "frobenius_elliptic.json"), "--n", "4",
+                      "--col-values", str(cols))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: column values must be series at p = 3\n")
+
     def test_g4_minors_refused(self, tmp_path):
         f = tmp_path / "g4.json"
         f.write_text(json.dumps({"g": 4, "prime": 3, "matrix": [
@@ -519,12 +549,14 @@ MALFORMED = [
     ("--theta-level 10", FROBENIUS,
      ["logmatrix", "--n", "2", "--theta-level", "10",
       "--col-values", COLVALUES]),
-    # a cap whose coefficient window cannot be laid out
+    # a cap above sys.maxsize, which no sequence of coefficients reaches
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
      ["--n-max", "40", "tower"]),
     ("--degree-cap 10**30", WPREP_P5, ["--degree-cap", str(10**30), "wprep"]),
-    # logmatrix's default cap grows with n: refused before Phi_1..Phi_n
+    # an entry of 3^n coefficients no int can hold: refused before
+    # Phi_1..Phi_n
     ("logmatrix --n 40", FROBENIUS, ["logmatrix", "--n", "40"]),
+    ("logmatrix --n 39", FROBENIUS, ["logmatrix", "--n", "39"]),
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),

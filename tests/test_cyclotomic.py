@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwkit import IwasawaSeries, cyclo_eval, omega, phi
+from iwkit import IwasawaSeries, cyclo_eval, cyclotomic, omega, phi
 
 from conftest import ip_divmod, ip_phi, ip_reduce_mod
 
@@ -64,6 +64,21 @@ class TestCycloEval:
         f = IwasawaSeries.make(3, 24, [7, 1, 4], 10)
         ev = cyclo_eval(f, 0)
         assert ev.coeffs == (7,)
+
+    @pytest.mark.parametrize("p,m,length", [(3, 2, 6), (3, 4, 54),
+                                            (5, 3, 100), (7, 2, 30)])
+    def test_low_degree_input_builds_no_phi(self, monkeypatch, p, m, length):
+        # at most deg Phi_m coefficients are their own residue: Phi_m is
+        # never built
+        def refuse(*args):
+            raise AssertionError("Phi_m built for an input below its degree")
+
+        monkeypatch.setattr(cyclotomic, "phi_int_coeffs", refuse)
+        q = p**24
+        coeffs = [(7 * i * i + 3) % q for i in range(length)]
+        ev = cyclo_eval(IwasawaSeries.make(p, 24, coeffs), m)
+        want = oracle_eval(coeffs, p, m, q)
+        assert list(ev.coeffs) == want + [0] * (len(ev.coeffs) - len(want))
 
     def test_truncation_warning_flag(self):
         # window ends below deg Phi_2 = 6 with a live top coefficient

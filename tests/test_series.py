@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -40,7 +41,8 @@ from iwkit.series import (
     reconstruction_residual_valuation,
 )
 
-from conftest import ip_divmod, ip_mul, ip_phi, ip_reduce_mod, ip_trim
+from conftest import (DenseWindow, dense_trim, ip_add, ip_divmod, ip_mul,
+                      ip_phi, ip_reduce_mod, ip_trim)
 
 
 def S(coeffs, p=3, n=24, cap=30):
@@ -50,18 +52,17 @@ def S(coeffs, p=3, n=24, cap=30):
 class TestPhiOmega:
     def test_phi0_is_x(self):
         f = phi(0, prime=3, precision=24, degree_cap=5)
-        assert f.coeffs[:3] == (0, 1, 0)
+        assert (f.coeffs, f.degree_cap) == ((0, 1), 5)
 
     def test_phi1_binomial(self):
         f = phi(1, prime=3, precision=24, degree_cap=5)
-        assert f.coeffs[:4] == (3, 3, 1, 0)
+        assert (f.coeffs, f.degree_cap) == ((3, 3, 1), 5)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
     def test_phi_matches_exact_division_oracle(self, p, n):
         f = phi(n, prime=p, precision=20, degree_cap=p**n)
         want = ip_reduce_mod(ip_phi(p, n), p**20)
-        assert list(f.coeffs[:len(want)]) == want
-        assert all(c == 0 for c in f.coeffs[len(want):])
+        assert f.coeffs == tuple(want)
 
     def test_phi2_monic_degree6_constant3(self):
         f = phi(2, prime=3, precision=24, degree_cap=10)
@@ -71,9 +72,9 @@ class TestPhiOmega:
 
     def test_omega_examples(self):
         w0 = omega(0, prime=3, precision=24, degree_cap=5)
-        assert w0.coeffs[:3] == (0, 1, 0)
+        assert (w0.coeffs, w0.degree_cap) == ((0, 1), 5)
         w1 = omega(1, prime=3, precision=24, degree_cap=5)
-        assert w1.coeffs[:5] == (0, 3, 3, 1, 0)
+        assert (w1.coeffs, w1.degree_cap) == ((0, 3, 3, 1), 5)
 
     def test_omega_is_product_of_phis(self):
         cap = 30
@@ -136,7 +137,7 @@ class TestWeierstrass:
         w = weierstrass_prepare(S([3, 3]))
         assert (w.mu, w.lambda_) == (1, 0)
         assert w.distinguished.coeffs == (1,)
-        assert w.unit.coeffs[:2] == (1, 1)
+        assert w.unit.coeffs == (1, 1)
 
     def test_product_oracle_p5(self):
         # (X^2 + 5)(1 + 5X) expanded exactly, then prepared
@@ -150,6 +151,26 @@ class TestWeierstrass:
     def test_zero_series_rejected(self):
         with pytest.raises(ZeroSeriesError):
             weierstrass_prepare(IwasawaSeries.zero(3, 24, 10))
+
+    @pytest.mark.parametrize("j", [11, 14])
+    def test_residual_covers_degrees_above_the_unit_cap(self, j):
+        # f = X^8 U at cap D = 26: P = X^8 and U of cap D - 8 = 18.  U off by
+        # 3^5 X^j puts the error at degree j + 8 in 19..22, above D - 8 and
+        # inside the reported window 0..D - 4
+        p, n, lam, D = 3, 24, 8, 26
+        unit = [1 + 3 * k for k in range(D - lam + 1)]
+        f = IwasawaSeries.make(p, n, [0] * lam + unit, D)
+        wrong = unit[:j] + [unit[j] + 3**5] + unit[j + 1:]
+        w = WeierstrassFactorization(
+            0, lam, IwasawaSeries.monomial(lam, p, n),
+            IwasawaSeries.make(p, n, wrong, D - lam))
+        assert w.reconstruct().degree_cap == D
+        assert reconstruction_residual_valuation(f, w, up_to_degree=D - 4) == 5
+        exact = WeierstrassFactorization(
+            0, lam, IwasawaSeries.monomial(lam, p, n),
+            IwasawaSeries.make(p, n, unit, D - lam))
+        assert reconstruction_residual_valuation(f, exact,
+                                                 up_to_degree=D - 4) == n
 
     def test_phi_invariants(self):
         for p in (3, 5):
@@ -247,7 +268,7 @@ class TestDivideDistinguished:
         p1 = phi(1, prime=3, precision=24, degree_cap=10)
         q, r = divide_distinguished(x, p1)
         assert q.is_zero()
-        assert r.coeffs[:2] == (0, 1)
+        assert r.coeffs == (0, 1)
 
     def test_non_monic_rejected(self):
         from iwkit import InputError
@@ -263,8 +284,8 @@ class TestDivideDistinguished:
         f = IwasawaSeries.make(p, n, [rng.randrange(p**n) for _ in range(10)], cap)
         p1 = phi(1, prime=p, precision=n, degree_cap=cap)
         q, r = divide_distinguished(f, p1)
-        back = q.padded(cap) * p1 + r.padded(cap)
-        assert back.congruent(f, up_to_degree=cap - 2)
+        back = ip_add(ip_mul(q.coeffs, p1.coeffs), r.coeffs)
+        assert dense_trim(ip_reduce_mod(back, p**n)) == f.coeffs
 
 
 class TestSeriesBasics:
@@ -277,16 +298,93 @@ class TestSeriesBasics:
     def test_mul_p_power_gains_precision(self):
         f = S([1, 2], cap=3).mul_p_power(2)
         assert f.precision == 26
-        assert f.coeffs[:2] == (9, 18)
+        assert f.coeffs == (9, 18)
 
     def test_exact_div_p_power(self):
         f = S([9, 18], cap=2).exact_div_p_power(2)
         assert f.precision == 22
-        assert f.coeffs[:2] == (1, 2)
+        assert f.coeffs == (1, 2)
 
     def test_min_valuation(self):
         assert S([9, 27]).min_valuation() == 2
         assert IwasawaSeries.zero(3, 24, 4).min_valuation() == 24
+
+
+def _window_coeffs(rng, p, n, length):
+    """length coefficients that are often 0 mod p^n (0 or a multiple of
+    p^n), else a residue of random valuation; the last few often 0 mod p^n
+    too, so the stored value ends below the window."""
+    q = p**n
+
+    def one():
+        kind = rng.randrange(4)
+        if kind < 2:
+            return kind * q * rng.randint(1, 3)
+        return p ** rng.randint(0, n - 1) * rng.randrange(1, q) % q
+    out = [one() for _ in range(length)]
+    for i in range(rng.randint(0, length)):
+        out[length - 1 - i] = q * rng.randint(0, 2)
+    return out
+
+
+def _trimmed_ok(s):
+    return not s.coeffs or s.coeffs[-1] != 0
+
+
+class TestTrimmedCoefficients:
+    """Every operation stores its value trimmed at the cap the window
+    representation gave it, and equals the window oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), seed=st.integers(0, 10**9))
+    @example(p=3, seed=0)
+    def test_operations_match_dense_windows(self, p, seed):
+        rng = random.Random(seed)
+
+        def pair():
+            n, cap = rng.randint(1, 30), rng.randint(0, 40)
+            cs = _window_coeffs(rng, p, n, rng.randint(1, cap + 1))
+            if rng.random() < 0.25:
+                return IwasawaSeries.make(p, n, cs), DenseWindow.of(p, n, cs)
+            return (IwasawaSeries.make(p, n, cs, cap),
+                    DenseWindow.of(p, n, cs, cap))
+
+        (a, da), (b, db) = pair(), pair()
+        k = rng.randint(0, 6)
+        v = rng.randint(0, min(a.min_valuation(), a.precision - 1))
+        results = [(a, da), (b, db), (a + b, da + db), (a - b, da - db),
+                   (-a, -da), (a * b, da * db), (b * a, db * da),
+                   (a.mul_p_power(k), da.mul_p_power(k)),
+                   (a.exact_div_p_power(v), da.exact_div_p_power(v))]
+        deg = rng.randint(0, 12)
+        monic = [rng.randrange(p**40) for _ in range(deg)] + [1]
+        pn = rng.randint(1, 30)
+        quot, rem = divide_distinguished(a, IwasawaSeries.make(p, pn, monic))
+        results += zip((quot, rem),
+                       da.divide(monic, min(a.precision, pn)))
+        try:
+            w = weierstrass_prepare(a, margin=0)
+        except (ZeroSeriesError, PrecisionExhaustedError):
+            pass
+        else:
+            results += zip((w.distinguished, w.unit), da.prepare(
+                w.lambda_, w.mu, w.distinguished.coeffs))
+        for got, want in results:
+            assert _trimmed_ok(got)
+            assert want.matches(got), (got, want.window)
+
+    def test_degree_reads_the_length(self):
+        f = IwasawaSeries.make(3, 2, [1, 9, 0, 18, 9], 10)
+        assert (f.coeffs, f.degree(), f.degree_cap) == ((1,), 0, 10)
+        assert IwasawaSeries.zero(3, 2, 10).coeffs == ()
+        assert IwasawaSeries.zero(3, 2, 10).degree() is None
+
+    def test_positional_cap_defaults_to_the_given_length(self):
+        f = IwasawaSeries(3, 24, (1, 2, 0, 0))
+        assert (f.coeffs, f.degree_cap) == ((1, 2), 3)
+        assert f == IwasawaSeries.make(3, 24, [1, 2], 3)
+        with pytest.raises(DegreeOverflowError):
+            IwasawaSeries(3, 24, (1, 2, 3), 1)
 
 
 def _schoolbook(a, b, limit, q):
@@ -355,7 +453,7 @@ class TestProductKernel:
                            min(cap_a, cap_b) + 1, p**n)
         for prod in (a * b, b * a):
             assert prod.precision == n
-            assert list(prod.coeffs) == want
+            assert prod.coeffs == dense_trim(want)
 
     @pytest.mark.parametrize("p,low,high", WIDE)
     def test_conv_around_two_to_the_64(self, p, low, high):
@@ -395,6 +493,14 @@ class TestProductKernel:
 class TestSlotReducer:
     """``_slot_reducer`` against its stated contract, at the stated input
     maximum terms (4q - 1)(q - 1) in every slot and at random slots."""
+
+    @pytest.mark.parametrize("slots,message", [
+        # 11-byte slots: 11 * 2^60 bytes is above sys.maxsize, 11 * 2^59
+        # below it but beyond any 64-bit address space
+        (2**60, "exceed sys.maxsize"), (2**59, "cannot be laid out")])
+    def test_refuses_masks_no_int_can_hold(self, slots, message):
+        with pytest.raises(InputError, match=message):
+            _slot_reducer(3**24, 2, slots)
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 60),
@@ -581,12 +687,17 @@ class TestHenselLift:
         w, old = weierstrass_prepare(f), _fixed_point_prepare(f)
         assert (w.mu, w.lambda_) == (old.mu, old.lambda_) == (mu, lam)
         assert w.precision == old.precision == n2
-        assert len(w.unit.coeffs) == len(old.unit.coeffs) == D - lam + 1
+        assert w.unit.degree_cap == old.unit.degree_cap == D - lam
+        # the polynomial factors exactly: no digit is lost up to D - 4
+        assert reconstruction_residual_valuation(
+            f, w, up_to_degree=max(D - 4, 0)) == f.precision
         if lam * (n2 + 2) <= D + 1:
             # every digit the cut at X^D leaves is determined: bit for bit
             assert w.distinguished.coeffs == old.distinguished.coeffs
             assert w.unit.coeffs[0] == old.unit.coeffs[0]
-            window = max(D - 4, 0)
+            # the fixed-point unit is a series cut at X^(D - lambda): P times
+            # it is exact only up to that degree
+            window = max(min(D - 4, D - lam), 0)
             assert reconstruction_residual_valuation(f, w, up_to_degree=window) \
                 == reconstruction_residual_valuation(f, old, up_to_degree=window)
         else:
@@ -594,7 +705,8 @@ class TestHenselLift:
             # p^floor((D + 1) / lambda) and U_j's from p^floor((D - j) / lambda)
             k = min(n2, (D + 1) // lam)
             assert w.distinguished.congruent(old.distinguished, mod_exp=k)
-            for j, (a, b) in enumerate(zip(w.unit.coeffs, old.unit.coeffs)):
+            for j, (a, b) in enumerate(zip_longest(
+                    w.unit.coeffs, old.unit.coeffs, fillvalue=0)):
                 assert (a - b) % p ** min(n2, (D - j) // lam) == 0
 
     @settings(max_examples=300, deadline=None)
@@ -611,8 +723,7 @@ class TestHenselLift:
         assert dist == _digit_lift(fb, lam, p, n2)
         w = weierstrass_prepare(f)
         assert list(w.distinguished.coeffs) == dist
-        assert list(w.unit.coeffs[:len(unit)]) == unit
-        assert not any(w.unit.coeffs[len(unit):])
+        assert w.unit.coeffs == dense_trim(unit)
 
     @settings(max_examples=25, deadline=None)
     @given(case=blocked_lift_cases())
