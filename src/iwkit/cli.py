@@ -21,10 +21,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
+from ._value import Value
 from .config import Config
 from .errors import (
     DegreeOverflowError,
@@ -127,28 +127,22 @@ def _resolve_config(args, file_prime: int | None,
     return Config(**kw)
 
 
-def _digest(paths: list[str]) -> str:
-    h = hashlib.sha256()
-    for path in paths:
-        try:
-            with open(path, "rb") as fh:
-                h.update(fh.read())
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest() if paths else "-"
-
-
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Value):
     """Provenance block embedded in every report: identical inputs and config
     must yield identical manifests (timestamp fields are opt-out)."""
 
-    command: str
-    config: dict
-    input_digest: str
-    tool_version: str
-    timestamp: str | None = None
-    elapsed_ms: int | None = None
+    __slots__ = ("command", "config", "input_digest", "tool_version",
+                 "timestamp", "elapsed_ms")
+
+    def __init__(self, command: str, config: dict, input_digest: str,
+                 tool_version: str, timestamp: str | None = None,
+                 elapsed_ms: int | None = None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "input_digest", input_digest)
+        object.__setattr__(self, "tool_version", tool_version)
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     def to_dict(self) -> dict:
         d = {
@@ -163,8 +157,10 @@ class RunManifest:
         return d
 
 
-def _manifest(command: str, config: Config, paths: list[str],
-              no_timestamp: bool, started: float) -> RunManifest:
+def _manifest(command: str, config: Config, digest, no_timestamp: bool,
+              started: float) -> RunManifest:
+    """The run's manifest; ``digest`` is the hashlib object fed the bytes of
+    every input file as it was read, None for a run that reads none."""
     ts = elapsed = None
     if not no_timestamp:
         ts = datetime.now(timezone.utc).isoformat()
@@ -172,7 +168,7 @@ def _manifest(command: str, config: Config, paths: list[str],
     return RunManifest(
         command=command,
         config=config.to_dict(),
-        input_digest=_digest(paths),
+        input_digest=digest.hexdigest() if digest is not None else "-",
         tool_version=__version__,
         timestamp=ts,
         elapsed_ms=elapsed,
@@ -224,15 +220,15 @@ def _write(args, text: str) -> None:
 
 
 def _cmd_wprep(args, started: float) -> int:
-    data = serialize.load_json(args.series_file)
+    digest = hashlib.sha256()
+    data = serialize.load_json(args.series_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     f = serialize.series_from_dict(data, degree_cap=config.degree_cap,
                                    precision=config.precision)
     w = weierstrass_prepare(f, margin=config.margin)
     guard_deg = max(f.degree_cap - 4, 0)
     residual = reconstruction_residual_valuation(f, w, up_to_degree=guard_deg)
-    manifest = _manifest("wprep", config, [args.series_file],
-                         args.no_timestamp, started)
+    manifest = _manifest("wprep", config, digest, args.no_timestamp, started)
     kv = {
         "mu": w.mu,
         "lambda": w.lambda_,
@@ -246,13 +242,13 @@ def _cmd_wprep(args, started: float) -> int:
 
 
 def _cmd_tower(args, started: float) -> int:
-    data = serialize.load_json(args.module_file)
+    digest = hashlib.sha256()
+    data = serialize.load_json(args.module_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     module = serialize.module_from_dict(data, degree_cap=config.degree_cap,
                                         precision=config.precision)
     report = tower_report(module, config.n_max, margin=config.margin)
-    manifest = _manifest("tower", config, [args.module_file],
-                         args.no_timestamp, started)
+    manifest = _manifest("tower", config, digest, args.no_timestamp, started)
     rows = [
         {
             "n": lv.n,
@@ -279,7 +275,8 @@ def _cmd_tower(args, started: float) -> int:
 
 
 def _cmd_growth(args, started: float) -> int:
-    data = serialize.load_json(args.scenario_file)
+    digest = hashlib.sha256()
+    data = serialize.load_json(args.scenario_file, digest)
     # a scenario's own n_max is the one computed, so the manifest and the
     # derived degree_cap follow it
     config = _resolve_config(
@@ -289,8 +286,7 @@ def _cmd_growth(args, started: float) -> int:
         data, degree_cap=config.degree_cap, precision=config.precision)
     report = synthetic_tower_verify(selmer, shape, config.n_max,
                                     margin=config.margin)
-    manifest = _manifest("growth", config, [args.scenario_file],
-                         args.no_timestamp, started)
+    manifest = _manifest("growth", config, digest, args.no_timestamp, started)
     rows = [
         {
             "n": lv.n,
@@ -324,17 +320,16 @@ def _cmd_growth(args, started: float) -> int:
 
 
 def _cmd_logmatrix(args, started: float) -> int:
-    data = serialize.load_json(args.frobenius_file)
+    digest = hashlib.sha256()
+    data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
     if args.col_values and args.theta_level is not None:
         # the character is read mod Phi_theta: refuse from its degree alone
         require_cap(f"Phi_{args.theta_level}",
                     deg_phi(frob.prime, args.theta_level), config.degree_cap)
-    paths = [args.frobenius_file]
     if args.col_values:
-        paths.append(args.col_values)
-        col_data = serialize.load_json(args.col_values)
+        col_data = serialize.load_json(args.col_values, digest)
         cols = []
         for s in index_sets(frob.g):
             key = ",".join(map(str, s))
@@ -368,7 +363,7 @@ def _cmd_logmatrix(args, started: float) -> int:
         kv["character_nonzero"] = nonzero
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n
-    manifest = _manifest("logmatrix", config, paths, args.no_timestamp, started)
+    manifest = _manifest("logmatrix", config, digest, args.no_timestamp, started)
     kv.update({f"minor_{k}": ";".join(v) for k, v in
                sorted(extra.get("minors", {}).items())})
     _write(args, _emit(args, manifest, rows, ["i", "j", "coeffs"], kv))
@@ -378,7 +373,7 @@ def _cmd_logmatrix(args, started: float) -> int:
 def _cmd_rksolve(args, started: float) -> int:
     config = _resolve_config(args, None)
     options = rk_solver(args.e)
-    manifest = _manifest("rksolve", config, [], args.no_timestamp, started)
+    manifest = _manifest("rksolve", config, None, args.no_timestamp, started)
     rows = [
         {
             "k": opt.k,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 
+from ._value import Value
 from .errors import InputError
 
 
@@ -21,8 +21,7 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Value):
     """Parameters every computation runs under.
 
     ``precision`` is the absolute p-adic precision N: every "is zero" answer
@@ -32,33 +31,37 @@ class Config:
     classification refuses to guess.
     """
 
-    prime: int = 3
-    precision: int = 24
-    n_max: int = 4
-    degree_cap: int | None = None
-    margin: int = 4
-    output_format: str = "csv"
+    __slots__ = ("prime", "precision", "n_max", "degree_cap", "margin",
+                 "output_format")
 
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise InputError(f"prime must be an odd prime, got {self.prime}")
-        if self.margin < 0:
-            raise InputError(f"margin must be >= 0, got {self.margin}")
-        if self.precision <= self.margin:
+    def __init__(self, prime: int = 3, precision: int = 24, n_max: int = 4,
+                 degree_cap: int | None = None, margin: int = 4,
+                 output_format: str = "csv"):
+        if not is_odd_prime(prime):
+            raise InputError(f"prime must be an odd prime, got {prime}")
+        if margin < 0:
+            raise InputError(f"margin must be >= 0, got {margin}")
+        if precision <= margin:
             raise InputError(
-                f"precision {self.precision} must exceed margin {self.margin}"
+                f"precision {precision} must exceed margin {margin}"
             )
-        if self.n_max < 0:
+        if n_max < 0:
             raise InputError("n_max must be >= 0")
-        if self.degree_cap is None:
-            object.__setattr__(self, "degree_cap", self.prime**self.n_max + 8)
+        if degree_cap is None:
+            degree_cap = prime**n_max + 8
         # above sys.maxsize no sequence of coefficients reaches the cap
-        if not self.prime**self.n_max <= self.degree_cap <= sys.maxsize:
+        if not prime**n_max <= degree_cap <= sys.maxsize:
             raise InputError(
-                f"degree_cap {self.degree_cap} is not between p^n_max = "
-                f"{self.prime**self.n_max} and sys.maxsize = {sys.maxsize}")
-        if self.output_format not in ("csv", "json"):
-            raise InputError(f"unknown output format {self.output_format!r}")
+                f"degree_cap {degree_cap} is not between p^n_max = "
+                f"{prime**n_max} and sys.maxsize = {sys.maxsize}")
+        if output_format not in ("csv", "json"):
+            raise InputError(f"unknown output format {output_format!r}")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "degree_cap", degree_cap)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "output_format", output_format)
 
     def to_dict(self) -> dict:
         return {

@@ -7,8 +7,7 @@ tower act on series.  Level 0 is the augmentation X -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import InputError
 from .padic import PadicInt, _min_valuation, mat_det, padic_matrix
 from .series import (IwasawaSeries, _companion_rows, _conv, _poly_divmod_monic,
@@ -24,8 +23,7 @@ def _mod_phi(coeffs, prime: int, level: int, q: int) -> tuple[int, ...]:
     return tuple(c % q for c in rem) + (0,) * (d - len(rem))
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(Value):
     """Residue in Z_p[X]/(Phi_level(1+X), p^precision), dense power basis.
 
     ``truncation_warning`` is set when the input's degree cap is below
@@ -33,21 +31,22 @@ class CyclotomicElement:
     symptom of a tail cut off that the evaluation cannot account for.
     """
 
-    prime: int
-    level: int
-    precision: int
-    coeffs: tuple[int, ...]
-    truncation_warning: bool = False
+    __slots__ = ("prime", "level", "precision", "coeffs", "truncation_warning")
 
-    def __post_init__(self):
-        d = deg_phi(self.prime, self.level)
-        if len(self.coeffs) != d:
+    def __init__(self, prime: int, level: int, precision: int,
+                 coeffs: tuple[int, ...], truncation_warning: bool = False):
+        d = deg_phi(prime, level)
+        if len(coeffs) != d:
             raise InputError(
-                f"level {self.level} at p={self.prime} needs {d} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"level {level} at p={prime} needs {d} coefficients, "
+                f"got {len(coeffs)}"
             )
-        q = self.prime**self.precision
-        object.__setattr__(self, "coeffs", tuple(c % q for c in self.coeffs))
+        q = prime**precision
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "coeffs", tuple(c % q for c in coeffs))
+        object.__setattr__(self, "truncation_warning", truncation_warning)
 
     @property
     def q(self) -> int:

@@ -20,9 +20,9 @@ definition usable here and is deliberately not modeled as an operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._value import Value
 from .errors import InputError
 from .modules import (
     ElementaryModule,
@@ -36,28 +36,27 @@ from .modules import (
 from .series import IwasawaSeries, deg_phi, divide_distinguished, phi
 
 
-@dataclass(frozen=True)
-class SelmerInvariants:
+class SelmerInvariants(Value):
     """Iwasawa invariants of the ambient torsion module."""
 
-    lambda_: int
-    mu: int
+    __slots__ = ("lambda_", "mu")
 
-    def __post_init__(self):
-        if self.lambda_ < 0 or self.mu < 0:
+    def __init__(self, lambda_: int, mu: int):
+        if lambda_ < 0 or mu < 0:
             raise InputError("invariants must be nonnegative")
+        object.__setattr__(self, "lambda_", lambda_)
+        object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class MWShape:
+class MWShape(Value):
     """Multiset of levels c_i describing a direct sum of Lambda/Phi_{c_i}."""
 
-    c_list: tuple[int, ...]
+    __slots__ = ("c_list",)
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.c_list):
+    def __init__(self, c_list: tuple[int, ...]):
+        if any(c < 0 for c in c_list):
             raise InputError("levels must be >= 0")
-        object.__setattr__(self, "c_list", tuple(sorted(self.c_list)))
+        object.__setattr__(self, "c_list", tuple(sorted(c_list)))
 
     @property
     def n0_candidate(self) -> int:
@@ -102,13 +101,15 @@ def elliptic_increment(inv: SelmerInvariants, r_seq: Sequence[int], n: int,
     return _increment(inv.lambda_, inv.mu, c_list, n, n0, prime)
 
 
-@dataclass(frozen=True)
-class RkOptions:
+class RkOptions(Value):
     """Admissible (r_plus, r_minus) pairs at one level of the rank ledger."""
 
-    k: int
-    a: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "a", "pairs")
+
+    def __init__(self, k: int, a: int, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def rk_solver(e: Sequence[int]) -> list[RkOptions]:
@@ -131,16 +132,17 @@ def rk_solver(e: Sequence[int]) -> list[RkOptions]:
     return out
 
 
-@dataclass(frozen=True)
-class RankLedger:
+class RankLedger(Value):
     """One admissible assignment (e, a, r+, r-) of the rank constraints."""
 
-    e: tuple[int, ...]
-    a: tuple[int, ...]
-    r_plus: tuple[int, ...]
-    r_minus: tuple[int, ...]
+    __slots__ = ("e", "a", "r_plus", "r_minus")
 
-    def __post_init__(self):
+    def __init__(self, e: tuple[int, ...], a: tuple[int, ...],
+                 r_plus: tuple[int, ...], r_minus: tuple[int, ...]):
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r_plus", r_plus)
+        object.__setattr__(self, "r_minus", r_minus)
         k = len(self.e)
         if not (len(self.a) == len(self.r_plus) == len(self.r_minus) == k):
             raise InputError("ledger sequences must share a length")

@@ -49,12 +49,12 @@ kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
 from itertools import combinations, zip_longest
 from operator import mul
-from typing import Callable, Mapping, Sequence
 
+from ._value import Value
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
@@ -63,17 +63,19 @@ from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
                      require_cap)
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(Value):
     """A 2g x 2g Frobenius matrix C_p, invertible over Z_p, with the columns
     ordered Hodge-compatibly (first g spanning the filtered piece)."""
 
-    g: int
-    prime: int
-    precision: int
-    c_p: tuple[tuple[PadicInt, ...], ...]
+    # the __dict__ holds the cached _inverse_residues
+    __slots__ = ("g", "prime", "precision", "c_p", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, g: int, prime: int, precision: int,
+                 c_p: tuple[tuple[PadicInt, ...], ...]):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "c_p", c_p)
         d = 2 * self.g
         if len(self.c_p) != d or any(len(r) != d for r in self.c_p):
             raise InputError(f"C_p must be {d}x{d}")
@@ -108,13 +110,16 @@ class FrobeniusData:
         return [[x.residue for x in row] for row in mat_inv(self.c_p_lists())]
 
 
-@dataclass(frozen=True)
-class LogMatrix:
+class LogMatrix(Value):
     """A matrix p^{-denom_exponent} * entries over the series ring, with the
     exponent normalized to be minimal."""
 
-    entries: tuple[tuple[IwasawaSeries, ...], ...]
-    denom_exponent: int = 0
+    __slots__ = ("entries", "denom_exponent")
+
+    def __init__(self, entries: tuple[tuple[IwasawaSeries, ...], ...],
+                 denom_exponent: int = 0):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "denom_exponent", denom_exponent)
 
     @property
     def size(self) -> int:
@@ -455,16 +460,23 @@ def index_sets(g: int) -> list[tuple[int, ...]]:
     return [tuple(s) for s in combinations(range(1, 2 * g + 1), g)]
 
 
-@dataclass
-class MinorTable:
-    """All (I, J)-minors of H_n for g-element row/column index sets."""
+class MinorTable(Value):
+    """All (I, J)-minors of H_n for g-element row/column index sets; filled
+    in place, so mutable and unhashable."""
 
-    n: int
-    g: int
-    prime: int
-    precision: int
-    values: dict[tuple[tuple[int, ...], tuple[int, ...]], IwasawaSeries] = field(
-        default_factory=dict)
+    __slots__ = ("n", "g", "prime", "precision", "values")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, g: int, prime: int, precision: int,
+                 values: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                              IwasawaSeries] | None = None):
+        self.n = n
+        self.g = g
+        self.prime = prime
+        self.precision = precision
+        self.values = {} if values is None else values
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> IwasawaSeries:
         return self.values[(tuple(sorted(rows)), tuple(sorted(cols)))]

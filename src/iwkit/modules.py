@@ -39,10 +39,10 @@ computation to Smith normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import padic
+from ._value import Value
 from .errors import InputError, IwkitError
 from .padic import (
     PadicInt,
@@ -65,14 +65,14 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class ElementaryModule:
+class ElementaryModule(Value):
     """Direct sum of Lambda/(f_i) for nonzero series generators f_i."""
 
-    prime: int
-    generators: tuple[IwasawaSeries, ...]
+    __slots__ = ("prime", "generators")
 
-    def __post_init__(self):
+    def __init__(self, prime: int, generators: tuple[IwasawaSeries, ...]):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "generators", generators)
         for g in self.generators:
             if g.prime != self.prime:
                 raise InputError("generator prime differs from module prime")
@@ -407,15 +407,18 @@ def nabla_additivity_check(m_prime: ElementaryModule,
     return c == a + b
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Value):
     """One layer of a tower: size data plus observed and predicted indices."""
 
-    n: int
-    zp_rank: int
-    finite_length: int
-    nabla: int | None
-    predicted: int | None
+    __slots__ = ("n", "zp_rank", "finite_length", "nabla", "predicted")
+
+    def __init__(self, n: int, zp_rank: int, finite_length: int,
+                 nabla: int | None, predicted: int | None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zp_rank", zp_rank)
+        object.__setattr__(self, "finite_length", finite_length)
+        object.__setattr__(self, "nabla", nabla)
+        object.__setattr__(self, "predicted", predicted)
 
     @property
     def match(self) -> bool | None:
@@ -424,17 +427,27 @@ class TowerLevel:
         return self.nabla == self.predicted
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    prime: int
-    levels: tuple[TowerLevel, ...]
-    stabilization_level: int | None
-    lambda_invariant: int | None = None
-    mu_invariant: int | None = None
-    n0: int | None = None
-    min_valid_n0: int | None = None
-    non_finite_levels: tuple[int, ...] = ()
-    inner_consistency: bool | None = None
+class TowerReport(Value):
+    __slots__ = ("prime", "levels", "stabilization_level", "lambda_invariant",
+                 "mu_invariant", "n0", "min_valid_n0", "non_finite_levels",
+                 "inner_consistency")
+
+    def __init__(self, prime: int, levels: tuple[TowerLevel, ...],
+                 stabilization_level: int | None,
+                 lambda_invariant: int | None = None,
+                 mu_invariant: int | None = None, n0: int | None = None,
+                 min_valid_n0: int | None = None,
+                 non_finite_levels: tuple[int, ...] = (),
+                 inner_consistency: bool | None = None):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "stabilization_level", stabilization_level)
+        object.__setattr__(self, "lambda_invariant", lambda_invariant)
+        object.__setattr__(self, "mu_invariant", mu_invariant)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "min_valid_n0", min_valid_n0)
+        object.__setattr__(self, "non_finite_levels", non_finite_levels)
+        object.__setattr__(self, "inner_consistency", inner_consistency)
 
     def level(self, n: int) -> TowerLevel:
         for lv in self.levels:

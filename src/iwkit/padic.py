@@ -16,10 +16,10 @@ elimination serves every modulus and every size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
+from ._value import Value
 from .config import is_odd_prime
 from .errors import InputError, PrecisionExhaustedError
 
@@ -38,20 +38,19 @@ def _min_valuation(values: Iterable[int], p: int, cap: int) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(Value):
     """An element of Z_p known modulo p^precision."""
 
-    prime: int
-    residue: int
-    precision: int
+    __slots__ = ("prime", "residue", "precision")
 
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise InputError(f"prime must be an odd prime, got {self.prime}")
-        if self.precision < 1:
-            raise InputError(f"precision must be >= 1, got {self.precision}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, prime: int, residue: int, precision: int):
+        if not is_odd_prime(prime):
+            raise InputError(f"prime must be an odd prime, got {prime}")
+        if precision < 1:
+            raise InputError(f"precision must be >= 1, got {precision}")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "residue", residue % prime**precision)
+        object.__setattr__(self, "precision", precision)
 
     @property
     def modulus(self) -> int:
@@ -147,8 +146,7 @@ class PadicInt:
         return f"{self.residue} (mod {self.prime}^{self.precision})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Value):
     """Elementary-divisor data of a matrix over Z/p^N.
 
     ``elementary_exponents`` has one entry per generator (matrix row), sorted
@@ -157,9 +155,13 @@ class SnfResult:
     the tracked unimodular transforms reproduce the diagonal.
     """
 
-    elementary_exponents: tuple[int, ...]
-    rank_indicators: int
-    transform_valid: bool
+    __slots__ = ("elementary_exponents", "rank_indicators", "transform_valid")
+
+    def __init__(self, elementary_exponents: tuple[int, ...],
+                 rank_indicators: int, transform_valid: bool):
+        object.__setattr__(self, "elementary_exponents", elementary_exponents)
+        object.__setattr__(self, "rank_indicators", rank_indicators)
+        object.__setattr__(self, "transform_valid", transform_valid)
 
 
 def _first_min_valuation(a: list[list[int]], r: int, p: int, k: int,

@@ -10,7 +10,6 @@ Scenarios: {"selmer": module, "mw_shape": [c, ...], "n_max", "expected"?}.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .errors import InputError
 from .growth import MWShape
@@ -19,7 +18,7 @@ from .modules import ElementaryModule
 from .series import IwasawaSeries, phi
 
 
-def _int_field(value: Any, name: str) -> int:
+def _int_field(value: object, name: str) -> int:
     """A JSON integer or decimal string; a boolean or a non-integral number
     is not one, and is never rounded to one."""
     if isinstance(value, bool) or (isinstance(value, float)
@@ -31,7 +30,7 @@ def _int_field(value: Any, name: str) -> int:
         raise InputError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def declared_prime(d: Any) -> int:
+def declared_prime(d: object) -> int:
     """The prime an input object declares; 3 when it declares none."""
     if not isinstance(d, dict):
         raise InputError(f"expected a JSON object, got {type(d).__name__}")
@@ -44,7 +43,7 @@ def declared_n_max(d: dict) -> int | None:
     return None if n_max is None else _int_field(n_max, "n_max")
 
 
-def _int_list(value: Any, name: str) -> list[int]:
+def _int_list(value: object, name: str) -> list[int]:
     """A JSON list of integers (or decimal strings); a bare string is not one."""
     if not isinstance(value, list):
         raise InputError(f"{name} must be a list, got {value!r}")
@@ -132,14 +131,24 @@ def scenario_from_dict(d: dict, *, degree_cap: int | None = None,
     return selmer, shape, n_max, expected
 
 
-def load_json(path: str) -> dict:
-    """The JSON object stored in ``path``; every input file holds one."""
+def load_json(path: str, digest=None) -> dict:
+    """The JSON object stored in ``path``; every input file holds one.
+
+    The file is read once, as bytes, and ``digest`` (a hashlib object), when
+    given, is fed the very bytes that are parsed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    if digest is not None:
+        digest.update(raw)
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer literal longer than
+        # sys.get_int_max_str_digits(); RecursionError: nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object, not {type(data).__name__}")

@@ -28,10 +28,10 @@ omega_n = (1+X)^{p^n} - 1 = Phi_0 * Phi_1 * ... * Phi_n.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
 from itertools import zip_longest
-from typing import Callable, Sequence
 
+from ._value import Value
 from .config import is_odd_prime
 from .errors import (
     DegreeOverflowError,
@@ -42,34 +42,33 @@ from .errors import (
 from .padic import PadicInt, _min_valuation
 
 
-@dataclass(frozen=True)
-class IwasawaSeries:
+class IwasawaSeries(Value):
     """Truncated element of Z_p[[X]]: degrees 0..degree_cap mod p^precision,
     stored as the coefficients without trailing zeros (none for 0), the cap
     len(coeffs) - 1 of the coefficients given unless it is given too."""
 
-    prime: int
-    precision: int
-    coeffs: tuple[int, ...]
-    degree_cap: int | None = None
+    __slots__ = ("prime", "precision", "coeffs", "degree_cap")
 
-    def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise InputError(f"prime must be an odd prime, got {self.prime}")
-        if self.precision < 1:
+    def __init__(self, prime: int, precision: int, coeffs: tuple[int, ...],
+                 degree_cap: int | None = None):
+        if not is_odd_prime(prime):
+            raise InputError(f"prime must be an odd prime, got {prime}")
+        if precision < 1:
             raise InputError("precision must be >= 1")
-        cap = len(self.coeffs) - 1 if self.degree_cap is None else self.degree_cap
+        cap = len(coeffs) - 1 if degree_cap is None else degree_cap
         if cap < 0:
             raise InputError("series needs at least the degree-0 coefficient")
         if cap > sys.maxsize:
             raise InputError(f"degree cap {cap} is too large: no sequence "
                              f"reaches sys.maxsize = {sys.maxsize}")
-        q = self.q
-        cs = _strip([c % q for c in self.coeffs])
+        q = prime**precision
+        cs = _strip([c % q for c in coeffs])
         if len(cs) - 1 > cap:
             raise DegreeOverflowError(f"coefficients of degree {len(cs) - 1} "
                                       f"exceed cap {cap}",
                                       required_cap=len(cs) - 1)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "degree_cap", cap)
 
@@ -78,8 +77,8 @@ class IwasawaSeries:
                  degree_cap: int) -> "IwasawaSeries":
         """A series from coefficients already reduced mod prime**precision,
         with no trailing zero and within degree_cap, built without the checks
-        of ``__post_init__``: for results of the ring operations, whose
-        operands were validated when they were made."""
+        of ``__init__``: for results of the ring operations, whose operands
+        were validated when they were made."""
         s = object.__new__(cls)
         object.__setattr__(s, "prime", prime)
         object.__setattr__(s, "precision", precision)
@@ -578,15 +577,18 @@ def _series_inv(u: Sequence[int], q: int, p: int, length: int) -> list[int]:
     return v
 
 
-@dataclass(frozen=True)
-class WeierstrassFactorization:
+class WeierstrassFactorization(Value):
     """f = p^mu * distinguished * unit with distinguished monic of degree
     lambda and all lower coefficients divisible by p."""
 
-    mu: int
-    lambda_: int
-    distinguished: IwasawaSeries
-    unit: IwasawaSeries
+    __slots__ = ("mu", "lambda_", "distinguished", "unit")
+
+    def __init__(self, mu: int, lambda_: int, distinguished: IwasawaSeries,
+                 unit: IwasawaSeries):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lambda_", lambda_)
+        object.__setattr__(self, "distinguished", distinguished)
+        object.__setattr__(self, "unit", unit)
 
     @property
     def precision(self) -> int:
@@ -595,9 +597,10 @@ class WeierstrassFactorization:
     def reconstruct(self) -> IwasawaSeries:
         """p^mu * P * U, exact up to degree lambda + cap(U): the cap D of
         the series that was prepared."""
-        cap = self.distinguished.degree_cap + self.unit.degree_cap
-        prod = (replace(self.distinguished, degree_cap=cap)
-                * replace(self.unit, degree_cap=cap))
+        d, u = self.distinguished, self.unit
+        cap = d.degree_cap + u.degree_cap
+        prod = (IwasawaSeries(d.prime, d.precision, d.coeffs, cap)
+                * IwasawaSeries(u.prime, u.precision, u.coeffs, cap))
         return prod.mul_p_power(self.mu)
 
 

@@ -1,5 +1,6 @@
 """CLI contract: golden files, determinism, exit codes."""
 
+import builtins
 import io
 import json
 import os
@@ -560,6 +561,15 @@ MALFORMED = [
     ("--out into a missing directory",
      {"prime": 3, "precision": 24, "coeffs": ["3", "1"]},
      ["--out", "{tmp}/missing/report.csv", "wprep"]),
+    # bytes, written as they are: each fails while the file is decoded
+    ("a byte that is not UTF-8",
+     b'{"prime": 3, "precision": 24, "coeffs": ["3", "1"]}\xff', ["wprep"]),
+    ("an array nested 100,000 deep",
+     b'{"prime": 3, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     ["tower"]),
+    ("a 5,000-digit integer literal",
+     b'{"prime": 3, "precision": 24, "coeffs": [' + b"1" * 5000 + b"]}",
+     ["wprep"]),
 ]
 
 
@@ -567,6 +577,28 @@ MALFORMED = [
                          ids=[row[0] for row in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, case, content, before):
     f = tmp_path / "input.json"
-    f.write_text(json.dumps(content))
+    if isinstance(content, bytes):
+        f.write_bytes(content)
+    else:
+        f.write_text(json.dumps(content))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in before]
     run("--no-timestamp", *argv, str(f), expect=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["wprep", str(SCEN / "series_wprep_p5.json")],
+    ["tower", str(SCEN / "module_mu.json")],
+    ["growth", str(SCEN / "growth_rank_one.json")],
+    ["logmatrix", str(SCEN / "frobenius_elliptic.json"),
+     "--col-values", COLVALUES],
+], ids=["wprep", "tower", "growth", "logmatrix"])
+def test_each_input_file_opened_once(monkeypatch, argv):
+    """The manifest's digest hashes the bytes the run parsed: no file is
+    read a second time to hash it."""
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **kw:
+                        opened.append(str(file)) or real_open(file, *a, **kw))
+    run("--no-timestamp", *argv)
+    inputs = [a for a in argv if a.endswith(".json")]
+    assert sorted(p for p in opened if p in inputs) == sorted(inputs)

@@ -1,0 +1,114 @@
+"""Value semantics of iwkit's record types: construction, ==, hash, repr,
+immutability and copying, the same for every type."""
+
+import copy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from iwkit.cli import RunManifest
+from iwkit.config import Config
+from iwkit.cyclotomic import CyclotomicElement
+from iwkit.growth import MWShape, RankLedger, RkOptions, SelmerInvariants
+from iwkit.logmatrix import FrobeniusData, LogMatrix, MinorTable
+from iwkit.modules import ElementaryModule, TowerLevel, TowerReport
+from iwkit.padic import PadicInt, SnfResult
+from iwkit.series import IwasawaSeries, WeierstrassFactorization
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_S = IwasawaSeries(3, 24, (3, 1), 5)
+_LEVEL = TowerLevel(1, 0, 1, 1, 1)
+
+# (type, its fields in order with one admissible value each)
+CASES = [
+    (RunManifest, {"command": "tower", "config": {"prime": 3},
+                   "input_digest": "-", "tool_version": "0.1.0",
+                   "timestamp": None, "elapsed_ms": None}),
+    (Config, {"prime": 5, "precision": 12, "n_max": 2, "degree_cap": 40,
+              "margin": 3, "output_format": "json"}),
+    (CyclotomicElement, {"prime": 3, "level": 1, "precision": 24,
+                         "coeffs": (1, 2), "truncation_warning": True}),
+    (SelmerInvariants, {"lambda_": 2, "mu": 1}),
+    (MWShape, {"c_list": (0, 1, 1)}),
+    (RkOptions, {"k": 1, "a": 0, "pairs": ((0, 1), (1, 0))}),
+    (RankLedger, {"e": (1, 1), "a": (1, 0), "r_plus": (1, 1),
+                  "r_minus": (1, 0)}),
+    (FrobeniusData, {"g": 1, "prime": 3, "precision": 24, "c_p": (
+        (PadicInt(3, 0, 24), PadicInt(3, -1, 24)),
+        (PadicInt(3, 1, 24), PadicInt(3, 0, 24)))}),
+    (LogMatrix, {"entries": ((_S,),), "denom_exponent": 1}),
+    (MinorTable, {"n": 1, "g": 1, "prime": 3, "precision": 24,
+                  "values": {((1,), (1,)): _S}}),
+    (ElementaryModule, {"prime": 3, "generators": (_S,)}),
+    (TowerLevel, {"n": 1, "zp_rank": 0, "finite_length": 1, "nabla": 1,
+                  "predicted": 1}),
+    (TowerReport, {"prime": 3, "levels": (_LEVEL,), "stabilization_level": 0,
+                   "lambda_invariant": 1, "mu_invariant": 0, "n0": 1,
+                   "min_valid_n0": 0, "non_finite_levels": (2,),
+                   "inner_consistency": True}),
+    (PadicInt, {"prime": 3, "residue": 5, "precision": 4}),
+    (SnfResult, {"elementary_exponents": (0, 1), "rank_indicators": 2,
+                 "transform_valid": True}),
+    (IwasawaSeries, {"prime": 3, "precision": 24, "coeffs": (3, 1, 0),
+                     "degree_cap": 5}),
+    (WeierstrassFactorization, {"mu": 0, "lambda_": 1,
+                                "distinguished": _S, "unit": _S}),
+]
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=[c.__name__ for c, _ in CASES])
+def test_value_semantics(cls, fields):
+    a, b = cls(*fields.values()), cls(**fields)
+    assert a == b and not a != b
+    assert a != object()
+    assert repr(a) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={getattr(a, name)!r}" for name in fields) + ")"
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    name = next(iter(fields))
+    if cls is MinorTable:
+        # the one mutable record: assignable, so not hashable
+        setattr(a, name, 2)
+        assert a.n == 2 and a != b
+        del a.values
+        with pytest.raises(TypeError):
+            hash(b)
+        return
+    try:
+        hash(tuple(fields.values()))
+    except TypeError:  # a dict field (RunManifest.config) cannot be hashed
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_minor_table_values_fresh_per_instance():
+    a, b = MinorTable(1, 1, 3, 24), MinorTable(1, 1, 3, 24)
+    a.values[((1,), (1,))] = _S
+    assert b.values == {} and a != b
+
+
+def test_frobenius_inverse_computed_once():
+    frob = FrobeniusData.elliptic(3, 24)
+    assert frob._inverse_residues is frob._inverse_residues
+    assert frob == FrobeniusData.elliptic(3, 24)
+
+
+def test_cli_starts_without_dataclasses_inspect_or_typing():
+    """``import iwkit.cli`` under ``python -S`` loads none of the three:
+    together they cost about 18 ms of every start-up."""
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import iwkit.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'typing'} "
+              "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
