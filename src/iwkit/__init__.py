@@ -4,7 +4,7 @@ Modules
 -------
 padic       arithmetic in Z/p^N, Smith normal form, module invariants
 series      Z_p[[X]] truncations, Phi_n / omega_n, Weierstrass preparation
-cyclotomic  the quotient rings Z_p[X]/(Phi_m(1+X), p^N) and evaluation
+cyclotomic  evaluation at the characters, mod (Phi_m(1+X), p^N)
 modules     elementary Lambda-modules, quotient towers, Kobayashi ranks
 logmatrix   the logarithmic matrix tower, minors, character condition
 growth      stabilized increment formulas, rank ledgers, synthetic verifier
@@ -36,7 +36,6 @@ from .modules import (
     ElementaryModule,
     TowerLevel,
     TowerReport,
-    nabla_additivity_check,
     nabla_brute,
     nabla_closed,
     quotient_presentation,
@@ -48,7 +47,6 @@ from .logmatrix import (
     LogMatrix,
     MinorTable,
     c_n,
-    c_phi,
     change_basis_check,
     condition_character,
     h_n,
@@ -63,7 +61,6 @@ from .growth import (
     SelmerInvariants,
     elliptic_increment,
     final_increment,
-    ordinary_growth,
     rk_solver,
     synthetic_tower_verify,
 )
@@ -92,7 +89,6 @@ __all__ = [
     "WeierstrassFactorization",
     "ZeroSeriesError",
     "c_n",
-    "c_phi",
     "change_basis_check",
     "condition_character",
     "cyclo_eval",
@@ -104,11 +100,9 @@ __all__ = [
     "m_n",
     "minors",
     "module_invariants",
-    "nabla_additivity_check",
     "nabla_brute",
     "nabla_closed",
     "omega",
-    "ordinary_growth",
     "phi",
     "quotient_presentation",
     "rank_phi_omega",

@@ -38,12 +38,7 @@ from .growth import synthetic_tower_verify, rk_solver
 from .logmatrix import (WedgeTower, _checked_columns, condition_character, h_n,
                         index_sets, minors)
 from .modules import tower_report
-from .series import (
-    deg_phi,
-    reconstruction_residual_valuation,
-    require_cap,
-    weierstrass_prepare,
-)
+from .series import reconstruction_residual_valuation, weierstrass_prepare
 from . import serialize
 
 EXIT_OK = 0
@@ -324,10 +319,6 @@ def _cmd_logmatrix(args, started: float) -> int:
     data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
-    if args.col_values and args.theta_level is not None:
-        # the character is read mod Phi_theta: refuse from its degree alone
-        require_cap(f"Phi_{args.theta_level}",
-                    deg_phi(frob.prime, args.theta_level), config.degree_cap)
     if args.col_values:
         col_data = serialize.load_json(args.col_values, digest)
         cols = []

@@ -21,13 +21,26 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+def level_power(p: int, n: int) -> int:
+    """p^n for a level n >= 0, refused with InputError above sys.maxsize,
+    where no sequence of p^n coefficients exists.  From n alone once p^n
+    must exceed it (n >= 63 on a 64-bit build), so a huge level is refused
+    before p^n is computed."""
+    if n >= sys.maxsize.bit_length() or (power := p**n) > sys.maxsize:
+        raise InputError(f"{p}^{n} exceeds sys.maxsize = {sys.maxsize}")
+    return power
+
+
 class Config(Value):
     """Parameters every computation runs under.
 
     ``precision`` is the absolute p-adic precision N: every "is zero" answer
-    means "zero mod p^N".  ``degree_cap`` defaults to p^n_max + 8 so that
-    omega_{n_max} is representable with guard coefficients to absorb division
-    tails.  ``margin`` is the ambiguity band below N inside which rank/length
+    means "zero mod p^N".  ``degree_cap`` bounds the degree of every series a
+    run reads or builds from its input (module generators, Phi_c generators,
+    column values); its default p^n_max + 8 admits Phi_c and omega_c at
+    every level c <= n_max.  Series are stored trimmed, so a cap costs
+    nothing until a value reaches it.
+    ``margin`` is the ambiguity band below N inside which rank/length
     classification refuses to guess.
     """
 
@@ -47,13 +60,14 @@ class Config(Value):
             )
         if n_max < 0:
             raise InputError("n_max must be >= 0")
+        top = level_power(prime, n_max)
         if degree_cap is None:
-            degree_cap = prime**n_max + 8
+            degree_cap = top + 8
         # above sys.maxsize no sequence of coefficients reaches the cap
-        if not prime**n_max <= degree_cap <= sys.maxsize:
+        if not top <= degree_cap <= sys.maxsize:
             raise InputError(
                 f"degree_cap {degree_cap} is not between p^n_max = "
-                f"{prime**n_max} and sys.maxsize = {sys.maxsize}")
+                f"{top} and sys.maxsize = {sys.maxsize}")
         if output_format not in ("csv", "json"):
             raise InputError(f"unknown output format {output_format!r}")
         object.__setattr__(self, "prime", prime)

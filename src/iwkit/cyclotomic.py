@@ -1,30 +1,36 @@
-"""Arithmetic in the quotient rings Z_p[X]/(Phi_m(1+X), p^N).
+"""Evaluation of series at the characters of the cyclotomic tower.
 
-Reducing a series modulo Phi_m amounts to evaluating it at zeta - 1 for a
-primitive p^m-th root of unity zeta; this is how characters of the cyclotomic
-tower act on series.  Level 0 is the augmentation X -> 0.
+Evaluating a series at zeta - 1, for a primitive p^m-th root of unity zeta,
+is reducing it modulo Phi_m(1+X): the value lies in
+Z_p[X]/(Phi_m(1+X), p^N) and is read off its coefficients in the power
+basis.  This is how characters of the cyclotomic tower act on series.
+Level 0 is the augmentation X -> 0.
 """
 
 from __future__ import annotations
 
 from ._value import Value
 from .errors import InputError
-from .padic import PadicInt, _min_valuation, mat_det, padic_matrix
-from .series import (IwasawaSeries, _companion_rows, _conv, _poly_divmod_monic,
-                     deg_phi, phi_int_coeffs)
+from .padic import (
+    _min_valuation,
+    mat_det,  # noqa: F401  perfbench/spans.py rebinds it here by name
+)
+from .series import IwasawaSeries, _poly_divmod_monic, deg_phi, phi_int_coeffs
 
 
-def _mod_phi(coeffs, prime: int, level: int, q: int) -> tuple[int, ...]:
-    """coeffs reduced mod (Phi_level(1+X), q), deg Phi_level entries;
-    Phi_level is built only when coeffs reach its degree."""
-    d = deg_phi(prime, level)
-    rem = coeffs if len(coeffs) <= d else _poly_divmod_monic(
-        coeffs, phi_int_coeffs(prime, level), q)[1]
-    return tuple(c % q for c in rem) + (0,) * (d - len(rem))
+def _mod_phi(coeffs, prime: int, level: int, q: int):
+    """coeffs mod (Phi_level(1+X), q), at most deg Phi_level of them: an
+    input below that degree is its own residue, so Phi_level is built only
+    when coeffs reach it."""
+    if len(coeffs) <= deg_phi(prime, level):
+        return coeffs
+    return _poly_divmod_monic(coeffs, phi_int_coeffs(prime, level), q)[1]
 
 
 class CyclotomicElement(Value):
-    """Residue in Z_p[X]/(Phi_level(1+X), p^precision), dense power basis.
+    """The value of a series at zeta - 1, zeta a primitive p^level-th root of
+    unity, mod p^precision: at most deg Phi_level coefficients in the power
+    basis, as the reduction left them (no zero tail added, none dropped).
 
     ``truncation_warning`` is set when the input's degree cap is below
     deg Phi_level - 1 and its coefficient at the cap is nonzero - the visible
@@ -36,9 +42,9 @@ class CyclotomicElement(Value):
     def __init__(self, prime: int, level: int, precision: int,
                  coeffs: tuple[int, ...], truncation_warning: bool = False):
         d = deg_phi(prime, level)
-        if len(coeffs) != d:
+        if len(coeffs) > d:
             raise InputError(
-                f"level {level} at p={prime} needs {d} coefficients, "
+                f"level {level} at p={prime} takes at most {d} coefficients, "
                 f"got {len(coeffs)}"
             )
         q = prime**precision
@@ -48,52 +54,16 @@ class CyclotomicElement(Value):
         object.__setattr__(self, "coeffs", tuple(c % q for c in coeffs))
         object.__setattr__(self, "truncation_warning", truncation_warning)
 
-    @property
-    def q(self) -> int:
-        return self.prime**self.precision
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def min_valuation(self) -> int:
         return _min_valuation(self.coeffs, self.prime, self.precision)
 
-    def _check(self, other: "CyclotomicElement") -> tuple[int, int]:
-        if not isinstance(other, CyclotomicElement):
-            raise InputError(f"expected CyclotomicElement, got {type(other)}")
-        if (other.prime, other.level) != (self.prime, self.level):
-            raise InputError("mixed primes or levels")
-        n = min(self.precision, other.precision)
-        return n, self.prime**n
-
-    def __add__(self, other):
-        n, q = self._check(other)
-        return CyclotomicElement(self.prime, self.level, n,
-                                 tuple((a + b) % q for a, b in
-                                       zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CyclotomicElement(self.prime, self.level, self.precision,
-                                 tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        n, q = self._check(other)
-        prod = _conv(self.coeffs, other.coeffs, 2 * len(self.coeffs) - 1, q)
-        return CyclotomicElement(self.prime, self.level, n,
-                                 _mod_phi(prod, self.prime, self.level, q))
-
-    def norm(self) -> PadicInt:
-        """Norm down to Z_p: determinant of multiplication by this element."""
-        rows = _companion_rows(self.coeffs,
-                               phi_int_coeffs(self.prime, self.level), self.q)
-        return mat_det(padic_matrix(self.prime, self.precision, rows))
-
 
 def cyclo_eval(f: IwasawaSeries, level: int) -> CyclotomicElement:
-    """Reduce a series modulo (Phi_level(1+X), p^N): evaluation at zeta - 1."""
+    """The value of f at zeta - 1, zeta a primitive p^level-th root of unity:
+    f reduced modulo (Phi_level(1+X), p^N)."""
     if level < 0:
         raise InputError("level must be >= 0")
     d = deg_phi(f.prime, level)

@@ -63,13 +63,6 @@ class MWShape(Value):
         return max(self.c_list, default=0)
 
 
-def ordinary_growth(lam: int, mu: int, n: int, *, prime: int) -> int:
-    """Model cumulative size mu*p^n + lambda*n (O(1) term normalized to 0)."""
-    if n < 0:
-        raise InputError("level must be >= 0")
-    return mu * prime**n + lam * n
-
-
 def _increment(lam: int, mu: int, c_list: Sequence[int], n: int, n0: int,
                prime: int) -> int:
     drop = sum(rank_phi_omega(c, n0, prime=prime) for c in c_list if c <= n0)

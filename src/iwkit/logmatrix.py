@@ -42,9 +42,9 @@ end each vector is unpacked by one ``series._unpack`` call on the
 little-endian bytes of all its entries, read by byte planes.
 M_n = p^{-(n+1)} A^{n+1} H_n with the integer matrix A = C_p diag(p I_g, I_g),
 so ``m_n`` is one constant combination of the entries of H_n.  ``c_n``,
-``c_phi``, ``LogMatrix.matmul``/``power`` and the Laplace expansion
-``_series_det`` serve ``LogMatrix.det`` and are the tests' oracle for the
-kernel.
+``LogMatrix.matmul`` and ``LogMatrix.det`` (the Laplace expansion
+``_series_det``) multiply and take determinants of series matrices
+directly; the tests build their oracle for the kernel from them.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from itertools import combinations, zip_longest
 from operator import mul
 
 from ._value import Value
+from .config import level_power
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import PadicInt, mat_det, mat_inv, mat_mul
@@ -146,14 +147,6 @@ class LogMatrix(Value):
             denom_exponent -= strip
         return cls(tuple(tuple(r) for r in rows), denom_exponent)
 
-    @classmethod
-    def identity(cls, size: int, prime: int, precision: int,
-                 degree_cap: int) -> "LogMatrix":
-        one = IwasawaSeries.constant(1, prime, precision, degree_cap)
-        zero = IwasawaSeries.zero(prime, precision, degree_cap)
-        return cls(tuple(tuple(one if i == j else zero for j in range(size))
-                         for i in range(size)), 0)
-
     def matmul(self, other: "LogMatrix") -> "LogMatrix":
         if other.size != self.size:
             raise InputError("size mismatch")
@@ -168,14 +161,6 @@ class LogMatrix(Value):
                 row.append(acc)
             rows.append(row)
         return LogMatrix.normalized(rows, self.denom_exponent + other.denom_exponent)
-
-    def power(self, k: int) -> "LogMatrix":
-        if k < 1:
-            raise InputError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.matmul(self)
-        return out
 
     def det(self) -> tuple[IwasawaSeries, int]:
         """(series, d): the determinant is p^{-d} * series, normalized."""
@@ -216,14 +201,8 @@ def _series_det(rows: list[list[IwasawaSeries]]) -> IwasawaSeries:
 
 
 def _default_cap(frob: FrobeniusData, n: int, *, minors_of_h: bool = False) -> int:
-    base = frob.prime**max(n, 1)
+    base = level_power(frob.prime, max(n, 1))
     return (frob.g * base + 8) if minors_of_h else (base + 8)
-
-
-def _const_matrix(rows: Sequence[Sequence[PadicInt | int]], prime: int,
-                  precision: int, degree_cap: int) -> list[list[IwasawaSeries]]:
-    return [[IwasawaSeries.constant(x, prime, precision, degree_cap) for x in row]
-            for row in rows]
 
 
 def _a_matrix(frob: FrobeniusData) -> list[list[PadicInt]]:
@@ -233,13 +212,6 @@ def _a_matrix(frob: FrobeniusData) -> list[list[PadicInt]]:
             for row in frob.c_p]
 
 
-def c_phi(frob: FrobeniusData, *, degree_cap: int | None = None) -> LogMatrix:
-    """C_phi = C_p * diag(I_g, (1/p) I_g), stored as p^{-1} * A."""
-    cap = degree_cap if degree_cap is not None else 8
-    return LogMatrix.normalized(
-        _const_matrix(_a_matrix(frob), frob.prime, frob.precision, cap), 1)
-
-
 def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
     """C_n = diag(I_g, Phi_n I_g) * C_p^{-1}; p-integral, denominator 0."""
     if n < 1:
@@ -247,7 +219,8 @@ def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
     p, prec = frob.prime, frob.precision
     phin = phi(n, prime=p, precision=prec, degree_cap=cap)
-    rows = _const_matrix(frob._inverse_residues, p, prec, cap)
+    rows = [[IwasawaSeries.constant(x, p, prec, cap) for x in row]
+            for row in frob._inverse_residues]
     return LogMatrix.normalized(
         rows[:frob.g] + [[e * phin for e in row] for row in rows[frob.g:]], 0)
 
@@ -541,6 +514,7 @@ def condition_character(frob: FrobeniusData, n: int,
     _require_table(frob, n)
     p = frob.prime
     level = n if theta_level is None else theta_level
+    deg_phi(p, level)  # a level below 0 or past sys.maxsize: before any push
     row = WedgeTower(frob).character_row(n, level)
     cols = [v.coeffs for v in vals]
     la, lc = len(row[0]), max(1, *map(len, cols))

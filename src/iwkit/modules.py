@@ -47,9 +47,7 @@ from .errors import InputError, IwkitError
 from .padic import (
     PadicInt,
     _invariants_from_exponents,
-    _invariants_raw,
     _min_valuation,
-    _validate_matrix,
     padic_matrix,
 )
 from .series import (
@@ -82,11 +80,6 @@ class ElementaryModule(Value):
     @property
     def precision(self) -> int:
         return min((g.precision for g in self.generators), default=0)
-
-    def direct_sum(self, other: "ElementaryModule") -> "ElementaryModule":
-        if other.prime != self.prime:
-            raise InputError("mixed primes in direct sum")
-        return ElementaryModule(self.prime, self.generators + other.generators)
 
     def lambda_mu(self, *, margin: int = 4) -> tuple[int, int]:
         pairs = [series_lambda_mu(g, margin=margin) for g in self.generators]
@@ -277,20 +270,9 @@ def nabla_closed(lam: int, mu: int, n: int, *, prime: int) -> int:
     return lam + (prime**n - prime ** (n - 1)) * mu
 
 
-def _validate_fuzz(fuzz, prime: int, precision: int, margin: int) -> list[list[int]]:
-    fp, fn, rows = _validate_matrix(fuzz)
-    if fp != prime or fn != precision:
-        raise InputError("fuzz presentation must match module prime and precision")
-    free, _ = _invariants_raw(rows, fp, fn, margin)
-    if free != 0:
-        raise InputError("fuzz must present a finite Z_p-module")
-    return rows
-
-
 class _TowerEngine:
     """Shared layer data for one module, given as one relation list
-    [h_1, ..., h_k] per summand Lambda/(h_1, ..., h_k) (plus optional finite
-    fuzz summand, which has identity transitions and perturbs nothing).
+    [h_1, ..., h_k] per summand Lambda/(h_1, ..., h_k).
 
     Each summand is kept as ``_summand``'s (a, B, others), and each of its
     levels is presented by ``_layer_presentation`` on the smaller of
@@ -298,17 +280,11 @@ class _TowerEngine:
     by a."""
 
     def __init__(self, prime: int,
-                 relations: Sequence[Sequence[IwasawaSeries]], margin: int,
-                 fuzz=None):
+                 relations: Sequence[Sequence[IwasawaSeries]], margin: int):
         self.prime, self.margin = prime, margin
         self.precision = min((h.precision for hs in relations for h in hs),
                              default=0)
         self.summands = [_summand(hs, self.precision) for hs in relations]
-        self.fuzz_rows = None
-        if fuzz is not None:
-            if not self.summands:
-                raise InputError("fuzz requires a nonempty module")
-            self.fuzz_rows = _validate_fuzz(fuzz, self.prime, self.precision, margin)
         self._pres: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
         # per summand, (1+X)^{p^k} mod its base for k = 0, 1, ...
         self._powers: list[list[list[int]]] = [[] for _ in self.summands]
@@ -324,12 +300,9 @@ class _TowerEngine:
     def invariants(self, n: int) -> tuple[int, int]:
         """(total free rank, total finite length) of N/omega_n N."""
         if n not in self._inv:
-            pres = [(self._layer(si, n), a)
-                    for si, (a, _, _) in enumerate(self.summands)]
-            if self.fuzz_rows is not None:
-                pres.append(((self.fuzz_rows, 0), 0))
-            parts = [_presented_invariants(x, self.prime, self.precision,
-                                           self.margin, a) for x, a in pres]
+            parts = [_presented_invariants(self._layer(si, n), self.prime,
+                                           self.precision, self.margin, a)
+                     for si, (a, _, _) in enumerate(self.summands)]
             self._inv[n] = (sum(f for f, _ in parts), sum(l for _, l in parts))
         return self._inv[n]
 
@@ -359,7 +332,6 @@ class _TowerEngine:
             if free != 0:
                 return None
             total += length
-        # fuzz transition is the identity; its cokernel is trivial
         return total
 
     def nabla(self, n: int) -> int | None:
@@ -383,28 +355,14 @@ class _TowerEngine:
         return (len_n - len_prev) + rank_prev
 
 
-def nabla_brute(module: ElementaryModule, n: int, *, margin: int = 4,
-                fuzz=None) -> int | None:
+def nabla_brute(module: ElementaryModule, n: int, *,
+                margin: int = 4) -> int | None:
     """Kobayashi rank of N/omega_n -> N/omega_{n-1} by explicit linear algebra.
 
     Returns None when the transition has infinite kernel (free rank jump).
     """
     return _TowerEngine(module.prime, [[g] for g in module.generators],
-                        margin, fuzz).nabla(n)
-
-
-def nabla_additivity_check(m_prime: ElementaryModule,
-                           m_double_prime: ElementaryModule, n: int, *,
-                           margin: int = 4) -> bool | None:
-    """Exactness check: nabla of the direct sum equals the sum of nablas.
-    Propagates None when any of the three is undefined at level n."""
-    total = m_prime.direct_sum(m_double_prime)
-    a = nabla_brute(m_prime, n, margin=margin)
-    b = nabla_brute(m_double_prime, n, margin=margin)
-    c = nabla_brute(total, n, margin=margin)
-    if a is None or b is None or c is None:
-        return None
-    return c == a + b
+                        margin).nabla(n)
 
 
 class TowerLevel(Value):
@@ -472,14 +430,13 @@ def _stabilization(levels: Sequence[TowerLevel], floor: int = 0) -> int | None:
     return max(best, floor)
 
 
-def tower_report(module: ElementaryModule, n_max: int, *, margin: int = 4,
-                 fuzz=None) -> TowerReport:
+def tower_report(module: ElementaryModule, n_max: int, *,
+                 margin: int = 4) -> TowerReport:
     """Brute-force the tower at levels 1..n_max and compare against the
     stabilized closed form lambda + (p^n - p^{n-1}) mu."""
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    eng = _TowerEngine(module.prime, [[g] for g in module.generators],
-                       margin, fuzz)
+    eng = _TowerEngine(module.prime, [[g] for g in module.generators], margin)
     if module.generators:
         lam, mu = module.lambda_mu(margin=margin)
     else:

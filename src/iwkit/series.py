@@ -32,7 +32,7 @@ from collections.abc import Callable, Sequence
 from itertools import zip_longest
 
 from ._value import Value
-from .config import is_odd_prime
+from .config import is_odd_prime, level_power
 from .errors import (
     DegreeOverflowError,
     InputError,
@@ -255,9 +255,11 @@ def omega_int_coeffs(prime: int, n: int) -> list[int]:
 
 
 def deg_phi(prime: int, n: int) -> int:
+    """p^n - p^(n-1) (1 at n = 0), refused by ``level_power`` when p^n
+    exceeds sys.maxsize."""
     if n < 0:
         raise InputError("level must be >= 0")
-    return 1 if n == 0 else prime**n - prime ** (n - 1)
+    return 1 if n == 0 else level_power(prime, n) // prime * (prime - 1)
 
 
 def require_cap(name: str, deg: int, degree_cap: int | None) -> None:

@@ -2,7 +2,10 @@
 
 These helpers deliberately avoid the package's own series code so that
 [DERIVED] expectations come from an independent computational path: plain
-Python integers, dense lists, schoolbook algorithms.
+Python integers, dense lists, schoolbook algorithms.  The exception is the
+LogMatrix chain (``c_phi``, ``lm_power``, ``lm_identity``): products of the
+package's own series matrices, the computation that ``m_n`` and the
+Cauchy-Binet kernel replaced, kept as their oracle.
 """
 
 from itertools import combinations, permutations
@@ -240,10 +243,46 @@ def ip_character(c_p, g, p, prec, n, cols, theta, col_prec=None):
     acc = [0]
     for minor, col in zip(ip_row_minors(c_p, g, p, prec, n), cols):
         acc = ip_add(acc, ip_mul(minor, col))
-    _, rem = ip_divmod(acc, ip_phi(p, theta))
+    # below deg Phi_theta the sum is its own remainder: Phi_theta is built
+    # only to divide
+    deg = 1 if theta == 0 else p**theta - p**(theta - 1)
+    _, rem = ([0], acc) if len(acc) <= deg else ip_divmod(acc, ip_phi(p, theta))
     top = min(prec, prec if col_prec is None else col_prec)
     vals = [_valuation(c % p**top, p) for c in rem if c % p**top]
     return bool(vals), min(vals, default=top)
+
+
+def lm_identity(size, prime, precision, cap):
+    """The size x size identity as a LogMatrix of constant series."""
+    from iwkit import IwasawaSeries, LogMatrix
+
+    one = IwasawaSeries.constant(1, prime, precision, cap)
+    zero = IwasawaSeries.zero(prime, precision, cap)
+    return LogMatrix(tuple(tuple(one if i == j else zero for j in range(size))
+                           for i in range(size)), 0)
+
+
+def c_phi(frob, *, degree_cap=None):
+    """C_phi = C_p * diag(I_g, (1/p) I_g) as the LogMatrix p^{-1} * A,
+    A = C_p * diag(p I_g, I_g) built from the residues of C_p: the factor
+    of M_n = C_phi^{n+1} H_n that ``m_n`` folds into one integer matrix."""
+    from iwkit import IwasawaSeries, LogMatrix
+
+    p, prec, g = frob.prime, frob.precision, frob.g
+    cap = 8 if degree_cap is None else degree_cap
+    rows = [[IwasawaSeries.constant(x.residue * (p if j < g else 1), p, prec,
+                                    cap) for j, x in enumerate(row)]
+            for row in frob.c_p]
+    return LogMatrix.normalized(rows, 1)
+
+
+def lm_power(m, k):
+    """m^k (k >= 1) as k - 1 LogMatrix products."""
+    assert k >= 1
+    out = m
+    for _ in range(k - 1):
+        out = out.matmul(m)
+    return out
 
 
 def _valuation(x, p):

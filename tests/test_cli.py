@@ -303,7 +303,7 @@ class TestLogmatrix:
     def test_character_below_n_needs_no_cap(self, tmp_path, g, n):
         # --n-max 1 reads the column values at the default cap 3 + 8, far
         # below the minors' degree g (3^n - 1): the character is exact
-        # anyway, at every level whose Phi_theta fits that cap
+        # anyway, and no level is checked against that cap
         if g == 1:
             frob, cols = (SCEN / "frobenius_elliptic.json",
                           SCEN / "colvalues_units.json")
@@ -322,6 +322,27 @@ class TestLogmatrix:
             assert (out["character_nonzero"],
                     out["character_min_valuation"]) == ip_character(
                         rows, g, 3, 24, n, coeffs, theta), theta
+
+    @pytest.mark.parametrize("n,theta", [(5, 5), (2, 10)],
+                             ids=["--theta-level 5", "--theta-level 10"])
+    def test_theta_level_past_the_degree_cap_answers(self, n, theta):
+        # deg Phi_theta (162 at theta = 5, 39366 at 10) exceeds the default
+        # cap 3^4 + 8: the character has no cap, and the run answers as the
+        # oracle does (at theta = n as the run without --theta-level does)
+        frob = SCEN / "frobenius_elliptic.json"
+        rows = [[int(x) for x in r]
+                for r in json.loads(frob.read_text())["matrix"]]
+        coeffs = [[int(x) for x in c["coeffs"]]
+                  for c in json.loads(Path(COLVALUES).read_text()).values()]
+        argv = ["--no-timestamp", "--format", "json", "logmatrix", str(frob),
+                "--n", str(n), "--col-values", COLVALUES]
+        out = json.loads(run(*argv, "--theta-level", str(theta)))["report"]
+        got = (out["character_nonzero"], out["character_min_valuation"])
+        assert got == ip_character(rows, 1, 3, 24, n, coeffs, theta)
+        if theta == n:
+            default = json.loads(run(*argv))["report"]
+            assert got == (default["character_nonzero"],
+                           default["character_min_valuation"]) == (True, 0)
 
 
 def _frobenius_file(path, g, p=3, precision=24):
@@ -543,12 +564,10 @@ MALFORMED = [
     ("mw_shape level 9", {**GROWTH_RANK_ONE, "mw_shape": [9]}, ["growth"]),
     ("negative --margin", {"prime": 3, "generators": [{"phi": 1}]},
      ["--margin", "-1", "tower"]),
-    # deg Phi_theta is checked against the cap before Phi_theta is built
+    # 3^40 exceeds sys.maxsize, so the level is refused before anything is
+    # pushed
     ("--theta-level 40", FROBENIUS,
      ["logmatrix", "--n", "2", "--theta-level", "40",
-      "--col-values", COLVALUES]),
-    ("--theta-level 10", FROBENIUS,
-     ["logmatrix", "--n", "2", "--theta-level", "10",
       "--col-values", COLVALUES]),
     # a cap above sys.maxsize, which no sequence of coefficients reaches
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
@@ -583,6 +602,52 @@ def test_malformed_input_exits_2(tmp_path, case, content, before):
         f.write_text(json.dumps(content))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in before]
     run("--no-timestamp", *argv, str(f), expect=2)
+
+
+HUGE = 10**12
+
+OVERSIZED = [
+    # (case, input file contents or a bundled scenario, arguments before
+    # and after the input file): each would compute p^level for a level of
+    # 10^12 if the level were not refused from its size alone
+    ("--n-max", SCEN / "module_phi1.json", ["--n-max", str(HUGE), "tower"],
+     []),
+    ("logmatrix --n", SCEN / "frobenius_elliptic.json", ["logmatrix"],
+     ["--n", str(HUGE)]),
+    ("phi generator", {"prime": 3, "generators": [{"phi": HUGE}]}, ["tower"],
+     []),
+    ("mw_shape level", {**GROWTH_RANK_ONE, "mw_shape": [HUGE]}, ["growth"],
+     []),
+    ("--theta-level", SCEN / "frobenius_elliptic.json", ["logmatrix"],
+     ["--n", "2", "--theta-level", str(HUGE), "--col-values", COLVALUES]),
+]
+
+
+@pytest.mark.parametrize("case,content,before,after", OVERSIZED,
+                         ids=[row[0] for row in OVERSIZED])
+def test_oversized_level_exits_2(tmp_path, case, content, before, after):
+    """A level whose p^level exceeds sys.maxsize exits 2 at once.  Run in a
+    child with a timeout and a 2 GB address-space limit: a run that computed
+    p^level would hang and then fail with MemoryError, and must fail this
+    test, not stall the suite."""
+    import resource
+
+    if isinstance(content, Path):
+        f = content
+    else:
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(content))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwkit", "--no-timestamp", *before, str(f),
+         *after], capture_output=True, text=True, cwd=ROOT, env=env,
+        timeout=60, preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr or proc.stdout
+    assert "sys.maxsize" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

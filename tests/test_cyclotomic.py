@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from iwkit import IwasawaSeries, cyclo_eval, cyclotomic, omega, phi
 
-from conftest import ip_divmod, ip_phi, ip_reduce_mod
+from conftest import (dense_trim, ip_add, ip_divmod, ip_mul, ip_phi,
+                      ip_reduce_mod)
 
 
 def oracle_eval(coeffs, p, m, q):
@@ -41,25 +42,6 @@ class TestCycloEval:
         assert all(x == 0 for x in got[len(want):])
         assert not ev.is_zero()
 
-    def test_phi1_at_level2_norm(self):
-        """Norm of Phi_1(zeta_9 - 1) down to Z_3, pinned by the resultant of
-        the exact integer polynomials (computed with sympy): 9, valuation 2."""
-        sympy = pytest.importorskip("sympy")
-        x = sympy.symbols("x")
-
-        def poly(coeffs):
-            return sympy.Poly(list(reversed(coeffs)), x)
-
-        res = int(sympy.resultant(poly(ip_phi(3, 2)), poly(ip_phi(3, 1))))
-        assert res == 9
-
-        f = phi(1, prime=3, precision=24, degree_cap=10)
-        ev = cyclo_eval(f, 2)
-        assert not ev.is_zero()
-        norm = ev.norm()
-        assert norm.residue == res % 3**24
-        assert norm.valuation() == 2
-
     def test_level0_is_evaluation_at_zero(self):
         f = IwasawaSeries.make(3, 24, [7, 1, 4], 10)
         ev = cyclo_eval(f, 0)
@@ -80,6 +62,19 @@ class TestCycloEval:
         want = oracle_eval(coeffs, p, m, q)
         assert list(ev.coeffs) == want + [0] * (len(ev.coeffs) - len(want))
 
+    def test_level_far_above_a_short_input_builds_no_phi(self, monkeypatch):
+        # deg Phi_30 = 2 * 3^29, about 1.4 * 10^14 at p = 3: the residue of
+        # a short polynomial is the polynomial itself, with no zero tail
+        # and no Phi_30 built
+        def refuse(*args):
+            raise AssertionError("Phi_30 built for a short input")
+
+        monkeypatch.setattr(cyclotomic, "phi_int_coeffs", refuse)
+        f = IwasawaSeries.make(3, 24, [5, 0, 3**23, 7])
+        ev = cyclo_eval(f, 30)
+        assert ev.level == 30 and len(ev.coeffs) <= len(f.coeffs)
+        assert ev.coeffs == f.coeffs and ev.min_valuation() == 0
+
     def test_truncation_warning_flag(self):
         # window ends below deg Phi_2 = 6 with a live top coefficient
         f = IwasawaSeries.make(3, 24, [1, 1, 1], 2)
@@ -94,9 +89,11 @@ class TestCycloEval:
         b=st.lists(st.integers(0, 3**10), min_size=1, max_size=8),
     )
     def test_ring_homomorphism(self, m, a, b):
-        cap = 20
+        # the sum and the product (degree <= 14, below the cap) evaluate to
+        # the residues of the exact integer sum and product
+        cap, q = 20, 3**24
         f = IwasawaSeries.make(3, 24, a, cap)
         g = IwasawaSeries.make(3, 24, b, cap)
-        ef, eg = cyclo_eval(f, m), cyclo_eval(g, m)
-        assert cyclo_eval(f + g, m).coeffs == (ef + eg).coeffs
-        assert cyclo_eval(f * g, m).coeffs == (ef * eg).coeffs
+        for got, exact in ((f + g, ip_add(a, b)), (f * g, ip_mul(a, b))):
+            assert dense_trim(cyclo_eval(got, m).coeffs) == dense_trim(
+                oracle_eval(exact, 3, m, q))

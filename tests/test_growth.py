@@ -15,8 +15,6 @@ from iwkit import (
     elliptic_increment,
     final_increment,
     module_invariants,
-    nabla_closed,
-    ordinary_growth,
     phi,
     quotient_presentation,
     rk_solver,
@@ -39,24 +37,6 @@ def series(coeffs, cap=CAP):
 
 def xp():
     return series([3, 1])
-
-
-class TestOrdinaryGrowth:
-    def test_zero(self):
-        assert all(ordinary_growth(0, 0, n, prime=3) == 0 for n in range(6))
-
-    def test_lambda_only(self):
-        assert ordinary_growth(1, 0, 5, prime=3) == 5
-
-    def test_mixed(self):
-        assert ordinary_growth(2, 1, 3, prime=3) == 33
-
-    def test_differences_match_nabla_closed(self):
-        for lam, mu in ((2, 0), (0, 1), (3, 2)):
-            for n in range(1, 5):
-                diff = ordinary_growth(lam, mu, n, prime=3) - \
-                    ordinary_growth(lam, mu, n - 1, prime=3)
-                assert diff == nabla_closed(lam, mu, n, prime=3)
 
 
 class TestFinalIncrement:

@@ -12,10 +12,8 @@ from iwkit import (
     FrobeniusData,
     InputError,
     IwasawaSeries,
-    LogMatrix,
     PrecisionExhaustedError,
     c_n,
-    c_phi,
     change_basis_check,
     condition_character,
     cyclo_eval,
@@ -29,8 +27,9 @@ from iwkit.logmatrix import WedgeTower, _compound, _series_det
 from iwkit.padic import mat_det, padic_matrix
 from iwkit.series import deg_phi
 
-from conftest import (dense_trim, int_det, ip_character, ip_divmod, ip_phi,
-                      ip_reduce_mod, ip_row_minors, ip_trim)
+from conftest import (c_phi, dense_trim, int_det, ip_character, ip_divmod,
+                      ip_phi, ip_reduce_mod, ip_row_minors, ip_trim,
+                      lm_identity, lm_power)
 
 P, N = 3, 24
 
@@ -258,8 +257,8 @@ class TestMn:
         default = p**n + 8
         cap = None if extra is None else deg_phi(p, n) + extra
         try:
-            want = c_phi(frob, degree_cap=cap or default).power(n + 1).matmul(
-                h_n(frob, n, degree_cap=cap or default))
+            want = lm_power(c_phi(frob, degree_cap=cap or default),
+                            n + 1).matmul(h_n(frob, n, degree_cap=cap or default))
         except InputError:
             with pytest.raises(PrecisionExhaustedError):
                 m_n(frob, n, degree_cap=cap)
@@ -273,7 +272,7 @@ class TestMn:
         # normalization refuses the division, m_n names the shortfall
         frob = FrobeniusData.elliptic(3, 2)
         with pytest.raises(InputError):
-            c_phi(frob, degree_cap=35).power(4).matmul(h_n(frob, 3))
+            lm_power(c_phi(frob, degree_cap=35), 4).matmul(h_n(frob, 3))
         with pytest.raises(PrecisionExhaustedError,
                            match=r"M_3 at level 3 .* precision N = 2"):
             m_n(frob, 3)
@@ -341,7 +340,7 @@ class TestMinors:
 
 def oracle_h(frob, n, cap):
     """H_n as the product C_n ... C_1 of 2g x 2g series matrices."""
-    out = LogMatrix.identity(2 * frob.g, frob.prime, frob.precision, cap)
+    out = lm_identity(2 * frob.g, frob.prime, frob.precision, cap)
     for k in range(1, n + 1):
         out = c_n(frob, k, degree_cap=cap).matmul(out)
     return out
