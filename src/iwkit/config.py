@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import cache
 
@@ -31,6 +32,33 @@ def level_power(p: int, n: int) -> int:
     return power
 
 
+# CPython's default limit on the decimal digits of an int printed by str()
+# (sys.int_info.default_max_str_digits)
+_DEFAULT_MAX_STR_DIGITS = 4300
+
+
+def residue_digits_limit() -> int:
+    """The most decimal digits a printed residue may have: the interpreter's
+    limit on int-to-str conversion, sys.get_int_max_str_digits(), or CPython's
+    default 4300 where that limit is disabled (0) or absent (before 3.10.7)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return (get() if get else 0) or _DEFAULT_MAX_STR_DIGITS
+
+
+def require_printable(p: int, n: int) -> None:
+    """Raise InputError when residues mod p^n, up to p^n - 1, have more
+    decimal digits than ``residue_digits_limit()``.  p^n - 1 has
+    floor(n log10 p) + 1 of them (p^n is no power of 10), more than the
+    limit L exactly when p^n > 10^L: decided from n log10 p, and only within
+    1 of L, where p^n has about L digits, from p^n itself."""
+    limit = residue_digits_limit()
+    size = n * math.log10(p)
+    if size > limit + 1 or (size > limit - 1 and p**n > 10**limit):
+        raise InputError(
+            f"precision {n}: residues mod {p}^{n} have more than {limit} "
+            f"decimal digits (sys.get_int_max_str_digits())")
+
+
 class Config(Value):
     """Parameters every computation runs under.
 
@@ -41,7 +69,8 @@ class Config(Value):
     every level c <= n_max.  Series are stored trimmed, so a cap costs
     nothing until a value reaches it.
     ``margin`` is the ambiguity band below N inside which rank/length
-    classification refuses to guess.
+    classification refuses to guess.  N is bounded by ``require_printable``:
+    every residue mod p^N must print within the interpreter's digit limit.
     """
 
     __slots__ = ("prime", "precision", "n_max", "degree_cap", "margin",
@@ -58,6 +87,7 @@ class Config(Value):
             raise InputError(
                 f"precision {precision} must exceed margin {margin}"
             )
+        require_printable(prime, precision)
         if n_max < 0:
             raise InputError("n_max must be >= 0")
         top = level_power(prime, n_max)

@@ -171,7 +171,7 @@ def _summand(relations: Sequence[IwasawaSeries], precision: int
         inv = pow(h[d], -1, p**m)
         base = [c * inv for c in h[:d + 1]]
     else:
-        base, _ = _hensel_lift(h[:d + 1], lam, p, m)
+        base = _hensel_lift(h[:d + 1], lam, p, m)
     return a, IwasawaSeries(p, m, tuple(base)), \
         [IwasawaSeries.make(p, m, cs) for cs in lists]
 

@@ -12,13 +12,15 @@ Hensel lift, which the tower's distinguished polynomials share.  Terms
 above X^D would change P only from the digit p^floor((D + 1) / lambda) on,
 so all N - mu digits of P are determined when lambda (N - mu) <= D + 1.
 
-Division by a monic P (``_poly_divmod_monic``) runs by rows, reducing each
-quotient term and the final remainder mod p^N once, or, given the reciprocal
-rev(P)^-1 mod X^(deg P), in blocks of deg P quotient terms, each one
-``_conv`` product.  Only the Hensel lift divides by one P often enough to pay
-for that reciprocal: from lambda = _BLOCKED_MIN (32) on it makes one per
-doubling step and one for the final quotient; every other division, and the
-lift below that crossover, runs by rows.
+Division by a monic P (``_poly_divmod_monic``) runs by rows, in place
+(``_reduce_rows``: each quotient term and the final remainder reduced mod
+p^N once), or, given the reciprocal rev(P)^-1 mod X^(deg P), in blocks of
+deg P quotient terms, each one ``_conv`` product.  Only the Hensel lift
+divides by one P often enough to pay for that reciprocal: from lambda =
+_BLOCKED_MIN (32) on it makes one per doubling step, and the preparation
+one for the final quotient; every other division, and the lift below that
+crossover, runs by rows.  A product in (Z/p^N)[X]/(P) (``_mulmod``) reduces
+by the same rows without the division's set-up or quotient.
 
 Phi_0 = X and, for n >= 1, Phi_n = ((1+X)^{p^n} - 1) / ((1+X)^{p^{n-1}} - 1),
 computed as the exact binomial sum  sum_{j<p} (1+X)^{j p^{n-1}}.
@@ -295,42 +297,54 @@ def omega(n: int, *, prime: int, precision: int,
                               degree_cap)
 
 
+def _reduce_rows(r: list[int], low: Sequence[int], q: int) -> None:
+    """Divide r by the monic P = X^d + low[d-1] X^(d-1) + ... + low[0],
+    d = len(low), mod q, in place and by rows: afterwards r[:d] is the
+    remainder and r[d:] the quotient, every term in [0, q).
+
+    Top-down, each quotient term t is r's top term reduced mod q, stored
+    where that term was, and t * low is subtracted without reducing, so a
+    remainder term collects at most d products beside its own value and is
+    reduced once, in the final pass.  r's terms, and low's, may be negative
+    or unreduced; the result is the same mod q.
+    """
+    d = len(low)
+    for k in range(len(r) - 1, d - 1, -1):
+        t = r[k] = r[k] % q
+        if t:
+            for i, w in enumerate(low, k - d):
+                r[i] -= t * w
+    r[:d] = [c % q for c in r[:d]]
+
+
 def _poly_divmod_monic(f: Sequence[int], p_poly: Sequence[int], q: int,
                        inv: Sequence[int] | None = None
                        ) -> tuple[list[int], list[int]]:
     """Long division of f by a monic polynomial P, all coefficients mod q:
     (quotient, remainder), the quotient with len(f) - deg P terms.
 
-    Without ``inv``, by rows: each quotient term t is the remainder's top
-    term reduced mod q, and t * P is subtracted without reducing, so a
-    remainder term collects at most deg P products below q^2 and is reduced
-    once at the end.  With ``inv`` = rev(P)^-1 mod X^(deg P), coefficients
-    >= 0 and correct mod q (``_series_inv`` of P's reversed coefficients at
-    a multiple of q), by blocks of deg P quotient terms (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 9.1): the block is the reversed top of
-    the remainder times inv, and one ``_conv`` of it with P's low terms
-    updates the remainder, so a division costs O(len(f) / deg P) products
-    in place of O(len(f) * deg P) steps.  The reciprocal pays for itself
-    only when the caller divides by P repeatedly; see _BLOCKED_MIN.
+    Without ``inv``, by rows (``_reduce_rows``) on a copy of f.  With
+    ``inv`` = rev(P)^-1 mod X^(deg P), coefficients >= 0 and correct mod q
+    (``_series_inv`` of P's reversed coefficients at a multiple of q), by
+    blocks of deg P quotient terms (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 9.1): the block is the reversed top of the remainder
+    times inv, and one ``_conv`` of it with P's low terms updates the
+    remainder, so a division costs O(len(f) / deg P) products in place of
+    O(len(f) * deg P) steps.  The reciprocal pays for itself only when the
+    caller divides by P repeatedly; see _BLOCKED_MIN.
     """
     deg_p = len(p_poly) - 1
     while deg_p > 0 and p_poly[deg_p] % q == 0:
         deg_p -= 1
     if p_poly[deg_p] % q != 1:
         raise InputError("divisor must be monic")
-    rem = [c % q for c in f]
-    if len(rem) - 1 < deg_p:
-        return [0], rem
     low = [c % q for c in p_poly[:deg_p]]
+    if inv is None or len(f) <= deg_p or not deg_p:
+        rem = list(f)
+        _reduce_rows(rem, low, q)
+        return rem[deg_p:] or [0], rem[:deg_p] or [0]
+    rem = [c % q for c in f]
     quot = [0] * (len(rem) - deg_p)
-    if inv is None or not deg_p:
-        for k in range(len(rem) - 1, deg_p - 1, -1):
-            t = rem[k]
-            if t and (t := t % q):
-                j = k - deg_p
-                quot[j] = t
-                rem[j:k] = [r - t * w for r, w in zip(rem[j:k], low)]
-        return quot, [c % q for c in rem[:deg_p]] if deg_p > 0 else [0]
     top = len(rem)
     while top > deg_p:
         # quotient terms lo .. lo+b-1 clear remainder terms top-b .. top-1
@@ -349,9 +363,25 @@ def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],
             q: int, inv: Sequence[int] | None = None) -> list[int]:
     """a * b mod (modulus, q) for a monic modulus of exact degree d >= 1, as
     its d residue coefficients; a and b have at most d coefficients, >= 0.
-    ``inv`` is the modulus's reciprocal for ``_poly_divmod_monic``."""
+    With ``inv``, the modulus's reciprocal, the product is divided in
+    blocks by ``_poly_divmod_monic``.  Without it, no quotient is kept and
+    nothing of the division's set-up runs: the product, by the schoolbook
+    loop unreduced up to d = _MULMOD_SCHOOLBOOK_MAX and by ``_conv`` above,
+    is reduced in place by ``_reduce_rows``."""
     d = len(modulus) - 1
-    return _poly_divmod_monic(_conv(a, b, 2 * d - 1, q), modulus, q, inv)[1]
+    if inv is not None:
+        return _poly_divmod_monic(_conv(a, b, 2 * d - 1, q), modulus, q, inv)[1]
+    if d > _MULMOD_SCHOOLBOOK_MAX:
+        r = _conv(a, b, 2 * d - 1, q)
+    else:
+        r = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    r[j] += x * y
+    _reduce_rows(r, modulus[:d], q)
+    del r[d:]
+    return r
 
 
 def _companion_rows(h: Sequence[int], modulus: Sequence[int], q: int,
@@ -514,8 +544,14 @@ def _slot_reducer(q: int, terms: int,
 # schoolbook loop is faster than packing: the measured crossover.
 _SCHOOLBOOK_MAX = 5
 
-# From this distinguished degree lambda on, ``_hensel_lift`` divides by P in
-# blocks through one reciprocal per P (``_poly_divmod_monic``); below it the
+# Up to this modulus degree d, ``_mulmod`` forms its product by its own
+# schoolbook loop, left unreduced for ``_reduce_rows``, in place of ``_conv``:
+# the measured crossover.
+_MULMOD_SCHOOLBOOK_MAX = 12
+
+# From this distinguished degree lambda on, ``_hensel_lift`` (and
+# ``weierstrass_prepare`` for U) divides by P in blocks through one
+# reciprocal per P (``_poly_divmod_monic``); below it the
 # reciprocal costs more than it saves and the rows are faster: the measured
 # crossover.
 _BLOCKED_MIN = 32
@@ -623,10 +659,11 @@ def lambda_mu(f: IwasawaSeries, *, margin: int = 4) -> tuple[int, int]:
 
 
 def _hensel_lift(fb: Sequence[int], lam: int, p: int,
-                 precision: int) -> tuple[list[int], list[int]]:
-    """(P, U) with fb = P * U mod p^precision, read as polynomials: P monic
-    of degree lam with P = X^lam mod p, U the quotient of fb by P.  fb's
-    coefficients below lam must be divisible by p and fb[lam] must not be.
+                 precision: int) -> list[int]:
+    """P dividing fb mod p^precision, read as polynomials: P monic of degree
+    lam with P = X^lam mod p; the quotient U = fb / P is left to the caller
+    that needs it (``weierstrass_prepare``).  fb's coefficients below lam
+    must be divisible by p and fb[lam] must not be.
 
     Quadratic Hensel lifting (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 15): if P divides fb mod p^k, then fb = P*U + r with
@@ -655,32 +692,32 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
         step = _mulmod(s, [c // pk for c in r], P, q // pk, inv_k)
         P = [a + pk * b for a, b in zip(P, step + [0])]
         k *= 2
-    q = p**precision
-    if blocked:
-        inv = _series_inv(P[::-1], q, p, lam)
-    return P, _poly_divmod_monic(fb, P, q, inv)[0]
+    return P
 
 
 def weierstrass_prepare(f: IwasawaSeries, *, margin: int = 4) -> WeierstrassFactorization:
     """Weierstrass preparation f = p^mu * P * U of a nonzero series.
 
     mu and lambda come from the valuation scan of ``lambda_mu``; f / p^mu is
-    read as a polynomial of degree <= D and lifted by ``_hensel_lift``: P
-    monic of degree lambda, U of degree <= D - lambda.  Exact for a
+    read as a polynomial of degree <= D and lifted by ``_hensel_lift`` to P,
+    monic of degree lambda; U, of degree <= D - lambda, is its quotient by P,
+    one division (in blocks from lambda = _BLOCKED_MIN on).  Exact for a
     polynomial f; for a series cut at X^D, the terms above X^D would change
     P from the digit p^floor((D + 1) / lambda) on and U_j from
     p^floor((D - j) / lambda) on.
     """
     lam, mu = lambda_mu(f, margin=margin)
-    n2 = f.precision - mu
-    pmu = f.prime**mu
-    dist, unit = _hensel_lift([(c // pmu) % f.prime**n2 for c in f.coeffs],
-                              lam, f.prime, n2)
+    p, n2 = f.prime, f.precision - mu
+    pmu, q = p**mu, p**n2
+    fb = [(c // pmu) % q for c in f.coeffs]
+    dist = _hensel_lift(fb, lam, p, n2)
+    inv = _series_inv(dist[::-1], q, p, lam) if lam >= _BLOCKED_MIN else None
+    unit = _poly_divmod_monic(fb, dist, q, inv)[0]
     return WeierstrassFactorization(
         mu=mu,
         lambda_=lam,
-        distinguished=IwasawaSeries(f.prime, n2, tuple(dist)),
-        unit=IwasawaSeries(f.prime, n2, tuple(unit), f.degree_cap - lam),
+        distinguished=IwasawaSeries(p, n2, tuple(dist)),
+        unit=IwasawaSeries(p, n2, tuple(unit), f.degree_cap - lam),
     )
 
 

@@ -3,8 +3,10 @@
 import builtins
 import io
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from iwkit import cli, logmatrix
+from iwkit.config import residue_digits_limit
 from iwkit.logmatrix import WedgeTower, index_sets
 from iwkit.padic import mat_det, padic_matrix
 
@@ -623,13 +626,13 @@ OVERSIZED = [
 ]
 
 
-@pytest.mark.parametrize("case,content,before,after", OVERSIZED,
-                         ids=[row[0] for row in OVERSIZED])
-def test_oversized_level_exits_2(tmp_path, case, content, before, after):
-    """A level whose p^level exceeds sys.maxsize exits 2 at once.  Run in a
-    child with a timeout and a 2 GB address-space limit: a run that computed
-    p^level would hang and then fail with MemoryError, and must fail this
-    test, not stall the suite."""
+def _limited_child(tmp_path, content, before, after, env_config=None):
+    """``python -m iwkit`` on a bundled scenario or on ``content`` written to
+    a file, in a child with a timeout and a 2 GB address-space limit: a run
+    that computed p^level or p^N for a huge level or N would hang and then
+    fail with MemoryError, and must fail the test, not stall the suite.  The
+    child runs at the default digit limit, with ``env_config`` (if any) as
+    its IWKIT_CONFIG."""
     import resource
 
     if isinstance(content, Path):
@@ -641,13 +644,66 @@ def test_oversized_level_exits_2(tmp_path, case, content, before, after):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    env = {k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"}
-    proc = subprocess.run(
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("IWKIT_CONFIG", "PYTHONINTMAXSTRDIGITS")}
+    if env_config is not None:
+        env_file = tmp_path / "env.json"
+        env_file.write_text(json.dumps(env_config))
+        env["IWKIT_CONFIG"] = str(env_file)
+    return subprocess.run(
         [sys.executable, "-m", "iwkit", "--no-timestamp", *before, str(f),
          *after], capture_output=True, text=True, cwd=ROOT, env=env,
         timeout=60, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("case,content,before,after", OVERSIZED,
+                         ids=[row[0] for row in OVERSIZED])
+def test_oversized_level_exits_2(tmp_path, case, content, before, after):
+    """A level whose p^level exceeds sys.maxsize exits 2 at once."""
+    proc = _limited_child(tmp_path, content, before, after)
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert "sys.maxsize" in proc.stderr
+
+
+OVERSIZED_PRECISION = [
+    # (case, input, arguments before and after it, IWKIT_CONFIG): p^N for
+    # N = 10^12 would never finish; the residues mod 3^10000 have 4,772
+    # digits, more than str() prints at the default limit of 4,300
+    ("--precision 10^12", SCEN / "module_phi1.json",
+     ["--precision", str(HUGE), "tower"], [], None),
+    ("--precision 10000", SCEN / "frobenius_elliptic.json",
+     ["--precision", "10000", "logmatrix"], ["--n", "1"], None),
+    ("IWKIT_CONFIG precision 10^12", SCEN / "module_phi1.json", ["tower"], [],
+     {"precision": HUGE}),
+]
+
+
+@pytest.mark.parametrize("case,content,before,after,env_config",
+                         OVERSIZED_PRECISION,
+                         ids=[row[0] for row in OVERSIZED_PRECISION])
+def test_oversized_precision_exits_2(tmp_path, case, content, before, after,
+                                     env_config):
+    """A precision whose residues mod p^N print with more decimal digits
+    than the interpreter allows exits 2 at once, from the command line and
+    from IWKIT_CONFIG alike."""
+    proc = _limited_child(tmp_path, content, before, after, env_config)
+    assert proc.returncode == 2, proc.stderr or proc.stdout
+    assert "decimal digits" in proc.stderr
+
+
+def test_largest_printable_precision_answers_next_exits_2():
+    """At p = 3 the largest N whose residues print within the digit limit
+    answers, with residues of about that many digits; N + 1 exits 2."""
+    limit = residue_digits_limit()
+    n = int(limit / math.log10(3))
+    while 3 ** (n + 1) <= 10**limit:
+        n += 1
+    while 3**n > 10**limit:
+        n -= 1
+    argv = ["logmatrix", str(SCEN / "frobenius_elliptic.json"), "--n", "1"]
+    out = run("--no-timestamp", "--precision", str(n), *argv)
+    assert limit - 2 <= max(len(t) for t in re.findall(r"\d+", out)) <= limit
+    run("--no-timestamp", "--precision", str(n + 1), *argv, expect=2)
 
 
 @pytest.mark.parametrize("argv", [

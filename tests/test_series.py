@@ -23,12 +23,15 @@ from iwkit import (
 )
 from iwkit.series import (
     _BLOCKED_MIN,
+    _MULMOD_SCHOOLBOOK_MAX,
+    _SCHOOLBOOK_MAX,
     _PLANE_OFFSETS,
     _SLOT_BOUND,
     WeierstrassFactorization,
     _binomials,
     _conv,
     _hensel_lift,
+    _mulmod,
     _pack,
     _plane_offsets,
     _poly_divmod_monic,
@@ -638,7 +641,9 @@ def _digit_lift(fb, lam, p, n):
 def prep_cases(draw):
     """f = p^mu * fb at precision N, cap D, fb of valuation 0 with lambda
     below, at or above (D + 1) / (N - mu + 2): a polynomial of degree d that
-    fills the window (d = D, as a series cut at X^D) or leaves zeros above."""
+    fills the window (d = D, as a series cut at X^D) or leaves zeros above.
+    lambda, the degree of the lift's products mod P, runs from 0 to 80, on
+    both sides of _MULMOD_SCHOOLBOOK_MAX and of _BLOCKED_MIN."""
     p = draw(st.sampled_from([3, 5, 7]))
     mu = draw(st.integers(0, 3))
     N = mu + draw(st.integers(5, 24))
@@ -715,29 +720,33 @@ class TestHenselLift:
         f, fb, lam, mu, n2 = case
         p = f.prime
         q2 = p**n2
-        dist, unit = _hensel_lift(fb, lam, p, n2)
+        dist = _hensel_lift(fb, lam, p, n2)
         assert len(dist) == lam + 1 and dist[lam] == 1
         assert all(c % p == 0 for c in dist[:lam])
-        assert ip_trim(ip_reduce_mod(ip_mul(dist, unit), q2)) == \
-            ip_trim(ip_reduce_mod(fb, q2))
         assert dist == _digit_lift(fb, lam, p, n2)
         w = weierstrass_prepare(f)
         assert list(w.distinguished.coeffs) == dist
-        assert w.unit.coeffs == dense_trim(unit)
+        assert ip_trim(ip_reduce_mod(ip_mul(dist, list(w.unit.coeffs)), q2)) \
+            == ip_trim(ip_reduce_mod(fb, q2))
 
     @settings(max_examples=25, deadline=None)
     @given(case=blocked_lift_cases())
     def test_blocked_lift_matches_digit_lift(self, case):
         fb, lam, p, n2 = case
         q2 = p**n2
-        dist, unit = _hensel_lift(fb, lam, p, n2)
+        dist = _hensel_lift(fb, lam, p, n2)
         assert dist == _digit_lift(fb, lam, p, n2)
-        assert ip_trim(ip_reduce_mod(ip_mul(dist, unit), q2)) == \
-            ip_trim(ip_reduce_mod(fb, q2))
+        # the unit is the quotient by P, divided in blocks too
+        w = weierstrass_prepare(IwasawaSeries.make(p, n2, fb), margin=0)
+        assert list(w.distinguished.coeffs) == dist
+        assert ip_trim(ip_reduce_mod(ip_mul(dist, list(w.unit.coeffs)), q2)) \
+            == ip_trim(ip_reduce_mod(fb, q2))
 
+    # degrees on both sides of _MULMOD_SCHOOLBOOK_MAX and of _BLOCKED_MIN
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 45),
-           deg=st.one_of(st.integers(0, 12), st.integers(0, 96)),
+           deg=st.one_of(st.integers(0, 2 * _MULMOD_SCHOOLBOOK_MAX),
+                         st.integers(0, 96)),
            length=st.one_of(st.integers(1, 60), st.integers(1, 800)),
            seed=st.integers(0, 10**9))
     @example(p=3, n=41, deg=96, length=800, seed=1)  # q above 2^64
@@ -763,3 +772,47 @@ class TestHenselLift:
         # the reciprocal may come from any multiple of q
         inv = _series_inv(monic[::-1], q * p ** rng.randint(0, 2), p, deg)
         assert _poly_divmod_monic(f, g, q, inv) == (quot, rem)
+
+
+class TestMulmod:
+    """a * b mod (P, q) against exact integer division of the exact
+    product, on both sides of every crossover (_SCHOOLBOOK_MAX,
+    _MULMOD_SCHOOLBOOK_MAX, _BLOCKED_MIN), rows and blocks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 45),
+           d=st.one_of(st.integers(1, 2 * _MULMOD_SCHOOLBOOK_MAX),
+                       st.integers(1, 40)),
+           seed=st.integers(0, 10**9))
+    @example(p=3, n=41, d=_SCHOOLBOOK_MAX, seed=1)           # q above 2^64
+    @example(p=3, n=40, d=_MULMOD_SCHOOLBOOK_MAX, seed=2)    # q below 2^64
+    @example(p=3, n=41, d=_MULMOD_SCHOOLBOOK_MAX + 1, seed=3)
+    @example(p=7, n=24, d=_BLOCKED_MIN, seed=4)
+    def test_matches_exact_product(self, p, n, d, seed):
+        rng = random.Random(seed)
+        q = p**n
+
+        def operand():
+            # at most d terms, often all d, >= 0, some unreduced,
+            # sometimes all zero
+            if rng.random() < 0.1:
+                return [0] * rng.randint(0, d)
+            top = q if rng.random() < 0.7 else p * q
+            size = d if rng.random() < 0.6 else rng.randint(1, d)
+            return [rng.randrange(top) for _ in range(size)]
+
+        a, b = operand(), operand()
+        low = [rng.randrange(q) for _ in range(d)]
+        if rng.random() < 0.5:
+            # unreduced modulus: low terms above q, leading 1 + q k
+            low = [c + q * rng.randint(0, 3) for c in low]
+            modulus = low + [1 + q * rng.randint(0, 2)]
+        else:
+            modulus = low + [1]
+        _, want = ip_divmod(ip_mul(a, b) or [0], low + [1])
+        want = ip_reduce_mod(want, q) + [0] * d
+        assert _mulmod(a, b, modulus, q) == want[:d]
+        # the reciprocal of the reduced modulus, at q or a multiple of it
+        inv = _series_inv([1] + [c % q for c in low[::-1]],
+                          q * p ** rng.randint(0, 2), p, d)
+        assert _mulmod(a, b, modulus, q, inv) == want[:d]
