@@ -319,6 +319,7 @@ def _cmd_logmatrix(args, started: float) -> int:
     data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
+    cols = None
     if args.col_values:
         col_data = serialize.load_json(args.col_values, digest)
         cols = []
@@ -331,6 +332,18 @@ def _cmd_logmatrix(args, started: float) -> int:
                 precision=config.precision))
         # every column is checked before anything is pushed
         cols = _checked_columns(frob, cols)
+    rows, kv = _logmatrix_report(args, frob, config, cols)
+    # the tower, H_n and the minor table died with the helper's frame: only
+    # their printed strings are alive while the report is formatted
+    manifest = _manifest("logmatrix", config, digest, args.no_timestamp, started)
+    _write(args, _emit(args, manifest, rows, ["i", "j", "coeffs"], kv))
+    return EXIT_OK
+
+
+def _logmatrix_report(args, frob, config: Config,
+                      cols) -> tuple[list[dict], dict]:
+    """The H_n rows and the key-value block of a ``logmatrix`` run, holding
+    nothing but printed strings and small ints."""
     # one per run: h_n and minors share its powers
     tower = WedgeTower(frob)
     h = h_n(frob, args.n, tower=tower)
@@ -341,24 +354,22 @@ def _cmd_logmatrix(args, started: float) -> int:
     }
     rows = [
         {"i": i + 1, "j": j + 1,
-         "coeffs": [str(c) for c in h.entry(i, j).coeffs] or ["0"]}
+         "coeffs": list(map(str, h.entry(i, j).coeffs)) or ["0"]}
         for i in range(2 * frob.g) for j in range(2 * frob.g)
     ]
-    extra: dict = {}
+    # each minor is one ";"-joined string; they go after the character keys
+    printed = {}
     if args.minors:
         table = minors(frob, args.n, tower=tower)
-        extra["minors"] = serialize.minor_table_to_dict(table)["minors"]
+        printed = serialize.minor_table_to_dict(table)["minors"]
     if args.col_values:
         nonzero, val = condition_character(
             frob, args.n, cols, args.theta_level, margin=config.margin)
         kv["character_nonzero"] = nonzero
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n
-    manifest = _manifest("logmatrix", config, digest, args.no_timestamp, started)
-    kv.update({f"minor_{k}": ";".join(v) for k, v in
-               sorted(extra.get("minors", {}).items())})
-    _write(args, _emit(args, manifest, rows, ["i", "j", "coeffs"], kv))
-    return EXIT_OK
+    kv.update((f"minor_{k}", v) for k, v in sorted(printed.items()))
+    return rows, kv
 
 
 def _cmd_rksolve(args, started: float) -> int:

@@ -10,6 +10,7 @@ Scenarios: {"selmer": module, "mw_shape": [c, ...], "n_max", "expected"?}.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 
 from .errors import InputError
 from .growth import MWShape
@@ -82,8 +83,10 @@ def module_from_dict(d: dict, *, degree_cap: int | None = None,
             m = _int_field(g["p_power"], "p_power")
             if m < 0:
                 raise InputError(f"p_power must be >= 0, got {m}")
-            gens.append(IwasawaSeries.constant(prime**m, prime,
-                                               precision, degree_cap or 0))
+            # p^m is 0 mod p^N for every m >= N: never compute a larger power
+            gens.append(IwasawaSeries.constant(prime ** min(m, precision),
+                                               prime, precision,
+                                               degree_cap or 0))
         else:
             gens.append(series_from_dict(g, degree_cap=degree_cap,
                                          precision=precision))
@@ -101,12 +104,17 @@ def frobenius_from_dict(d: dict, *, precision: int = 24) -> FrobeniusData:
 
 
 def minor_table_to_dict(t: MinorTable) -> dict:
+    """The table with each minor as its printed string: the coefficients
+    joined by ";", through the cap, the terms above the degree as "0".
+
+    Each minor goes straight to its one string, so its coefficients never
+    also live as a list of strings beside the table and the report.
+    """
     values = {}
     for (rows, cols), v in sorted(t.values.items()):
         key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
-        # printed through the cap: the terms above the degree as "0"
-        values[key] = ([str(c) for c in v.coeffs]
-                       + ["0"] * (v.degree_cap + 1 - len(v.coeffs)))
+        tail = repeat("0", v.degree_cap + 1 - len(v.coeffs))
+        values[key] = ";".join(chain(map(str, v.coeffs), tail))
     return {
         "n": t.n,
         "g": t.g,

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -347,6 +348,44 @@ class TestLogmatrix:
             assert got == (default["character_nonzero"],
                            default["character_min_valuation"]) == (True, 0)
 
+    def test_minors_peak_memory_within_6x_report(self):
+        # each printed coefficient exists as one string at a time, and the
+        # tower's tables are freed before the report is formatted
+        tracemalloc.start()
+        try:
+            proc = invoke("--no-timestamp", "--format", "json", "logmatrix",
+                          str(SCEN / "frobenius_g3_p3.json"), "--n", "4",
+                          "--minors")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proc.returncode == 0, proc.stderr
+        assert peak <= 6 * len(proc.stdout), (peak, len(proc.stdout))
+
+    def test_csv_minors_equal_json(self, tmp_path):
+        # the CSV report has no golden file: each minor_I|J cell must be the
+        # JSON report's string, zero tail and all-zero minors included
+        anti = tmp_path / "anti_g2.json"
+        anti.write_text(json.dumps({"g": 2, "prime": 3, "matrix": [
+            ["0", "0", "-1", "0"], ["0", "0", "0", "-1"],
+            ["1", "0", "0", "0"], ["0", "1", "0", "0"]]}))
+        cells = {}
+        for frob in (anti, _frobenius_file(tmp_path / "g2.json", 2),
+                     SCEN / "frobenius_g3_p3.json"):
+            argv = ["--no-timestamp", "logmatrix", str(frob), "--n", "2",
+                    "--minors"]
+            report = json.loads(run("--format", "json", *argv))["report"]
+            csv_lines = run("--format", "csv", *argv).splitlines()
+            csv = dict(line.rsplit(",", 1) for line in csv_lines
+                       if line.startswith("minor_"))
+            minor_keys = [k for k in report if k.startswith("minor_")]
+            assert sorted(csv) == sorted(minor_keys)
+            for key in minor_keys:
+                assert csv[key] == report[key], (frob.name, key)
+                cells[frob.name, key] = report[key].split(";")
+        assert all(c[-1] == "0" for c in cells.values())
+        assert any(set(c) == {"0"} for c in cells.values())
+
 
 def _frobenius_file(path, g, p=3, precision=24):
     """A seeded C_p in GL_{2g}(Z_p), written as a Frobenius input file."""
@@ -663,6 +702,28 @@ def test_oversized_level_exits_2(tmp_path, case, content, before, after):
     proc = _limited_child(tmp_path, content, before, after)
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert "sys.maxsize" in proc.stderr
+
+
+P_POWER = [
+    # (case, input, command): 3^m for m = 10^12 would never finish; any
+    # m >= N makes the generator 0 mod p^N, which is refused without the
+    # power
+    ("tower", {"prime": 3, "generators": [{"p_power": HUGE}, {"phi": 1}]},
+     "tower"),
+    ("growth selmer", {**GROWTH_RANK_ONE, "selmer": {
+        "prime": 3, "generators": [{"p_power": HUGE}, {"phi": 1}]}},
+     "growth"),
+]
+
+
+@pytest.mark.parametrize("case,content,command", P_POWER,
+                         ids=[row[0] for row in P_POWER])
+def test_oversized_p_power_exits_2(tmp_path, case, content, command):
+    """A p_power generator at or above the precision exits 2 at once, as
+    every generator that is 0 mod p^N does."""
+    proc = _limited_child(tmp_path, content, [command], [])
+    assert proc.returncode == 2, proc.stderr or proc.stdout
+    assert proc.stderr == "error: generators must be nonzero mod p^N\n"
 
 
 OVERSIZED_PRECISION = [
