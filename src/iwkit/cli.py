@@ -172,6 +172,9 @@ def _manifest(command: str, config: Config, digest, no_timestamp: bool,
 
 def _emit(args, manifest: RunManifest, rows: list[dict] | None,
           header: list[str], kv: dict | None = None) -> str:
+    """The report as text ending in a newline.  The newline is joined in
+    with the rest, never appended to a finished report, which would copy
+    the whole of it once more."""
     fmt = manifest.config["output_format"]
     if fmt == "json":
         body = {"manifest": manifest.to_dict()}
@@ -179,7 +182,11 @@ def _emit(args, manifest: RunManifest, rows: list[dict] | None,
             body["report"] = kv
         if rows is not None:
             body["rows"] = rows
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        # json.dumps(body, indent=2, sort_keys=True), chunk by chunk
+        chunks = list(json.JSONEncoder(indent=2, sort_keys=True)
+                      .iterencode(body))
+        chunks.append("\n")
+        return "".join(chunks)
     lines = [f"# {k}={json.dumps(v, sort_keys=True)}"
              for k, v in sorted(manifest.to_dict().items())]
     if kv is not None:
@@ -190,7 +197,8 @@ def _emit(args, manifest: RunManifest, rows: list[dict] | None,
         lines.append(",".join(header))
         for row in rows:
             lines.append(",".join(_csv_cell(row.get(col)) for col in header))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _csv_cell(v) -> str:

@@ -10,15 +10,35 @@ from ._value import Value
 from .errors import InputError
 
 
+# Miller-Rabin to these bases decides primality below 3.18 * 10^23
+# (Sorenson & Webster, Math. Comp. 86, 2017), so for every n <= sys.maxsize
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @cache
 def is_odd_prime(n: int) -> bool:
+    """Whether n is an odd prime, decided by Miller-Rabin; an n above
+    sys.maxsize is refused with InputError before any test, as every
+    oversized level is."""
+    if n > sys.maxsize:
+        raise InputError(f"prime {n} exceeds sys.maxsize = {sys.maxsize}")
     if n < 3 or n % 2 == 0:
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n in _WITNESSES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -384,16 +384,16 @@ def _mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int],
     return r
 
 
-def _companion_rows(h: Sequence[int], modulus: Sequence[int], q: int,
-                    cols: int | None = None) -> list[list[int]]:
+def _companion_rows(h: Sequence[int], modulus: Sequence[int],
+                    q: int) -> list[list[int]]:
     """Rows of the matrix of multiplication by h on (Z/q)[X]/(modulus) in the
     monomial basis, for a monic modulus of degree m: column j is
-    h * X^j mod modulus, for j < cols (default m)."""
+    h * X^j mod modulus."""
     m = len(modulus) - 1
     modulus = [c % q for c in modulus]
     _, col = _poly_divmod_monic(list(h), modulus, q)
     out = [col + [0] * (m - len(col))]
-    for _ in range(1, m if cols is None else cols):
+    for _ in range(1, m):
         prev = out[-1]
         top = prev[m - 1]
         new = [0] + prev[:m - 1]

@@ -5,7 +5,9 @@ These helpers deliberately avoid the package's own series code so that
 Python integers, dense lists, schoolbook algorithms.  The exception is the
 LogMatrix chain (``c_phi``, ``lm_power``, ``lm_identity``): products of the
 package's own series matrices, the computation that ``m_n`` and the
-Cauchy-Binet kernel replaced, kept as their oracle.
+Cauchy-Binet kernel replaced, kept as their oracle; and
+``transition_coker_oracle``, which runs the package's Smith form on the
+explicit matrix of the tower transition pi_n.
 """
 
 from itertools import combinations, permutations
@@ -250,6 +252,44 @@ def ip_character(c_p, g, p, prec, n, cols, theta, col_prec=None):
     top = min(prec, prec if col_prec is None else col_prec)
     vals = [_valuation(c % p**top, p) for c in rem if c % p**top]
     return bool(vals), min(vals, default=top)
+
+
+def transition_coker_oracle(engine, n):
+    """Length of coker(pi_n : N/omega_n -> N/omega_{n-1}) for a tower engine
+    (``iwkit.modules._TowerEngine``), None when it is not finite: the Smith
+    form of the explicit matrix of pi_n beside each summand's level n-1
+    relations, each summand's exponents raised by its shift a.
+
+    Where level n-1 is presented on Z_p[X]/(B) (pad > 0), pi_n maps level-n
+    generators onto its generators one to one, so the matrix is
+    [I | p^a * presentation], empty when lambda = 0.  Otherwise it is
+    [reduction | p^a * presentation], column j of the reduction being
+    X^j mod omega_{n-1}, j < p^n, from ``ip_divmod``."""
+    from iwkit.modules import _presented_invariants
+
+    p, precision = engine.prime, engine.precision
+    q = p**precision
+    total, red = 0, None
+    for si, (a, _, _) in enumerate(engine.summands):
+        prev, pad = engine._layer(si, n - 1)
+        prev = [[x * p**a for x in row] for row in prev]
+        if pad:
+            rows = [[int(i == j) for j in range(len(prev))] + row
+                    for i, row in enumerate(prev)]
+        else:
+            if red is None:
+                omega = ip_omega(p, n - 1)
+                cols = [ip_divmod([0] * j + [1], omega)[1]
+                        for j in range(p**n)]
+                red = [[c[i] % q if i < len(c) else 0 for c in cols]
+                       for i in range(len(omega) - 1)]
+            rows = [r + b for r, b in zip(red, prev)]
+        free, length = _presented_invariants((rows, 0), p, precision,
+                                             engine.margin)
+        if free:
+            return None
+        total += length
+    return total
 
 
 def lm_identity(size, prime, precision, cap):

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -14,9 +15,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwkit import cli, logmatrix
-from iwkit.config import residue_digits_limit
+from iwkit.config import is_odd_prime, residue_digits_limit
 from iwkit.logmatrix import WedgeTower, index_sets
 from iwkit.padic import mat_det, padic_matrix
 
@@ -362,6 +365,32 @@ class TestLogmatrix:
         assert proc.returncode == 0, proc.stderr
         assert peak <= 6 * len(proc.stdout), (peak, len(proc.stdout))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_peak_memory_within_2_5x_report(self, monkeypatch, fmt):
+        # the report's final newline is joined in, not appended to a
+        # finished copy of the whole report
+        real, seen = cli._emit, {}
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = real(*args, **kwargs)
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - before
+            return text
+
+        monkeypatch.setattr(cli, "_emit", traced)
+        tracemalloc.start()
+        try:
+            proc = invoke("--no-timestamp", "--format", fmt, "logmatrix",
+                          str(SCEN / "frobenius_g3_p3.json"), "--n", "4",
+                          "--minors")
+        finally:
+            tracemalloc.stop()
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\n") and not proc.stdout.endswith("\n\n")
+        assert seen["peak"] <= 2.5 * len(proc.stdout), \
+            (seen["peak"], len(proc.stdout))
+
     def test_csv_minors_equal_json(self, tmp_path):
         # the CSV report has no golden file: each minor_I|J cell must be the
         # JSON report's string, zero tail and all-zero minors included
@@ -631,6 +660,13 @@ MALFORMED = [
     ("a 5,000-digit integer literal",
      b'{"prime": 3, "precision": 24, "coeffs": [' + b"1" * 5000 + b"]}",
      ["wprep"]),
+    # primes are not tested by trial division up to their square root: one
+    # above sys.maxsize is refused untested, and 10^18 + 9 is found prime at
+    # once and refused by its p^n_max
+    ("prime 2^89 - 1", {"prime": 2**89 - 1, "generators": [{"phi": 1}]},
+     ["tower"]),
+    ("prime 10^18 + 9", {"prime": 10**18 + 9, "generators": [{"phi": 1}]},
+     ["tower"]),
 ]
 
 
@@ -644,6 +680,26 @@ def test_malformed_input_exits_2(tmp_path, case, content, before):
         f.write_text(json.dumps(content))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in before]
     run("--no-timestamp", *argv, str(f), expect=2)
+
+
+def test_primes_decided_exactly(tmp_path):
+    """Miller-Rabin to the first twelve prime bases against a sieve, strong
+    pseudoprimes to smaller sets of bases, and a prime near 10^18 that
+    answers at n_max 0."""
+    sieve = [True] * 20_000
+    for i in range(2, 142):
+        sieve[i * i::i] = [False] * len(range(i * i, 20_000, i))
+    assert [n for n in range(-3, 20_000) if is_odd_prime(n)] == \
+        [n for n in range(3, 20_000) if sieve[n]]
+    # 2047 = 23 * 89 fools base 2, 3215031751 bases 2..7, and
+    # 3825123056546413051 bases 2..23
+    assert not any(map(is_odd_prime, [2047, 3215031751, 3825123056546413051]))
+    assert all(map(is_odd_prime, [2**31 - 1, 2**61 - 1, 10**18 + 9]))
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps({"prime": 10**18 + 9, "precision": 24,
+                             "coeffs": ["3", "1"]}))
+    out = run("--no-timestamp", "--n-max", "0", "wprep", str(f))
+    assert "\nmu,0\nlambda,0\n" in out
 
 
 HUGE = 10**12
@@ -784,3 +840,113 @@ def test_each_input_file_opened_once(monkeypatch, argv):
     run("--no-timestamp", *argv)
     inputs = [a for a in argv if a.endswith(".json")]
     assert sorted(p for p in opened if p in inputs) == sorted(inputs)
+
+
+# (bundled input, arguments before it, arguments after it): every file in
+# scenarios/, the col-values files as the input of a logmatrix run
+FUZZ_RUNS = [
+    ("series_wprep_p5.json", ["wprep"], []),
+    ("series_wprep_large_lambda.json", ["wprep"], []),
+    ("module_mu.json", ["tower"], []),
+    ("module_phi1.json", ["tower"], []),
+    ("tower_high_level.json", ["tower"], []),
+    ("growth_pure_mu.json", ["growth"], []),
+    ("growth_rank_one.json", ["growth"], []),
+    ("growth_trivial.json", ["growth"], []),
+    ("growth_two_cofactors_mu.json", ["growth"], []),
+    ("frobenius_elliptic.json", ["logmatrix"],
+     ["--n", "2", "--minors", "--col-values", COLVALUES]),
+    ("frobenius_g3_p3.json", ["logmatrix"],
+     ["--n", "1", "--minors", "--col-values",
+      str(SCEN / "colvalues_g3_p3.json")]),
+    ("colvalues_units.json",
+     ["logmatrix", str(SCEN / "frobenius_elliptic.json"), "--n", "2",
+      "--col-values"], []),
+    ("colvalues_g3_p3.json",
+     ["logmatrix", str(SCEN / "frobenius_g3_p3.json"), "--n", "1",
+      "--col-values"], []),
+]
+
+# small, negative and at least 10^18; never legal but slow, as
+# --precision 5000 would be
+FUZZ_INTS = st.one_of(st.integers(0, 5), st.integers(max_value=-1),
+                      st.integers(min_value=10**18))
+FUZZ_VALUES = st.recursive(
+    st.one_of(FUZZ_INTS, FUZZ_INTS.map(str), st.floats(), st.booleans(),
+              st.none(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["prime", "precision", "coeffs",
+                                         "phi", "p_power", "generators"]),
+                        inner, max_size=2)),
+    max_leaves=4)
+FUZZ_FLAGS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--prime", "--precision", "--degree-cap",
+                               "--n-max", "--margin"]), FUZZ_INTS.map(str)),
+    st.tuples(st.just("--format"), st.sampled_from(["csv", "json"]))),
+    max_size=3).map(lambda pairs: [x for pair in pairs for x in pair])
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON tree, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    """(argv, input tree): a bundled input with one node replaced by a drawn
+    value or deleted, run with drawn global flags."""
+    name, before, after = draw(st.sampled_from(FUZZ_RUNS))
+    tree = json.loads((SCEN / name).read_text())
+    path = draw(st.sampled_from(list(_paths(tree))))
+    delete = bool(path) and draw(st.booleans())
+    value = None if delete else draw(FUZZ_VALUES)
+    if not path:
+        tree = value
+    else:
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return ["--no-timestamp", *draw(FUZZ_FLAGS), *before], after, tree
+
+
+class _Overran(BaseException):
+    """Raised by the alarm in a run that outlives its bound; a
+    BaseException, so that no handler in iwkit turns it into an exit code."""
+
+
+FUZZ_SECONDS = 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=mutated_runs())
+def test_mutated_scenario_exits_with_a_documented_code(tmp_path_factory, case):
+    """A bundled input with one field replaced or deleted, under random
+    global flags, exits 0, 2, 3, 4 or 5: no traceback, no hang."""
+    before, after, tree = case
+    f = tmp_path_factory.mktemp("mutated") / "input.json"
+    f.write_text(json.dumps(tree))
+
+    def overran(signum, frame):
+        raise _Overran(f"over {FUZZ_SECONDS} s: {before} {tree!r} {after}")
+
+    saved_config = os.environ.pop("IWKIT_CONFIG", None)
+    handler = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main([*before, str(f), *after])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if saved_config is not None:
+            os.environ["IWKIT_CONFIG"] = saved_config
+    assert code in (0, 2, 3, 4, 5), (before, tree, after, code)

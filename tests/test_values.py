@@ -47,8 +47,7 @@ CASES = [
                   "predicted": 1}),
     (TowerReport, {"prime": 3, "levels": (_LEVEL,), "stabilization_level": 0,
                    "lambda_invariant": 1, "mu_invariant": 0, "n0": 1,
-                   "min_valid_n0": 0, "non_finite_levels": (2,),
-                   "inner_consistency": True}),
+                   "min_valid_n0": 0, "non_finite_levels": (2,)}),
     (PadicInt, {"prime": 3, "residue": 5, "precision": 4}),
     (SnfResult, {"elementary_exponents": (0, 1), "rank_indicators": 2,
                  "transform_valid": True}),
