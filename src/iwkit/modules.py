@@ -279,24 +279,17 @@ class _TowerEngine:
         self.precision = min((h.precision for hs in relations for h in hs),
                              default=0)
         self.summands = [_summand(hs, self.precision) for hs in relations]
-        self._pres: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
         # per summand, (1+X)^{p^k} mod its base for k = 0, 1, ...
         self._powers: list[list[list[int]]] = [[] for _ in self.summands]
         self._inv: dict[int, tuple[int, int]] = {}
 
-    def _layer(self, si: int, n: int) -> tuple[list[list[int]], int]:
-        key = (si, n)
-        if key not in self._pres:
-            self._pres[key] = _layer_presentation(self.summands[si], n,
-                                                  self._powers[si])
-        return self._pres[key]
-
     def invariants(self, n: int) -> tuple[int, int]:
         """(total free rank, total finite length) of N/omega_n N."""
         if n not in self._inv:
-            parts = [_presented_invariants(self._layer(si, n), self.prime,
-                                           self.precision, self.margin, a)
-                     for si, (a, _, _) in enumerate(self.summands)]
+            parts = [_presented_invariants(_layer_presentation(s, n, powers),
+                                           self.prime, self.precision,
+                                           self.margin, s[0])
+                     for s, powers in zip(self.summands, self._powers)]
             self._inv[n] = (sum(f for f, _ in parts), sum(l for _, l in parts))
         return self._inv[n]
 

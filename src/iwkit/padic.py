@@ -8,10 +8,11 @@ would depend on elementary divisors inside the ambiguity margin raise
 
 Every nonzero element of Z/p^N is (unit) * p^k, so Gaussian elimination with
 a pivot of globally minimal valuation is exact: the quotient ambiguities
-introduced by dividing by p^k land in p^N and vanish.  That observation
-drives both the Smith normal form and the determinant routine, which share
-one pivot search.  Matrices are lists of Python ints reduced mod p^N: one
-elimination serves every modulus and every size.
+introduced by dividing by p^k land in p^N and vanish.  One such elimination
+(``_snf_core``) yields the Smith normal form, the determinant (the pivots'
+product) and, for an invertible input, whose tracked transforms give
+U * A * V = I, the inverse V * U.  Matrices are lists of Python ints
+reduced mod p^N: the one elimination serves every modulus and every size.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ class PadicInt(Value):
 
     def congruent(self, other, mod_exp: int | None = None) -> bool:
         o = self._coerce(other)
+        if o is None:
+            raise InputError(f"cannot compare a PadicInt with {type(other)}")
         e = min(self.precision, o.precision)
         if mod_exp is not None:
             e = min(e, mod_exp)
@@ -188,44 +191,49 @@ def _mat_mul_mod(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
 
 
 def _snf_core(rows: Sequence[Sequence[int]], p: int, precision: int,
-              track: bool) -> tuple[list[int], bool]:
+              track: bool) -> tuple[list[int], int, tuple | None]:
     """Diagonalize over Z/p^N by valuation-minimal pivoting.
 
     Returns the exponent list (one per row, nondecreasing, N for free
-    directions) and whether tracked transforms verified (vacuously True when
-    not tracked).  Each pivot is the first entry of least valuation in
-    row-major order; the search starts at the previous pivot's valuation,
-    because clearing with a pivot of least valuation never lowers the
-    valuation of what remains.  Once the column below a pivot is clear, the
-    column operations that clear its row change that row alone, which no
-    later step reads: only the tracked V needs them.
+    directions), the determinant mod p^N of a square input (the pivots'
+    product with the swap sign, 0 once no pivot is left) and the tracked
+    (U, V) with U * A * V = diag(p^e) mod p^N (None untracked).  Each pivot
+    is the first entry of least valuation in row-major order; the search
+    starts at the previous pivot's valuation, because clearing with a pivot
+    of least valuation never lowers the valuation of what remains.  Once
+    the column below a pivot is clear, the column operations that clear its
+    row change that row alone, which no later step reads: only the tracked
+    V needs them.
     """
     q = p**precision
     a = [[x % q for x in row] for row in rows]
     d1, d2 = len(a), len(a[0]) if a else 0
     if track:
-        a0 = [row[:] for row in a]
         u = [[int(i == j) for j in range(d1)] for i in range(d1)]
         v = [[int(i == j) for j in range(d2)] for i in range(d2)]
 
     exps: list[int] = []
-    k = 0
+    k, det = 0, 1
     for r in range(min(d1, d2)):
         found = _first_min_valuation(a, r, p, k, precision)
         if found is None:
+            det = 0
             break
         k, i, j = found
         if i != r:
             a[r], a[i] = a[i], a[r]
+            det = -det
             if track:
                 u[r], u[i] = u[i], u[r]
         if j != r:
             for row in a[r:]:
                 row[r], row[j] = row[j], row[r]
+            det = -det
             if track:
                 for row in v:
                     row[r], row[j] = row[j], row[r]
         pk = p**k
+        det = det * a[r][r] % q
         uinv = pow(a[r][r] // pk, -1, q)
         # the pivot row scaled so that the pivot is p^k
         tail = [x * uinv % q for x in a[r][r + 1:]]
@@ -247,12 +255,7 @@ def _snf_core(rows: Sequence[Sequence[int]], p: int, precision: int,
         exps.append(k)
 
     exps.extend([precision] * (d1 - len(exps)))
-    valid = True
-    if track and d1 and d2:
-        check = _mat_mul_mod(_mat_mul_mod(u, a0, q), v, q)
-        valid = all(check[i][j] == (p**exps[i] % q if i == j else 0)
-                    for i in range(d1) for j in range(d2))
-    return exps, valid
+    return exps, det % q, (u, v) if track else None
 
 
 def _validate_matrix(matrix) -> tuple[int, int, list[list[int]]]:
@@ -290,7 +293,11 @@ def snf(matrix: Sequence[Sequence[PadicInt]]) -> SnfResult:
     if not list(matrix):
         return SnfResult((), 0, True)
     prime, precision, rows = _validate_matrix(matrix)
-    exps, valid = _snf_core(rows, prime, precision, track=True)
+    exps, _, (u, v) = _snf_core(rows, prime, precision, track=True)
+    q = prime**precision
+    check = _mat_mul_mod(_mat_mul_mod(u, rows, q), v, q)
+    valid = all(x == (prime**exps[i] % q if i == j else 0)
+                for i, row in enumerate(check) for j, x in enumerate(row))
     return SnfResult(tuple(exps), sum(1 for e in exps if e == precision), valid)
 
 
@@ -311,7 +318,7 @@ def _invariants_raw(rows: Sequence[Sequence[int]], prime: int, precision: int,
                     margin: int) -> tuple[int, int]:
     if not list(rows):
         return 0, 0
-    exps, _ = _snf_core(rows, prime, precision, track=False)
+    exps = _snf_core(rows, prime, precision, track=False)[0]
     return _invariants_from_exponents(exps, precision, margin)
 
 
@@ -347,67 +354,21 @@ def mat_mul(a: Sequence[Sequence[PadicInt]],
 
 
 def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
-    """Determinant mod p^N via elimination with valuation-minimal pivoting."""
+    """Determinant mod p^N, read off the Smith-form elimination."""
     prime, precision, rows = _validate_matrix(matrix)
-    n = len(rows)
-    if len(rows[0]) != n:
+    if len(rows[0]) != len(rows):
         raise InputError("determinant needs a square matrix")
-    q = prime**precision
-    a = [row[:] for row in rows]
-    sign = 1
-    det = 1
-    k = 0
-    for r in range(n):
-        found = _first_min_valuation(a, r, prime, k, precision)
-        if found is None:
-            return PadicInt(prime, 0, precision)
-        k, i, j = found
-        if i != r:
-            a[i], a[r] = a[r], a[i]
-            sign = -sign
-        if j != r:
-            for row in a:
-                row[j], row[r] = row[r], row[j]
-            sign = -sign
-        piv = a[r][r]
-        pk = prime**k
-        uinv = pow(piv // pk, -1, q)
-        for i in range(r + 1, n):
-            if a[i][r] == 0:
-                continue
-            c = (a[i][r] // pk) * uinv % q
-            a[i] = [(a[i][j2] - c * a[r][j2]) % q for j2 in range(n)]
-        det = det * piv % q
-    return PadicInt(prime, sign * det, precision)
+    det = _snf_core(rows, prime, precision, track=False)[1]
+    return PadicInt(prime, det, precision)
 
 
 def mat_inv(matrix: Sequence[Sequence[PadicInt]]) -> list[list[PadicInt]]:
-    """Inverse of a matrix invertible over Z_p (unit determinant)."""
+    """Inverse of a matrix invertible over Z_p (unit determinant): the
+    tracked elimination gives U * A * V = I, so A^-1 = V * U."""
     prime, precision, rows = _validate_matrix(matrix)
-    n = len(rows)
-    if len(rows[0]) != n:
+    if len(rows[0]) != len(rows):
         raise InputError("inverse needs a square matrix")
-    q = prime**precision
-    a = [row[:] for row in rows]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv_row = None
-        for i in range(c, n):
-            if a[i][c] % prime != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            raise InputError("matrix is not invertible mod p")
-        if piv_row != c:
-            a[c], a[piv_row] = a[piv_row], a[c]
-            inv[c], inv[piv_row] = inv[piv_row], inv[c]
-        uinv = pow(a[c][c], -1, q)
-        a[c] = [x * uinv % q for x in a[c]]
-        inv[c] = [x * uinv % q for x in inv[c]]
-        for i in range(n):
-            if i == c or a[i][c] == 0:
-                continue
-            f = a[i][c]
-            a[i] = [(a[i][j] - f * a[c][j]) % q for j in range(n)]
-            inv[i] = [(inv[i][j] - f * inv[c][j]) % q for j in range(n)]
-    return padic_matrix(prime, precision, inv)
+    exps, _, (u, v) = _snf_core(rows, prime, precision, track=True)
+    if any(exps):
+        raise InputError("matrix is not invertible mod p")
+    return padic_matrix(prime, precision, _mat_mul_mod(v, u, prime**precision))

@@ -104,8 +104,12 @@ class IwasawaSeries(Value):
     @classmethod
     def constant(cls, value: int | PadicInt, prime: int, precision: int,
                  degree_cap: int = 0) -> "IwasawaSeries":
-        v = value.residue if isinstance(value, PadicInt) else value
-        return cls.make(prime, precision, [v], degree_cap)
+        """value as a series; a PadicInt of the same prime caps the precision."""
+        if isinstance(value, PadicInt):
+            if value.prime != prime:
+                raise InputError(f"mixed primes {prime} and {value.prime}")
+            value, precision = value.residue, min(precision, value.precision)
+        return cls.make(prime, precision, [value], degree_cap)
 
     @classmethod
     def monomial(cls, k: int, prime: int, precision: int,

@@ -265,13 +265,14 @@ def transition_coker_oracle(engine, n):
     [I | p^a * presentation], empty when lambda = 0.  Otherwise it is
     [reduction | p^a * presentation], column j of the reduction being
     X^j mod omega_{n-1}, j < p^n, from ``ip_divmod``."""
-    from iwkit.modules import _presented_invariants
+    from iwkit.modules import _layer_presentation, _presented_invariants
 
     p, precision = engine.prime, engine.precision
     q = p**precision
     total, red = 0, None
-    for si, (a, _, _) in enumerate(engine.summands):
-        prev, pad = engine._layer(si, n - 1)
+    for summand in engine.summands:
+        a = summand[0]
+        prev, pad = _layer_presentation(summand, n - 1)
         prev = [[x * p**a for x in row] for row in prev]
         if pad:
             rows = [[int(i == j) for j in range(len(prev))] + row

@@ -23,7 +23,7 @@ from iwkit.config import is_odd_prime, residue_digits_limit
 from iwkit.logmatrix import WedgeTower, index_sets
 from iwkit.padic import mat_det, padic_matrix
 
-from conftest import ip_character
+from conftest import ip_character, ip_mul, ip_phi
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -244,6 +244,68 @@ class TestTower:
         assert [r.split(",")[3:] for r in rows] == [
             ["", "13", ""], ["49", "49", "true"], ["301", "301", "true"],
             ["2065", "2065", "true"]]
+
+
+@st.composite
+def tower_lifts(draw):
+    """(p, n_max, N, k, generators, lifts): 1-2 integer polynomials known
+    mod p^N, and the same polynomials with every coefficient moved by a
+    random multiple of p^N, known mod p^(N+k).  Some generators are
+    Phi_1 * g, a free direction at every level n >= 1; their lift moves
+    either g (the direction stays free) or the product's coefficients.  k
+    is at most the default margin 4, so an elementary divisor that reads
+    p^N (free) at N and changes under the lift lands in the refusal band
+    at N + k."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n_max, n, k = draw(st.integers(1, 3)), draw(st.integers(6, 14)), \
+        draw(st.integers(1, 4))
+    q = p**n
+    coeff = st.one_of(st.integers(1, q - 1),
+                      st.builds(lambda u, e: u * p**e, st.integers(1, p - 1),
+                                st.integers(0, n - 1)))
+
+    def lift(g):
+        return [c + q * draw(st.integers(0, p**(k + 1))) for c in g]
+
+    gens, lifts = [], []
+    for g in draw(st.lists(st.lists(coeff, min_size=1, max_size=4),
+                           min_size=1, max_size=2)):
+        shape = draw(st.sampled_from(["g", "phi1*lift(g)", "lift(phi1*g)"]))
+        if shape == "g":
+            gens.append(g)
+            lifts.append(lift(g))
+        else:
+            f = ip_mul(g, ip_phi(p, 1))
+            gens.append(f)
+            lifts.append(ip_mul(lift(g), ip_phi(p, 1))
+                         if shape == "phi1*lift(g)" else lift(f))
+    return p, n_max, n, k, gens, lifts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tower_lifts())
+def test_tower_answers_survive_a_lift(tmp_path_factory, case):
+    """Every reported digit of `tower` stands for all lifts of its input: a
+    run at N and a run on lifted coefficients at N + k both answer (exit 0
+    or 4) with the same key-value block and rows, or one of them refuses
+    (exit 2 or 3)."""
+    p, n_max, n, k, gens, lifts = case
+    runs = []
+    for prec, polys in [(n, gens), (n + k, lifts)]:
+        f = tmp_path_factory.mktemp("lift") / "module.json"
+        f.write_text(json.dumps({"prime": p, "generators": [
+            {"prime": p, "precision": prec, "coeffs": [str(c) for c in g]}
+            for g in polys]}))
+        proc = invoke("--no-timestamp", "--precision", str(prec),
+                      "--n-max", str(n_max), "tower", str(f))
+        body = [line for line in proc.stdout.splitlines()
+                if not line.startswith("#")]
+        runs.append((proc.returncode, body))
+    (code, body), (lifted_code, lifted_body) = runs
+    if code in (0, 4) and lifted_code in (0, 4):
+        assert (code, body) == (lifted_code, lifted_body)
+    else:
+        assert {code, lifted_code} <= {0, 2, 3, 4}, runs
 
 
 class TestGrowth:

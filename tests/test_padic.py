@@ -58,6 +58,11 @@ class TestPadicInt:
         assert (P(2) + 1).residue == 3
         assert (1 - P(2)).residue == 3**8 - 1
 
+    def test_congruent_to_a_non_integer_refused(self):
+        assert PadicInt(3, 1, 5).congruent(3**5 + 1)
+        with pytest.raises(InputError):
+            PadicInt(3, 1, 5).congruent(1.5)
+
 
 def scrambled(diag, p, n, size, seed):
     """diag(entries) multiplied by random unimodular integer matrices, reduced
@@ -136,6 +141,12 @@ class TestSnf:
         assert res1.elementary_exponents == res2.elementary_exponents
 
 
+def int_matmul(x, y, q=None):
+    """x * y over Z, each entry reduced mod q when q is given."""
+    out = [[sum(a * b for a, b in zip(r, c)) for c in zip(*y)] for r in x]
+    return out if q is None else [[v % q for v in row] for row in out]
+
+
 # the largest N with p^N below 2^55, where the kernel once switched from
 # int64 to object arithmetic
 INT64_EDGE = {3: 34, 5: 23, 7: 19}
@@ -168,8 +179,14 @@ class TestSnfCore:
     @given(case=hidden_diagonals())
     def test_against_hidden_diagonal(self, case):
         p, n, rows, want = case
-        assert _snf_core(rows, p, n, track=False) == (want, True)
-        assert _snf_core(rows, p, n, track=True) == (want, True)
+        assert _snf_core(rows, p, n, track=False)[0] == want
+        exps, _, (u, v) = _snf_core(rows, p, n, track=True)
+        assert exps == want
+        # the tracked transforms verify: U * A * V = diag(p^e) mod p^N
+        q = p**n
+        uav = int_matmul(int_matmul(u, rows), v, q)
+        assert uav == [[p**e % q if i == j else 0 for j in range(len(rows[0]))]
+                       for i, e in enumerate(want)]
 
 
 class TestModuleInvariants:
@@ -255,3 +272,73 @@ class TestMatrixHelpers:
             want = int(sympy.Matrix(rows).det()) % q
             got = mat_det(padic_matrix(p, n, rows))
             assert got.residue == want
+
+
+def bareiss_det(rows):
+    """Exact determinant over Z by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+# the largest N with p^N below 2^64, and the one after it
+WORD_EDGE = {3: 40, 5: 27, 7: 22, 11: 18}
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """(p, N, rows): a square integer matrix of size 1..6 whose entries are
+    0, u * p^k (k up to N + 1) or any integer in [-p^N, 2 p^N), sometimes
+    with a zero row."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n = draw(st.sampled_from([1, 2, 5, WORD_EDGE[p], WORD_EDGE[p] + 1]))
+    size = draw(st.integers(1, 6))
+    q = p**n
+    anything = st.integers(-q, 2 * q - 1)
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda u, k: u * p**k, st.integers(-p, p).filter(bool),
+                  st.integers(0, n + 1)),
+        anything, anything)
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if size > 1 and draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, size - 1))] = [0] * size
+    return p, n, rows
+
+
+class TestDetInv:
+    @settings(max_examples=300, deadline=None)
+    @given(case=square_integer_matrices())
+    def test_against_exact_integers(self, case):
+        p, n, rows = case
+        q = p**n
+        det = bareiss_det(rows) % q
+        m = padic_matrix(p, n, rows)
+        got = mat_det(m)
+        assert (got.residue, got.precision) == (det, n)
+        if det % p:
+            inv = [[x.residue for x in row] for row in mat_inv(m)]
+            assert int_matmul(inv, rows, q) == [
+                [int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        else:
+            with pytest.raises(InputError, match="not invertible mod p"):
+                mat_inv(m)
+
+    def test_square_matrix_required(self):
+        m = padic_matrix(3, 4, [[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(InputError, match="determinant needs a square"):
+            mat_det(m)
+        with pytest.raises(InputError, match="inverse needs a square"):
+            mat_inv(m)

@@ -312,6 +312,24 @@ class TestSeriesBasics:
         assert S([9, 27]).min_valuation() == 2
         assert IwasawaSeries.zero(3, 24, 4).min_valuation() == 24
 
+    def test_scalar_caps_the_precision(self):
+        # a scalar known mod 3^2 leaves every sum and difference known mod
+        # 3^2 only, as the product does
+        f, c = IwasawaSeries(3, 24, (1, 1)), PadicInt(3, 5, 2)
+        for got, want in [(f + c, (6 % 9, 1)), (c + f, (6 % 9, 1)),
+                          (f - c, (5, 1)), (c - f, (4, 8)), (f * c, (5, 5))]:
+            assert got.precision == 2
+            assert got.coeffs == want
+        assert IwasawaSeries.constant(PadicInt(3, 2, 3), 3, 24).precision == 3
+
+    def test_scalar_of_another_prime_refused(self):
+        f, c = IwasawaSeries(3, 24, (1, 1)), PadicInt(5, 2, 24)
+        for op in (lambda: f + c, lambda: c + f, lambda: f - c,
+                   lambda: c - f, lambda: f * c,
+                   lambda: IwasawaSeries.constant(PadicInt(5, 2, 3), 3, 24)):
+            with pytest.raises(InputError, match="mixed primes"):
+                op()
+
 
 def _window_coeffs(rng, p, n, length):
     """length coefficients that are often 0 mod p^n (0 or a multiple of
