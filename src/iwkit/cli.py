@@ -10,7 +10,9 @@ mathematical result, 5 formula mismatch in verify mode.
 
 Reports embed a manifest (command, config, input digest, version); pass
 ``--no-timestamp`` to omit wall-clock fields so identical inputs produce
-byte-identical output.
+byte-identical output.  A JSON report is exactly
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written by
+iwkit's own writer (``_json_text``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from ._value import Value
@@ -170,7 +173,7 @@ def _manifest(command: str, config: Config, digest, no_timestamp: bool,
     )
 
 
-def _emit(args, manifest: RunManifest, rows: list[dict] | None,
+def _emit(manifest: RunManifest, rows: list[dict] | None,
           header: list[str], kv: dict | None = None) -> str:
     """The report as text ending in a newline.  The newline is joined in
     with the rest, never appended to a finished report, which would copy
@@ -182,11 +185,7 @@ def _emit(args, manifest: RunManifest, rows: list[dict] | None,
             body["report"] = kv
         if rows is not None:
             body["rows"] = rows
-        # json.dumps(body, indent=2, sort_keys=True), chunk by chunk
-        chunks = list(json.JSONEncoder(indent=2, sort_keys=True)
-                      .iterencode(body))
-        chunks.append("\n")
-        return "".join(chunks)
+        return _json_text(body)
     lines = [f"# {k}={json.dumps(v, sort_keys=True)}"
              for k, v in sorted(manifest.to_dict().items())]
     if kv is not None:
@@ -209,6 +208,71 @@ def _csv_cell(v) -> str:
     if isinstance(v, (list, tuple)):
         return ";".join(str(x) for x in v)
     return str(v)
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Before 3.13, ``json`` encodes an indented document in pure Python, one
+    value at a time; here every piece comes from C (the string escaper,
+    ``int.__repr__``, one join per list of strings) and the pieces are
+    joined once, the final newline with them.  Dict keys must be strings.
+    """
+    pieces: list[str] = []
+    _json_pieces(value, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _json_pieces(v, nl: str, put) -> None:
+    """Pass each piece of ``v``'s JSON text to ``put``; ``nl`` is a newline
+    and the indent of the line ``v`` starts on.  The type tests run in
+    ``json``'s order, so a bool is never printed as an int."""
+    if isinstance(v, str):
+        put(_quote(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, float):
+        put(json.dumps(v))  # repr, or NaN, Infinity, -Infinity
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        try:
+            text = comma.join(map(_quote, v))
+        except TypeError:  # an item that is not a string
+            for x in v:
+                put(sep)
+                _json_pieces(x, inner, put)
+                sep = comma
+        else:
+            put(sep)
+            put(text)
+        put(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k in sorted(v):
+            put(sep)
+            put(_quote(k))
+            put(": ")
+            _json_pieces(v[k], inner, put)
+            sep = comma
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} "
+                        "is not JSON serializable")
 
 
 def _write(args, text: str) -> None:
@@ -240,7 +304,7 @@ def _cmd_wprep(args, started: float) -> int:
         "residual_valuation": residual,
         "residual_window_degree": guard_deg,
     }
-    _write(args, _emit(args, manifest, None, [], kv))
+    _write(args, _emit(manifest, None, [], kv))
     return EXIT_OK
 
 
@@ -268,7 +332,7 @@ def _cmd_tower(args, started: float) -> int:
         "mu": report.mu_invariant,
         "stabilization_level": report.stabilization_level,
     }
-    _write(args, _emit(args, manifest,
+    _write(args, _emit(manifest,
                        rows, ["n", "rank", "length", "nabla_brute",
                               "nabla_closed", "match"], kv))
     if module.generators and all(lv.nabla is None for lv in report.levels
@@ -308,7 +372,7 @@ def _cmd_growth(args, started: float) -> int:
         "stabilization_level": report.stabilization_level,
         "non_finite_levels": list(report.non_finite_levels),
     }
-    _write(args, _emit(args, manifest, rows,
+    _write(args, _emit(manifest, rows,
                        ["n", "s_n", "increment", "predicted", "match"], kv))
     finite_levels = [lv for lv in report.levels if lv.n >= 1 and lv.zp_rank == 0]
     if not finite_levels:
@@ -323,6 +387,9 @@ def _cmd_growth(args, started: float) -> int:
 
 
 def _cmd_logmatrix(args, started: float) -> int:
+    if args.theta_level is not None and not args.col_values:
+        # the level only chooses the character the column values meet
+        raise InputError("--theta-level needs --col-values")
     digest = hashlib.sha256()
     data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
@@ -344,7 +411,7 @@ def _cmd_logmatrix(args, started: float) -> int:
     # the tower, H_n and the minor table died with the helper's frame: only
     # their printed strings are alive while the report is formatted
     manifest = _manifest("logmatrix", config, digest, args.no_timestamp, started)
-    _write(args, _emit(args, manifest, rows, ["i", "j", "coeffs"], kv))
+    _write(args, _emit(manifest, rows, ["i", "j", "coeffs"], kv))
     return EXIT_OK
 
 
@@ -392,7 +459,7 @@ def _cmd_rksolve(args, started: float) -> int:
         }
         for opt in options
     ]
-    _write(args, _emit(args, manifest, rows, ["k", "a", "pairs"], None))
+    _write(args, _emit(manifest, rows, ["k", "a", "pairs"], None))
     return EXIT_OK
 
 

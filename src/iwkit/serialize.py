@@ -10,11 +10,10 @@ Scenarios: {"selmer": module, "mw_shape": [c, ...], "n_max", "expected"?}.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
 
 from .errors import InputError
 from .growth import MWShape
-from .logmatrix import FrobeniusData, MinorTable
+from .logmatrix import FrobeniusData, MinorTable, index_sets
 from .modules import ElementaryModule
 from .series import IwasawaSeries, phi
 
@@ -107,14 +106,18 @@ def minor_table_to_dict(t: MinorTable) -> dict:
     """The table with each minor as its printed string: the coefficients
     joined by ";", through the cap, the terms above the degree as "0".
 
-    Each minor goes straight to its one string, so its coefficients never
-    also live as a list of strings beside the table and the report.
+    Each index set is labelled once, and each minor's coefficients are
+    printed by one ``%``, so they never also live as a list of strings
+    beside the table and the report.
     """
+    label = {s: ",".join(map(str, s)) for s in index_sets(t.g)}
     values = {}
     for (rows, cols), v in sorted(t.values.items()):
-        key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
-        tail = repeat("0", v.degree_cap + 1 - len(v.coeffs))
-        values[key] = ";".join(chain(map(str, v.coeffs), tail))
+        cs = v.coeffs
+        # "%d;" per coefficient and "0;" per term above the degree, the
+        # last ";" cut
+        values[f"{label[rows]}|{label[cols]}"] = (
+            ("%d;" * len(cs)) % cs + "0;" * (v.degree_cap + 1 - len(cs)))[:-1]
     return {
         "n": t.n,
         "g": t.g,

@@ -12,15 +12,16 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwkit import cli, logmatrix
+from iwkit import cli, logmatrix, serialize
 from iwkit.config import is_odd_prime, residue_digits_limit
-from iwkit.logmatrix import WedgeTower, index_sets
+from iwkit.logmatrix import FrobeniusData, WedgeTower, index_sets
 from iwkit.padic import mat_det, padic_matrix
 
 from conftest import ip_character, ip_mul, ip_phi
@@ -564,6 +565,8 @@ class TestLogmatrixOneTower:
          "level must be >= 1"),
         (["--col-values", "{tmp}/cols_missing.json"],
          "col-values file misses index set 2"),
+        (["--n", "2", "--minors", "--theta-level", "1"],
+         "--theta-level needs --col-values"),
     ])
     def test_refusals_unchanged(self, tmp_path, tail, message):
         (tmp_path / "cols_missing.json").write_text(json.dumps(
@@ -661,6 +664,98 @@ class TestConfigPlumbing:
         assert target.read_text().startswith("# command=")
 
 
+# -- the JSON report writer -------------------------------------------------
+#
+# a JSON report is exactly json.dumps(report, indent=2, sort_keys=True) and a
+# newline, on each supported interpreter's own json module
+
+JSON_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€ \ud800😀'),
+    st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT, st.integers(), st.integers(-2**100, 2**100), st.booleans(),
+    st.none(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]))
+
+
+def json_values(depth):
+    """JSON-printable values nested at most ``depth`` deep."""
+    if depth == 0:
+        return JSON_SCALARS
+    inner = json_values(depth - 1)
+    return st.one_of(JSON_SCALARS, st.lists(inner, max_size=4),
+                     st.lists(inner, max_size=4).map(tuple),
+                     st.lists(JSON_TEXT, max_size=4),
+                     st.dictionaries(JSON_TEXT, inner, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=json_values(4))
+def test_report_writer_equals_json_dumps(value):
+    assert cli._json_text(value) == \
+        json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _report_runs():
+    """Every bundled scenario through every command that reads it, and
+    rksolve, each as a pytest param with its argv."""
+    cols = {1: SCEN / "colvalues_units.json", 3: SCEN / "colvalues_g3_p3.json"}
+    runs = [pytest.param(["rksolve", "0", "3", "1"], id="rksolve")]
+    for f in sorted(SCEN.glob("*.json")):
+        if f.name.startswith("series_"):
+            runs.append(pytest.param(["wprep", str(f)], id=f.name))
+        elif f.name.startswith(("module_", "tower_")):
+            runs.append(pytest.param(["tower", str(f)], id=f.name))
+        elif f.name.startswith("growth_"):
+            runs.append(pytest.param(["growth", str(f)], id=f.name))
+        elif f.name.startswith("frobenius_"):
+            argv = ["logmatrix", str(f), "--n", "2"]
+            g = json.loads(f.read_text())["g"]
+            runs.append(pytest.param(argv + ["--minors"],
+                                     id=f"{f.name} --minors"))
+            runs.append(pytest.param(argv + ["--col-values", str(cols[g])],
+                                     id=f"{f.name} --col-values"))
+    return runs
+
+
+@pytest.mark.parametrize("argv", _report_runs())
+def test_report_writer_pins_every_command(argv):
+    text = run("--no-timestamp", "--format", "json", *argv)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_minor_strings(tmp_path):
+    # each minor_I|J string against the join it replaced, on tables with
+    # all-zero minors (block anti-diagonal C_p), minors whose degree reaches
+    # a small cap, and residues above 2^64 (p = 11, N = 40)
+    anti = FrobeniusData.from_int_rows(2, 3, 24, [
+        [0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    cases = [(anti, 2, None)]
+    # a cap below the minors' degree, but at least deg Phi_n
+    for g, p, precision, n, cap in [(2, 11, 40, 1, None), (2, 11, 40, 1, 12),
+                                    (3, 3, 24, 2, 6), (1, 5, 24, 1, 4),
+                                    (3, 3, 24, 2, None)]:
+        path = _frobenius_file(tmp_path / f"frob_{g}_{p}.json", g, p, precision)
+        frob = serialize.frobenius_from_dict(json.loads(path.read_text()),
+                                             precision=precision)
+        cases.append((frob, n, cap))
+    seen = set()
+    for frob, n, cap in cases:
+        table = logmatrix.minors(frob, n, degree_cap=cap)
+        want = {}
+        for (rows, cols), v in sorted(table.values.items()):
+            cs, top = v.coeffs, v.degree_cap
+            key = ",".join(map(str, rows)) + "|" + ",".join(map(str, cols))
+            want[key] = ";".join(chain(map(str, cs),
+                                       repeat("0", top + 1 - len(cs))))
+            seen.add("all zero" if not cs else
+                     "no tail" if len(cs) == top + 1 else "tail")
+            if any(c > 2**64 for c in cs):
+                seen.add("above 2^64")
+        got = serialize.minor_table_to_dict(table)["minors"]
+        assert list(got.items()) == list(want.items())
+    assert seen == {"all zero", "no tail", "tail", "above 2^64"}
+
 
 GROWTH_RANK_ONE = json.loads((SCEN / "growth_rank_one.json").read_text())
 FROBENIUS = json.loads((SCEN / "frobenius_elliptic.json").read_text())
@@ -702,6 +797,12 @@ MALFORMED = [
     ("--theta-level 40", FROBENIUS,
      ["logmatrix", "--n", "2", "--theta-level", "40",
       "--col-values", COLVALUES]),
+    # a level chooses the character met by the column values: without
+    # them it is refused, whatever its value
+    ("--theta-level -3 without --col-values", FROBENIUS,
+     ["logmatrix", "--n", "2", "--theta-level", "-3"]),
+    ("--theta-level 10**30 without --col-values", FROBENIUS,
+     ["logmatrix", "--n", "2", "--theta-level", str(10**30)]),
     # a cap above sys.maxsize, which no sequence of coefficients reaches
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
      ["--n-max", "40", "tower"]),
