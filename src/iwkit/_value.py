@@ -1,7 +1,7 @@
 """The base of iwkit's record types: immutable values compared by field.
 
 A subclass names its fields once, in order, as ``__slots__`` (with
-``"__dict__"`` last when an instance caches a property), and its
+``"__dict__"`` last when an instance keeps derived data beside them), and its
 ``__init__`` assigns them through ``object.__setattr__``.  The base gives
 the field-wise ``==``, ``hash`` and ``Name(field=value, ...)`` repr, refuses
 assignment and deletion with ``AttributeError``, and copies and pickles an

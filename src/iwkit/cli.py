@@ -10,7 +10,10 @@ mathematical result, 5 formula mismatch in verify mode.
 
 Reports embed a manifest (command, config, input digest, version); pass
 ``--no-timestamp`` to omit wall-clock fields so identical inputs produce
-byte-identical output.  A JSON report is exactly
+byte-identical output.  The input digest is SHA-256 from CPython's built-in
+module (``_sha2``, or ``_sha256`` before 3.12), with ``hashlib`` as the
+fallback, so start-up loads no OpenSSL; the timestamp is built from
+``time``, without ``datetime``.  A JSON report is exactly
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, written by
 iwkit's own writer (``_json_text``).
 """
@@ -18,12 +21,10 @@ iwkit's own writer (``_json_text``).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -43,6 +44,14 @@ from .logmatrix import (WedgeTower, _checked_columns, condition_character, h_n,
 from .modules import tower_report
 from .series import reconstruction_residual_valuation, weierstrass_prepare
 from . import serialize
+
+try:
+    from _sha2 import sha256 as _sha256          # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256    # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -155,13 +164,24 @@ class RunManifest(Value):
         return d
 
 
+def _utc_isoformat(seconds: int, micros: int) -> str:
+    """``datetime.fromtimestamp(seconds, timezone.utc)`` with ``micros``
+    microseconds, in ``isoformat()``'s text: the fraction is left out when
+    it is zero."""
+    t = time.gmtime(seconds)
+    frac = f".{micros:06d}" if micros else ""
+    return (f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T"
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}{frac}+00:00")
+
+
 def _manifest(command: str, config: Config, digest, no_timestamp: bool,
               started: float) -> RunManifest:
-    """The run's manifest; ``digest`` is the hashlib object fed the bytes of
+    """The run's manifest; ``digest`` is the SHA-256 object fed the bytes of
     every input file as it was read, None for a run that reads none."""
     ts = elapsed = None
     if not no_timestamp:
-        ts = datetime.now(timezone.utc).isoformat()
+        # datetime.now truncates the clock to whole microseconds
+        ts = _utc_isoformat(*divmod(time.time_ns() // 1000, 1_000_000))
         elapsed = int((time.monotonic() - started) * 1000)
     return RunManifest(
         command=command,
@@ -287,7 +307,7 @@ def _write(args, text: str) -> None:
 
 
 def _cmd_wprep(args, started: float) -> int:
-    digest = hashlib.sha256()
+    digest = _sha256()
     data = serialize.load_json(args.series_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     f = serialize.series_from_dict(data, degree_cap=config.degree_cap,
@@ -309,7 +329,7 @@ def _cmd_wprep(args, started: float) -> int:
 
 
 def _cmd_tower(args, started: float) -> int:
-    digest = hashlib.sha256()
+    digest = _sha256()
     data = serialize.load_json(args.module_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     module = serialize.module_from_dict(data, degree_cap=config.degree_cap,
@@ -342,7 +362,7 @@ def _cmd_tower(args, started: float) -> int:
 
 
 def _cmd_growth(args, started: float) -> int:
-    digest = hashlib.sha256()
+    digest = _sha256()
     data = serialize.load_json(args.scenario_file, digest)
     # a scenario's own n_max is the one computed, so the manifest and the
     # derived degree_cap follow it
@@ -387,15 +407,15 @@ def _cmd_growth(args, started: float) -> int:
 
 
 def _cmd_logmatrix(args, started: float) -> int:
-    if args.theta_level is not None and not args.col_values:
+    if args.theta_level is not None and args.col_values is None:
         # the level only chooses the character the column values meet
         raise InputError("--theta-level needs --col-values")
-    digest = hashlib.sha256()
+    digest = _sha256()
     data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
     cols = None
-    if args.col_values:
+    if args.col_values is not None:
         col_data = serialize.load_json(args.col_values, digest)
         cols = []
         for s in index_sets(frob.g):
@@ -437,7 +457,7 @@ def _logmatrix_report(args, frob, config: Config,
     if args.minors:
         table = minors(frob, args.n, tower=tower)
         printed = serialize.minor_table_to_dict(table)["minors"]
-    if args.col_values:
+    if args.col_values is not None:
         nonzero, val = condition_character(
             frob, args.n, cols, args.theta_level, margin=config.margin)
         kv["character_nonzero"] = nonzero

@@ -50,7 +50,6 @@ directly; the tests build their oracle for the kernel from them.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from functools import cached_property
 from itertools import combinations, zip_longest
 from operator import mul
 
@@ -58,7 +57,12 @@ from ._value import Value
 from .config import level_power
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
-from .padic import PadicInt, mat_det, mat_inv, mat_mul
+from .padic import (
+    PadicInt,
+    mat_det,  # noqa: F401  perfbench/spans.py rebinds it here by name
+    mat_inv,
+    mat_mul,
+)
 from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
                      _strip, _unpack, deg_phi, phi, phi_int_coeffs,
                      require_cap)
@@ -68,7 +72,7 @@ class FrobeniusData(Value):
     """A 2g x 2g Frobenius matrix C_p, invertible over Z_p, with the columns
     ordered Hodge-compatibly (first g spanning the filtered piece)."""
 
-    # the __dict__ holds the cached _inverse_residues
+    # the __dict__ holds _inverse_residues, C_p^{-1} mod p^N as residues
     __slots__ = ("g", "prime", "precision", "c_p", "__dict__")
 
     def __init__(self, g: int, prime: int, precision: int,
@@ -84,8 +88,17 @@ class FrobeniusData(Value):
             for x in row:
                 if x.prime != self.prime or x.precision != self.precision:
                     raise InputError("C_p entries must share prime and precision")
-        if not mat_det([list(r) for r in self.c_p]).is_unit():
-            raise InputError("C_p must be invertible over Z_p (unit determinant)")
+        # one elimination both refuses a non-unit determinant and gives the
+        # inverse that every tower of this matrix starts from
+        try:
+            inv = mat_inv(self.c_p_lists())
+        except InputError:
+            if not d:
+                raise  # g = 0: mat_inv's refusal of an empty matrix
+            raise InputError(
+                "C_p must be invertible over Z_p (unit determinant)") from None
+        object.__setattr__(self, "_inverse_residues",
+                           [[x.residue for x in row] for row in inv])
 
     @classmethod
     def from_int_rows(cls, g: int, prime: int, precision: int,
@@ -104,11 +117,6 @@ class FrobeniusData(Value):
 
     def c_p_lists(self) -> list[list[PadicInt]]:
         return [list(r) for r in self.c_p]
-
-    @cached_property
-    def _inverse_residues(self) -> list[list[int]]:
-        """C_p^{-1} mod p^N as residues, computed once per matrix."""
-        return [[x.residue for x in row] for row in mat_inv(self.c_p_lists())]
 
 
 class LogMatrix(Value):

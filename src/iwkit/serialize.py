@@ -145,8 +145,9 @@ def scenario_from_dict(d: dict, *, degree_cap: int | None = None,
 def load_json(path: str, digest=None) -> dict:
     """The JSON object stored in ``path``; every input file holds one.
 
-    The file is read once, as bytes, and ``digest`` (a hashlib object), when
-    given, is fed the very bytes that are parsed.
+    The file is read once, as bytes, and ``digest`` (any object with an
+    ``update(bytes)`` method, such as a SHA-256), when given, is fed the
+    very bytes that are parsed.
     """
     try:
         with open(path, "rb") as fh:

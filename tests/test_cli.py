@@ -1,6 +1,7 @@
 """CLI contract: golden files, determinism, exit codes."""
 
 import builtins
+import hashlib
 import io
 import json
 import math
@@ -12,11 +13,12 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwkit import cli, logmatrix, serialize
@@ -144,6 +146,43 @@ class TestDeterminism:
         with_ts = run("growth", str(SCEN / "growth_trivial.json"))
         without = run("--no-timestamp", "growth", str(SCEN / "growth_trivial.json"))
         assert "timestamp" in with_ts and "timestamp" not in without
+
+
+class TestManifestDigestAndClock:
+    """The manifest's SHA-256 comes from CPython's built-in module and its
+    timestamp from ``time``; both must equal what hashlib and datetime
+    give."""
+
+    @given(data=st.binary(max_size=6000), cut=st.integers(0, 6000))
+    @example(data=b"", cut=0)
+    @example(data=b"\x00", cut=1)
+    @example(data=bytes(range(256)) * 20, cut=2900)
+    @settings(max_examples=60, deadline=None)
+    def test_digest_equals_hashlib(self, data, cut):
+        # a col-values run feeds its two files to one object in turn
+        one, two = cli._sha256(), cli._sha256()
+        one.update(data)
+        two.update(data[:cut])
+        two.update(data[cut:])
+        want = hashlib.sha256(data).hexdigest()
+        assert one.hexdigest() == want and two.hexdigest() == want
+
+    @given(seconds=st.integers(0, 2**32), micros=st.integers(0, 999_999))
+    @example(seconds=0, micros=0)
+    @example(seconds=1_700_000_000, micros=0)
+    @example(seconds=2**32, micros=999_999)
+    @settings(max_examples=200, deadline=None)
+    def test_timestamp_text_equals_datetime(self, seconds, micros):
+        want = datetime.fromtimestamp(seconds, timezone.utc).replace(
+            microsecond=micros).isoformat()
+        assert cli._utc_isoformat(seconds, micros) == want
+
+    def test_printed_timestamp_is_utc_now(self):
+        out = run("growth", str(SCEN / "growth_trivial.json"))
+        text = re.search(r'^# timestamp="([^"]+)"$', out, re.M).group(1)
+        stamp = datetime.fromisoformat(text)
+        assert stamp.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - stamp) < timedelta(seconds=60)
 
 
 class TestWprep:
@@ -349,6 +388,14 @@ class TestLogmatrix:
         assert ent[(1, 1)] == [str(q - 3), str(q - 3), str(q - 1)]
         assert ent[(1, 2)] == ["0"]
         assert ent[(2, 1)] == ["0"]
+
+    def test_empty_col_values_names_a_file(self):
+        """``--col-values ""`` is refused as a file that cannot be read, not
+        taken for a missing flag that ``--theta-level`` needs."""
+        proc = invoke("--no-timestamp", "logmatrix",
+                      str(SCEN / "frobenius_elliptic.json"), "--n", "2",
+                      "--theta-level", "1", "--col-values", "")
+        assert proc.returncode == 2 and "cannot read" in proc.stderr
 
     def test_identity_n1(self, tmp_path):
         f = tmp_path / "id.json"
@@ -803,6 +850,11 @@ MALFORMED = [
      ["logmatrix", "--n", "2", "--theta-level", "-3"]),
     ("--theta-level 10**30 without --col-values", FROBENIUS,
      ["logmatrix", "--n", "2", "--theta-level", str(10**30)]),
+    # an empty --col-values names a file that cannot be read, not no file
+    ("--col-values \"\"", FROBENIUS,
+     ["logmatrix", "--n", "2", "--col-values", ""]),
+    ("--theta-level 1 with --col-values \"\"", FROBENIUS,
+     ["logmatrix", "--n", "2", "--theta-level", "1", "--col-values", ""]),
     # a cap above sys.maxsize, which no sequence of coefficients reaches
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
      ["--n-max", "40", "tower"]),

@@ -23,6 +23,7 @@ from iwkit import (
     minors,
     phi,
 )
+from iwkit import padic
 from iwkit.logmatrix import WedgeTower, _compound, _series_det
 from iwkit.padic import mat_det, padic_matrix
 from iwkit.series import deg_phi
@@ -70,8 +71,30 @@ class TestFrobeniusData:
         assert elliptic().block_anti_diagonal()
 
     def test_non_invertible_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^C_p must be invertible over "
+                           r"Z_p \(unit determinant\)$"):
             FrobeniusData.from_int_rows(1, P, N, [[0, -1], [3, 0]])
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        """Construction eliminates C_p once, for the refusal and the inverse
+        alike; the towers built on the matrix eliminate it no more."""
+        calls = []
+        snf = padic._snf_core
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return snf(*args, **kwargs)
+
+        monkeypatch.setattr(padic, "_snf_core", counted)
+        rng = random.Random(11)
+        for g in (1, 2, 3):
+            rows = rand_gl(g, P, 6, rng)
+            calls.clear()
+            frob = FrobeniusData.from_int_rows(g, P, 6, rows)
+            h_n(frob, 2)
+            minors(frob, 2)
+            assert frob._inverse_residues
+            assert calls == [2 * g]
 
     def test_identity_not_anti_diagonal(self):
         f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])

@@ -102,12 +102,27 @@ def test_frobenius_inverse_computed_once():
     assert frob == FrobeniusData.elliptic(3, 24)
 
 
-def test_cli_starts_without_dataclasses_inspect_or_typing():
-    """``import iwkit.cli`` under ``python -S`` loads none of the three:
-    together they cost about 18 ms of every start-up."""
+def test_cli_starts_without_dataclasses_inspect_typing_hashlib_or_datetime():
+    """``import iwkit.cli`` under ``python -S`` loads none of these:
+    dataclasses, inspect and typing together cost about 18 ms of every
+    start-up, and hashlib's OpenSSL (``_hashlib``) and datetime about 3.6 ms
+    and 3.5 MB of peak memory more.  SHA-256 comes from ``_sha2`` on 3.12+
+    and ``_sha256`` before, the timestamp from ``time``."""
     script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import iwkit.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'typing'} "
-              "& set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'typing', 'hashlib', "
+              "'_hashlib', 'datetime', '_datetime'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_falls_back_to_hashlib_without_builtin_sha256():
+    """An interpreter built without ``_sha2`` and ``_sha256`` hashes the
+    inputs through ``hashlib`` instead."""
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+              "import hashlib, iwkit.cli; "
+              "print(iwkit.cli._sha256 is hashlib.sha256)")
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "True"
