@@ -439,7 +439,7 @@ def _logmatrix_report(args, frob, config: Config,
                       cols) -> tuple[list[dict], dict]:
     """The H_n rows and the key-value block of a ``logmatrix`` run, holding
     nothing but printed strings and small ints."""
-    # one per run: h_n and minors share its powers
+    # one per run: h_n and minors share its powers, and all three its Phi_k
     tower = WedgeTower(frob)
     h = h_n(frob, args.n, tower=tower)
     kv = {
@@ -459,7 +459,8 @@ def _logmatrix_report(args, frob, config: Config,
         printed = serialize.minor_table_to_dict(table)["minors"]
     if args.col_values is not None:
         nonzero, val = condition_character(
-            frob, args.n, cols, args.theta_level, margin=config.margin)
+            frob, args.n, cols, args.theta_level, margin=config.margin,
+            tower=tower)
         kv["character_nonzero"] = nonzero
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n

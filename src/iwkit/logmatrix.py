@@ -289,8 +289,9 @@ class WedgeTower:
     most once (the product E_n W ... E_1 W of the module docstring), and the
     character row.  Every push shares the Phi_k mod p^N made once per object
     and the C_p^{-1} made once per matrix.  One object serves one run:
-    ``h_n`` and ``minors`` take it as ``tower=``, and without it each call
-    builds its own, so nothing is kept beyond the run that made it.
+    ``h_n``, ``minors`` and ``condition_character`` take it as ``tower=``,
+    and without it each call builds its own, so nothing is kept beyond the
+    run that made it.
     """
 
     def __init__(self, frob: FrobeniusData):
@@ -505,7 +506,8 @@ def _checked_columns(frob: FrobeniusData, col_values) -> list[IwasawaSeries]:
 def condition_character(frob: FrobeniusData, n: int,
                         col_values: Sequence[IwasawaSeries] | Mapping,
                         theta_level: int | None = None, *,
-                        margin: int = 4) -> tuple[bool, int]:
+                        margin: int = 4,
+                        tower: WedgeTower | None = None) -> tuple[bool, int]:
     """Evaluate sum_J H_{I0,J,n} * col_J at a character of level theta.
 
     ``col_values`` supplies the caller's column determinants, one per
@@ -523,7 +525,7 @@ def condition_character(frob: FrobeniusData, n: int,
     p = frob.prime
     level = n if theta_level is None else theta_level
     deg_phi(p, level)  # a level below 0 or past sys.maxsize: before any push
-    row = WedgeTower(frob).character_row(n, level)
+    row = _tower_for(frob, tower).character_row(n, level)
     cols = [v.coeffs for v in vals]
     la, lc = len(row[0]), max(1, *map(len, cols))
     # a slot of the dot product sums len(row) * min(la, lc) products

@@ -641,8 +641,8 @@ class WeierstrassFactorization(Value):
         the series that was prepared."""
         d, u = self.distinguished, self.unit
         cap = d.degree_cap + u.degree_cap
-        prod = (IwasawaSeries(d.prime, d.precision, d.coeffs, cap)
-                * IwasawaSeries(u.prime, u.precision, u.coeffs, cap))
+        prod = (IwasawaSeries._reduced(d.prime, d.precision, d.coeffs, cap)
+                * IwasawaSeries._reduced(u.prime, u.precision, u.coeffs, cap))
         return prod.mul_p_power(self.mu)
 
 
@@ -673,13 +673,19 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
     Algebra, ch. 15): if P divides fb mod p^k, then fb = P*U + r with
     r = 0 mod p^k, and P + (s*r mod P), s = U^-1 mod P, divides fb mod
     p^2k; the Newton step s(2 - s*U) mod P doubles s's precision too.
+    The s entering step k is U^-1 mod (P, p^max(1, k/2)), and the
+    correction needs it only mod p^(k2 - k), k2 = min(2k, precision): when
+    that is no more, which happens only at the last step, the Newton step
+    is skipped.
     """
     P, k = [0] * lam + [1], 1 if lam else precision
     s = _series_inv(fb[lam:], p, p, lam)
     blocked = lam >= _BLOCKED_MIN
     inv = inv_k = None
     while k < precision:
-        pk, q = p**k, p ** min(2 * k, precision)
+        k2 = min(2 * k, precision)
+        pk, q = p**k, p**k2
+        newton = k > 1 and k2 - k > k // 2
         if blocked:
             # one reciprocal of this step's P serves its five divisions;
             # q // pk divides pk, so the mod-pk copy serves both
@@ -687,8 +693,9 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
             inv_k = [c % pk for c in inv]
         # X^(j lam) = 0 mod (P, p^j): fb's low terms fix r mod q, and
         # u's fix U mod (P, p^k), which is all the Newton step needs
-        u, r = _poly_divmod_monic(fb[:2 * k * lam], P, q, inv)
-        if k > 1:
+        u, r = _poly_divmod_monic(fb[:(2 * k if newton else k2) * lam],
+                                  P, q, inv)
+        if newton:
             su = _mulmod(s, _poly_divmod_monic(u[:k * lam], P, pk, inv_k)[1],
                          P, pk, inv_k)
             s = [(2 * a - b) % pk

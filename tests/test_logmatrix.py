@@ -439,14 +439,18 @@ class TestCauchyBinetKernel:
         for j_set, col in zip(index_sets(g), cols):
             term = oracle_minor(h, i0, j_set) * col
             acc = term if acc is None else acc + term
+        # as in a logmatrix run: the tower that built H_n serves the character
+        shared = WedgeTower(frob)
+        h_n(frob, n, tower=shared)
         for theta in range(n + 1):
             val = cyclo_eval(acc, theta).min_valuation()
-            if prec - 4 <= val < prec:
-                with pytest.raises(PrecisionExhaustedError):
-                    condition_character(frob, n, cols, theta)
-            else:
-                assert condition_character(frob, n, cols, theta) == (
-                    val < prec, val)
+            for tower in (None, shared):
+                if prec - 4 <= val < prec:
+                    with pytest.raises(PrecisionExhaustedError):
+                        condition_character(frob, n, cols, theta, tower=tower)
+                else:
+                    assert condition_character(frob, n, cols, theta,
+                                               tower=tower) == (val < prec, val)
 
     # N = 1 and 2, where the slot reduction runs the most passes, and
     # p^N = 3^41 above 2^64
@@ -517,8 +521,13 @@ class TestWedgeTower:
 
     def test_tower_of_another_frobenius_refused(self):
         tower = WedgeTower(kernel_frobenius(1, 3, 2))
-        with pytest.raises(InputError):
-            h_n(elliptic(), 2, tower=tower)
+        cols = [const(1, 30), const(1, 30)]
+        for call in (lambda: h_n(elliptic(), 2, tower=tower),
+                     lambda: minors(elliptic(), 2, tower=tower),
+                     lambda: condition_character(elliptic(), 2, cols,
+                                                 tower=tower)):
+            with pytest.raises(InputError, match="another Frobenius"):
+                call()
 
 
 class TestConditionCharacter:

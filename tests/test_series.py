@@ -682,13 +682,13 @@ def prep_cases(draw):
 
 
 @st.composite
-def blocked_lift_cases(draw):
-    """A polynomial fb of valuation 0 with lambda in [_BLOCKED_MIN,
-    3 _BLOCKED_MIN] and degree D >= 4 lambda, so every division of the lift
-    runs in blocks."""
+def lift_cases(draw, n2s, lams):
+    """A polynomial fb of valuation 0 with n2 from n2s, lambda from lams and
+    degree D >= 4 lambda, so from lambda = _BLOCKED_MIN on every division of
+    the lift runs in blocks."""
     p = draw(st.sampled_from([3, 5, 7]))
-    n2 = draw(st.integers(1, 16))
-    lam = draw(st.integers(_BLOCKED_MIN, 3 * _BLOCKED_MIN))
+    n2 = draw(n2s)
+    lam = draw(lams)
     D = draw(st.integers(4 * lam, 4 * lam + 40))
     rng = random.Random(draw(st.integers(0, 10**9)))
     q2 = p**n2
@@ -748,7 +748,8 @@ class TestHenselLift:
             == ip_trim(ip_reduce_mod(fb, q2))
 
     @settings(max_examples=25, deadline=None)
-    @given(case=blocked_lift_cases())
+    @given(case=lift_cases(st.integers(1, 16),
+                           st.integers(_BLOCKED_MIN, 3 * _BLOCKED_MIN)))
     def test_blocked_lift_matches_digit_lift(self, case):
         fb, lam, p, n2 = case
         q2 = p**n2
@@ -759,6 +760,16 @@ class TestHenselLift:
         assert list(w.distinguished.coeffs) == dist
         assert ip_trim(ip_reduce_mod(ip_mul(dist, list(w.unit.coeffs)), q2)) \
             == ip_trim(ip_reduce_mod(fb, q2))
+
+    # the precisions below weierstrass_prepare's default margin: the last
+    # step skips its Newton update at n2 = 3 and keeps it at n2 = 2 and 4
+    @settings(max_examples=100, deadline=None)
+    @given(case=lift_cases(st.integers(1, 4), st.one_of(
+        st.integers(0, 2 * _MULMOD_SCHOOLBOOK_MAX),
+        st.integers(0, 2 * _BLOCKED_MIN))))
+    def test_short_lift_matches_digit_lift(self, case):
+        fb, lam, p, n2 = case
+        assert _hensel_lift(fb, lam, p, n2) == _digit_lift(fb, lam, p, n2)
 
     # degrees on both sides of _MULMOD_SCHOOLBOOK_MAX and of _BLOCKED_MIN
     @settings(max_examples=150, deadline=None)
