@@ -8,6 +8,10 @@ evaluation), ``rksolve`` (signed multiplicity enumeration).
 Exit codes: 0 success, 2 invalid input, 3 precision exhaustion, 4 undefined
 mathematical result, 5 formula mismatch in verify mode.
 
+``main`` reads and digests a command's input file, and stamps the manifest
+and writes the report after the command returns; a command only computes,
+so its towers, tables and series are freed before the report is formatted.
+
 Reports embed a manifest (command, config, input digest, version); pass
 ``--no-timestamp`` to omit wall-clock fields so identical inputs produce
 byte-identical output.  The input digest is SHA-256 from CPython's built-in
@@ -28,15 +32,12 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from ._value import Value
 from .config import Config
 from .errors import (
-    DegreeOverflowError,
     InputError,
     IwkitError,
     PrecisionExhaustedError,
     UndefinedResultError,
-    ZeroSeriesError,
 )
 from .growth import synthetic_tower_verify, rk_solver
 from .logmatrix import (WedgeTower, _checked_columns, condition_character, h_n,
@@ -134,36 +135,6 @@ def _resolve_config(args, file_prime: int | None,
     return Config(**kw)
 
 
-class RunManifest(Value):
-    """Provenance block embedded in every report: identical inputs and config
-    must yield identical manifests (timestamp fields are opt-out)."""
-
-    __slots__ = ("command", "config", "input_digest", "tool_version",
-                 "timestamp", "elapsed_ms")
-
-    def __init__(self, command: str, config: dict, input_digest: str,
-                 tool_version: str, timestamp: str | None = None,
-                 elapsed_ms: int | None = None):
-        object.__setattr__(self, "command", command)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "input_digest", input_digest)
-        object.__setattr__(self, "tool_version", tool_version)
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "elapsed_ms", elapsed_ms)
-
-    def to_dict(self) -> dict:
-        d = {
-            "command": self.command,
-            "config": self.config,
-            "input_digest": self.input_digest,
-            "tool_version": self.tool_version,
-        }
-        if self.timestamp is not None:
-            d["timestamp"] = self.timestamp
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
-
-
 def _utc_isoformat(seconds: int, micros: int) -> str:
     """``datetime.fromtimestamp(seconds, timezone.utc)`` with ``micros``
     microseconds, in ``isoformat()``'s text: the fraction is left out when
@@ -175,39 +146,40 @@ def _utc_isoformat(seconds: int, micros: int) -> str:
 
 
 def _manifest(command: str, config: Config, digest, no_timestamp: bool,
-              started: float) -> RunManifest:
-    """The run's manifest; ``digest`` is the SHA-256 object fed the bytes of
-    every input file as it was read, None for a run that reads none."""
-    ts = elapsed = None
+              started: float) -> dict:
+    """The run's provenance block: identical inputs and config yield
+    identical manifests unless the wall-clock fields are kept.  ``digest``
+    is the SHA-256 object fed the bytes of every input file as it was read,
+    None for a run that reads none."""
+    manifest = {
+        "command": command,
+        "config": config.to_dict(),
+        "input_digest": digest.hexdigest() if digest is not None else "-",
+        "tool_version": __version__,
+    }
     if not no_timestamp:
         # datetime.now truncates the clock to whole microseconds
-        ts = _utc_isoformat(*divmod(time.time_ns() // 1000, 1_000_000))
-        elapsed = int((time.monotonic() - started) * 1000)
-    return RunManifest(
-        command=command,
-        config=config.to_dict(),
-        input_digest=digest.hexdigest() if digest is not None else "-",
-        tool_version=__version__,
-        timestamp=ts,
-        elapsed_ms=elapsed,
-    )
+        manifest["timestamp"] = _utc_isoformat(
+            *divmod(time.time_ns() // 1000, 1_000_000))
+        manifest["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+    return manifest
 
 
-def _emit(manifest: RunManifest, rows: list[dict] | None,
+def _emit(manifest: dict, rows: list[dict] | None,
           header: list[str], kv: dict | None = None) -> str:
     """The report as text ending in a newline.  The newline is joined in
     with the rest, never appended to a finished report, which would copy
     the whole of it once more."""
-    fmt = manifest.config["output_format"]
+    fmt = manifest["config"]["output_format"]
     if fmt == "json":
-        body = {"manifest": manifest.to_dict()}
+        body = {"manifest": manifest}
         if kv is not None:
             body["report"] = kv
         if rows is not None:
             body["rows"] = rows
         return _json_text(body)
     lines = [f"# {k}={json.dumps(v, sort_keys=True)}"
-             for k, v in sorted(manifest.to_dict().items())]
+             for k, v in sorted(manifest.items())]
     if kv is not None:
         lines.append("key,value")
         for k, v in kv.items():
@@ -306,16 +278,13 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_wprep(args, started: float) -> int:
-    digest = _sha256()
-    data = serialize.load_json(args.series_file, digest)
+def _cmd_wprep(args, data: dict, digest) -> tuple:
     config = _resolve_config(args, serialize.declared_prime(data))
     f = serialize.series_from_dict(data, degree_cap=config.degree_cap,
                                    precision=config.precision)
     w = weierstrass_prepare(f, margin=config.margin)
     guard_deg = max(f.degree_cap - 4, 0)
     residual = reconstruction_residual_valuation(f, w, up_to_degree=guard_deg)
-    manifest = _manifest("wprep", config, digest, args.no_timestamp, started)
     kv = {
         "mu": w.mu,
         "lambda": w.lambda_,
@@ -324,18 +293,14 @@ def _cmd_wprep(args, started: float) -> int:
         "residual_valuation": residual,
         "residual_window_degree": guard_deg,
     }
-    _write(args, _emit(manifest, None, [], kv))
-    return EXIT_OK
+    return config, None, [], kv, EXIT_OK
 
 
-def _cmd_tower(args, started: float) -> int:
-    digest = _sha256()
-    data = serialize.load_json(args.module_file, digest)
+def _cmd_tower(args, data: dict, digest) -> tuple:
     config = _resolve_config(args, serialize.declared_prime(data))
     module = serialize.module_from_dict(data, degree_cap=config.degree_cap,
                                         precision=config.precision)
     report = tower_report(module, config.n_max, margin=config.margin)
-    manifest = _manifest("tower", config, digest, args.no_timestamp, started)
     rows = [
         {
             "n": lv.n,
@@ -352,18 +317,15 @@ def _cmd_tower(args, started: float) -> int:
         "mu": report.mu_invariant,
         "stabilization_level": report.stabilization_level,
     }
-    _write(args, _emit(manifest,
-                       rows, ["n", "rank", "length", "nabla_brute",
-                              "nabla_closed", "match"], kv))
+    code = EXIT_OK
     if module.generators and all(lv.nabla is None for lv in report.levels
                                  if lv.n >= 1):
-        return EXIT_UNDEFINED
-    return EXIT_OK
+        code = EXIT_UNDEFINED
+    return config, rows, ["n", "rank", "length", "nabla_brute",
+                          "nabla_closed", "match"], kv, code
 
 
-def _cmd_growth(args, started: float) -> int:
-    digest = _sha256()
-    data = serialize.load_json(args.scenario_file, digest)
+def _cmd_growth(args, data: dict, digest) -> tuple:
     # a scenario's own n_max is the one computed, so the manifest and the
     # derived degree_cap follow it
     config = _resolve_config(
@@ -373,7 +335,6 @@ def _cmd_growth(args, started: float) -> int:
         data, degree_cap=config.degree_cap, precision=config.precision)
     report = synthetic_tower_verify(selmer, shape, config.n_max,
                                     margin=config.margin)
-    manifest = _manifest("growth", config, digest, args.no_timestamp, started)
     rows = [
         {
             "n": lv.n,
@@ -392,26 +353,23 @@ def _cmd_growth(args, started: float) -> int:
         "stabilization_level": report.stabilization_level,
         "non_finite_levels": list(report.non_finite_levels),
     }
-    _write(args, _emit(manifest, rows,
-                       ["n", "s_n", "increment", "predicted", "match"], kv))
     finite_levels = [lv for lv in report.levels if lv.n >= 1 and lv.zp_rank == 0]
+    observed = [lv.nabla for lv in report.levels if lv.n >= 1]
     if not finite_levels:
-        return EXIT_UNDEFINED
-    if report.stabilization_level is None:
-        return EXIT_MISMATCH
-    if expected is not None:
-        observed = [lv.nabla for lv in report.levels if lv.n >= 1]
-        if observed[:len(expected)] != list(expected):
-            return EXIT_MISMATCH
-    return EXIT_OK
+        code = EXIT_UNDEFINED
+    elif report.stabilization_level is None:
+        code = EXIT_MISMATCH
+    elif expected is not None and observed[:len(expected)] != list(expected):
+        code = EXIT_MISMATCH
+    else:
+        code = EXIT_OK
+    return config, rows, ["n", "s_n", "increment", "predicted", "match"], kv, code
 
 
-def _cmd_logmatrix(args, started: float) -> int:
+def _cmd_logmatrix(args, data: dict, digest) -> tuple:
     if args.theta_level is not None and args.col_values is None:
         # the level only chooses the character the column values meet
         raise InputError("--theta-level needs --col-values")
-    digest = _sha256()
-    data = serialize.load_json(args.frobenius_file, digest)
     config = _resolve_config(args, serialize.declared_prime(data))
     frob = serialize.frobenius_from_dict(data, precision=config.precision)
     cols = None
@@ -427,18 +385,6 @@ def _cmd_logmatrix(args, started: float) -> int:
                 precision=config.precision))
         # every column is checked before anything is pushed
         cols = _checked_columns(frob, cols)
-    rows, kv = _logmatrix_report(args, frob, config, cols)
-    # the tower, H_n and the minor table died with the helper's frame: only
-    # their printed strings are alive while the report is formatted
-    manifest = _manifest("logmatrix", config, digest, args.no_timestamp, started)
-    _write(args, _emit(manifest, rows, ["i", "j", "coeffs"], kv))
-    return EXIT_OK
-
-
-def _logmatrix_report(args, frob, config: Config,
-                      cols) -> tuple[list[dict], dict]:
-    """The H_n rows and the key-value block of a ``logmatrix`` run, holding
-    nothing but printed strings and small ints."""
     # one per run: h_n and minors share its powers, and all three its Phi_k
     tower = WedgeTower(frob)
     h = h_n(frob, args.n, tower=tower)
@@ -465,13 +411,12 @@ def _logmatrix_report(args, frob, config: Config,
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n
     kv.update((f"minor_{k}", v) for k, v in sorted(printed.items()))
-    return rows, kv
+    return config, rows, ["i", "j", "coeffs"], kv, EXIT_OK
 
 
-def _cmd_rksolve(args, started: float) -> int:
+def _cmd_rksolve(args, data, digest) -> tuple:
     config = _resolve_config(args, None)
     options = rk_solver(args.e)
-    manifest = _manifest("rksolve", config, None, args.no_timestamp, started)
     rows = [
         {
             "k": opt.k,
@@ -480,27 +425,37 @@ def _cmd_rksolve(args, started: float) -> int:
         }
         for opt in options
     ]
-    _write(args, _emit(manifest, rows, ["k", "a", "pairs"], None))
-    return EXIT_OK
+    return config, rows, ["k", "a", "pairs"], None, EXIT_OK
 
 
+# command: (its computation, the argument that names its input file)
 _DISPATCH = {
-    "wprep": _cmd_wprep,
-    "tower": _cmd_tower,
-    "growth": _cmd_growth,
-    "logmatrix": _cmd_logmatrix,
-    "rksolve": _cmd_rksolve,
+    "wprep": (_cmd_wprep, "series_file"),
+    "tower": (_cmd_tower, "module_file"),
+    "growth": (_cmd_growth, "scenario_file"),
+    "logmatrix": (_cmd_logmatrix, "frobenius_file"),
+    "rksolve": (_cmd_rksolve, None),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: read and digest its input file, compute, then stamp
+    the manifest and write the report.  A command gets the parsed file (None
+    for ``rksolve``) and returns (config, rows, header, kv, exit code), its
+    rows and kv holding only printed strings and small ints."""
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    command, input_arg = _DISPATCH[args.command]
     try:
-        return _DISPATCH[args.command](args, started)
-    except (ZeroSeriesError, DegreeOverflowError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        data = digest = None
+        if input_arg is not None:
+            digest = _sha256()
+            data = serialize.load_json(getattr(args, input_arg), digest)
+        config, rows, header, kv, code = command(args, data, digest)
+        manifest = _manifest(args.command, config, digest, args.no_timestamp,
+                             started)
+        _write(args, _emit(manifest, rows, header, kv))
+        return code
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION

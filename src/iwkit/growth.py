@@ -31,6 +31,7 @@ from .modules import (
     _TowerEngine,
     _mult_matrix_rows,  # noqa: F401  perfbench/spans.py rebinds it here by name
     _stabilization,
+    nabla_closed,
     rank_phi_omega,
 )
 from .series import IwasawaSeries, deg_phi, divide_distinguished, phi
@@ -66,7 +67,7 @@ class MWShape(Value):
 def _increment(lam: int, mu: int, c_list: Sequence[int], n: int, n0: int,
                prime: int) -> int:
     drop = sum(rank_phi_omega(c, n0, prime=prime) for c in c_list if c <= n0)
-    return lam + (prime**n - prime ** (n - 1)) * mu - drop
+    return nabla_closed(lam, mu, n, prime=prime) - drop
 
 
 def final_increment(inv: SelmerInvariants, shape: MWShape, n: int, n0: int, *,

@@ -61,7 +61,7 @@ def series_from_dict(d: dict, *, degree_cap: int | None = None,
     if precision is not None:
         prec = min(prec, precision)
     cap = degree_cap if degree_cap is not None else len(coeffs) - 1
-    return IwasawaSeries.make(prime, prec, coeffs, max(cap, len(coeffs) - 1))
+    return IwasawaSeries.make(prime, prec, coeffs, cap)
 
 
 def module_from_dict(d: dict, *, degree_cap: int | None = None,

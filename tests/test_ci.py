@@ -1,10 +1,16 @@
 """The CI workflow runs the tier-1 command, exactly as written, on every
 Python that pyproject.toml admits, after the stdlib-only benchmark
 self-test.  Both files are read as text, so no YAML or TOML parser is
-needed on any interpreter of the range."""
+needed on any interpreter of the range.  The scripts README documents run
+here, so the same matrix covers them."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -72,3 +78,22 @@ def test_selftest_runs_before_any_install():
 
 def test_readme_gives_the_tier1_command():
     assert TIER1 in (ROOT / "README.md").read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["elliptic_alternation.py", "--n-max", "2"],
+    ["growth_scenarios.py"],
+    ["tower_grid.py", "--n-max", "2"],
+    ["logmatrix_split.py", "--passes", "1"],
+    ["character_ring.py", "--repeats", "1"],
+], ids=lambda argv: argv[0])
+def test_script_runs(tmp_path, argv):
+    """Each script of scripts/ runs to exit 0 on small arguments: the names
+    it imports from iwkit, or rebinds on it, still exist."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("IWKIT_CONFIG", None)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
+                           *argv[1:]], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

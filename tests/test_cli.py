@@ -204,6 +204,16 @@ class TestWprep:
         out = run("--no-timestamp", "wprep", str(g))
         assert "mu,1" in out and "lambda,0" in out
 
+    def test_zeros_past_the_cap_accepted(self, tmp_path):
+        # the cap bounds the nonzero terms a file gives, not its length
+        f = tmp_path / "padded.json"
+        f.write_text(json.dumps({"prime": 3, "precision": 24,
+                                 "coeffs": ["3", "1"] + ["0"] * 6}))
+        out = run("--no-timestamp", "--n-max", "1", "--degree-cap", "3",
+                  "wprep", str(f))
+        assert '"degree_cap": 3' in out
+        assert "\nlambda,1\n" in out and "\nresidual_window_degree,0\n" in out
+
     def test_zero_series_exits_2(self, tmp_path):
         f = tmp_path / "zero.json"
         f.write_text(json.dumps({"prime": 3, "precision": 24, "coeffs": ["0"]}))
@@ -771,6 +781,34 @@ def test_report_writer_pins_every_command(argv):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def _printed(v) -> bool:
+    """A str, int, bool or None, or a flat list of them."""
+    scalars = (str, int, bool, type(None))
+    if type(v) is list:
+        return all(type(x) in scalars for x in v)
+    return type(v) in scalars
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _report_runs())
+def test_commands_hand_emit_only_printed_values(monkeypatch, argv, fmt):
+    """A command returns its report as printed values, so none of the
+    towers, tables or series it built is alive while ``main`` formats the
+    report."""
+    real, seen = cli._emit, []
+
+    def traced(manifest, rows, header, kv=None):
+        seen.append((rows, kv))
+        return real(manifest, rows, header, kv)
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    run("--no-timestamp", "--format", fmt, *argv)
+    [(rows, kv)] = seen
+    values = [v for row in rows or [] for v in row.values()]
+    values += (kv or {}).values()
+    assert values and [v for v in values if not _printed(v)] == []
+
+
 def test_report_writer_minor_strings(tmp_path):
     # each minor_I|J string against the join it replaced, on tables with
     # all-zero minors (block anti-diagonal C_p), minors whose degree reaches
@@ -859,6 +897,11 @@ MALFORMED = [
     ("--n-max 40", {"prime": 3, "generators": [{"phi": 1}]},
      ["--n-max", "40", "tower"]),
     ("--degree-cap 10**30", WPREP_P5, ["--degree-cap", str(10**30), "wprep"]),
+    # nonzero terms past the cap are refused, not a wider cap taken
+    ("series past --degree-cap",
+     {"prime": 3, "precision": 24, "coeffs": ["3", "0", "0", "0", "0", "0",
+                                              "1", "5"]},
+     ["--n-max", "1", "--degree-cap", "3", "wprep"]),
     # an entry of 3^n coefficients no int can hold: refused before
     # Phi_1..Phi_n
     ("logmatrix --n 40", FROBENIUS, ["logmatrix", "--n", "40"]),
