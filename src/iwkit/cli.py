@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -102,37 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args, file_prime: int | None,
                     file_n_max: int | None = None) -> Config:
-    base: dict = {}
-    env_path = os.environ.get("IWKIT_CONFIG")
-    if env_path:
-        env = serialize.load_json(env_path)
-        # validate the whole file, but keep only the keys it sets: a default
-        # it derives (degree_cap from its own prime and n_max) must not pin
-        # the effective parameters
-        base = {k: v for k, v in Config.from_dict(env).to_dict().items()
-                if env.get(k) is not None}
-    prime = args.prime if args.prime is not None else base.get(
-        "prime", file_prime if file_prime is not None else 3)
+    """The effective parameters: the input file's prime and a scenario's own
+    n_max first, then the flags, then ``Config``'s defaults.  A ``--prime``
+    other than the file's is refused."""
     if args.prime is not None and file_prime is not None and args.prime != file_prime:
         raise InputError(
             f"--prime {args.prime} conflicts with input file prime {file_prime}")
-    if file_prime is not None:
-        prime = file_prime
-    kw = {
-        "prime": prime,
-        "precision": args.precision if args.precision is not None
-        else base.get("precision", 24),
-        "n_max": file_n_max if file_n_max is not None
-        else args.n_max if args.n_max is not None else base.get("n_max", 4),
-        "margin": args.margin if args.margin is not None else base.get("margin", 4),
-        "output_format": args.format if args.format is not None
-        else base.get("output_format", "csv"),
+    given = {
+        "prime": file_prime if file_prime is not None else args.prime,
+        "precision": args.precision,
+        "n_max": file_n_max if file_n_max is not None else args.n_max,
+        "degree_cap": args.degree_cap,
+        "margin": args.margin,
+        "output_format": args.format,
     }
-    if args.degree_cap is not None:
-        kw["degree_cap"] = args.degree_cap
-    elif "degree_cap" in base and base["degree_cap"] is not None:
-        kw["degree_cap"] = base["degree_cap"]
-    return Config(**kw)
+    return Config(**{k: v for k, v in given.items() if v is not None})
 
 
 def _utc_isoformat(seconds: int, micros: int) -> str:

@@ -128,23 +128,4 @@ class Config(Value):
         object.__setattr__(self, "output_format", output_format)
 
     def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "precision": self.precision,
-            "n_max": self.n_max,
-            "degree_cap": self.degree_cap,
-            "margin": self.margin,
-            "output_format": self.output_format,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Config":
-        known = {k: d[k] for k in
-                 ("prime", "precision", "n_max", "degree_cap", "margin", "output_format")
-                 if k in d}
-        for k, v in known.items():
-            if k == "output_format" or (k == "degree_cap" and v is None):
-                continue
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"config {k} must be an integer, got {v!r}")
-        return cls(**known)
+        return dict(zip(self._fields, self._values()))

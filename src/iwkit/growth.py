@@ -137,24 +137,15 @@ class RankLedger(Value):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r_plus", r_plus)
         object.__setattr__(self, "r_minus", r_minus)
-        k = len(self.e)
-        if not (len(self.a) == len(self.r_plus) == len(self.r_minus) == k):
+        if not (len(a) == len(r_plus) == len(r_minus) == len(e)):
             raise InputError("ledger sequences must share a length")
-        if k == 0:
-            return
-        if any(x < 0 for seq in (self.e, self.a, self.r_plus, self.r_minus)
-               for x in seq):
-            raise InputError("ledger entries must be nonnegative")
-        if not (self.r_plus[0] == self.r_minus[0] == self.e[0] == self.a[0]):
-            raise InputError("level 0 must satisfy r+ = r- = e_0 (= a_0)")
-        for i in range(1, k):
-            a = max(0, self.e[i] - 1)
-            if self.a[i] != a:
-                raise InputError(f"a_{i} must be max(0, e_{i} - 1)")
-            if min(self.r_plus[i], self.r_minus[i]) < a:
-                raise InputError(f"min(r+_{i}, r-_{i}) must be >= a_{i}")
-            if self.r_plus[i] + self.r_minus[i] != self.e[i] + a:
-                raise InputError(f"r+_{i} + r-_{i} must equal e_{i} + a_{i}")
+        # level k is admissible when a_k and (r+_k, r-_k) are among the
+        # values rk_solver enumerates for e
+        for opt, ak, rp, rm in zip(rk_solver(e), a, r_plus, r_minus):
+            if ak != opt.a or (rp, rm) not in opt.pairs:
+                raise InputError(
+                    f"level {opt.k}: (a, r+, r-) = ({ak}, {rp}, {rm}) is not "
+                    f"admissible for e_{opt.k} = {e[opt.k]}")
 
     @classmethod
     def from_ranks(cls, ranks: Sequence[int], *, prime: int,

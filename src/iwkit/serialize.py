@@ -30,11 +30,12 @@ def _int_field(value: object, name: str) -> int:
         raise InputError(f"{name} must be an integer, got {value!r}") from exc
 
 
-def declared_prime(d: object) -> int:
-    """The prime an input object declares; 3 when it declares none."""
+def declared_prime(d: object) -> int | None:
+    """The prime an input object declares; None when it declares none, and
+    the object's own parser then refuses the missing field."""
     if not isinstance(d, dict):
         raise InputError(f"expected a JSON object, got {type(d).__name__}")
-    return _int_field(d.get("prime", 3), "prime")
+    return _int_field(d["prime"], "prime") if "prime" in d else None
 
 
 def declared_n_max(d: dict) -> int | None:

@@ -4,8 +4,10 @@ self-test.  Both files are read as text, so no YAML or TOML parser is
 needed on any interpreter of the range.  The scripts README documents run
 here, so the same matrix covers them."""
 
+import importlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -92,8 +94,24 @@ def test_script_runs(tmp_path, argv):
     it imports from iwkit, or rebinds on it, still exist."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    env.pop("IWKIT_CONFIG", None)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
                            *argv[1:]], capture_output=True, text=True,
                           cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_boundaries_resolve():
+    """Every (module, attribute) that perfbench/spans.py rebinds in a traced
+    run names a callable of the current source, so a renamed boundary or a
+    dropped re-export fails here and not only under ``--trace 1``.  The
+    file is run from its source and its tracer is never installed."""
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
+    missing = []
+    for _, sites in spans["BOUNDARIES"]:
+        for module_name, attr in sites:
+            target = importlib.import_module(module_name)
+            for name in attr.split("."):
+                target = getattr(target, name, None)
+            if not callable(target):
+                missing.append(f"{module_name}.{attr}")
+    assert not missing

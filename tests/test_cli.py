@@ -33,38 +33,24 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = ROOT / "scenarios"
 
 
-def invoke(*args, env=None):
+def invoke(*args):
     """Run ``iwkit.cli.main(args)`` in this process, as ``python -m iwkit``
     would in a child, and return the CompletedProcess it would have given.
-
-    stdout and stderr are captured for the call.  ``IWKIT_CONFIG`` is
-    cleared, since it would otherwise change the defaults every test relies
-    on; ``env`` sets variables for the call.  The environment is restored
-    afterwards.
+    stdout and stderr are captured for the call.
     """
-    saved = {k: os.environ.get(k) for k in {"IWKIT_CONFIG", *(env or {})}}
-    os.environ.pop("IWKIT_CONFIG", None)
-    os.environ.update(env or {})
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(list(args))
-            except SystemExit as exc:  # argparse exits on bad arguments
-                code = exc.code
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse exits on bad arguments
+            code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(),
                                        err.getvalue())
 
 
-def run(*args, expect=0, env=None):
+def run(*args, expect=0):
     """Run the CLI in this process (see ``invoke``) and return its stdout."""
-    proc = invoke(*args, env=env)
+    proc = invoke(*args)
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc.stdout
 
@@ -72,13 +58,12 @@ def run(*args, expect=0, env=None):
 def run_child(*args, expect=0):
     """Run ``python -m iwkit`` in a child process and return its stdout.
 
-    The child inherits the caller's environment (so ``PYTHONPATH`` and the
-    like still find the package) except ``IWKIT_CONFIG``.
+    The child inherits the caller's environment, so ``PYTHONPATH`` and the
+    like still find the package.
     """
-    child_env = {k: v for k, v in os.environ.items() if k != "IWKIT_CONFIG"}
     proc = subprocess.run(
         [sys.executable, "-m", "iwkit", *args],
-        capture_output=True, text=True, cwd=ROOT, env=child_env,
+        capture_output=True, text=True, cwd=ROOT,
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc.stdout
@@ -675,39 +660,22 @@ class TestConfigPlumbing:
         run("--no-timestamp", "--prime", "7", "wprep",
             str(SCEN / "series_wprep_p5.json"), expect=2)
 
-    def test_env_config(self, tmp_path):
+    def test_exported_iwkit_config_is_ignored(self, tmp_path, monkeypatch):
+        # parameters come from the flags and the input file only: a config
+        # file exported as IWKIT_CONFIG, every value off its default, leaves
+        # each golden run's bytes as they are, in process and in a child
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"prime": 3, "precision": 24, "n_max": 2,
-                                   "margin": 4, "output_format": "csv"}))
-        out = run("--no-timestamp", "tower", str(SCEN / "module_mu.json"),
-                  env={"IWKIT_CONFIG": str(cfg)})
-        rows = [line for line in out.splitlines() if line[:1].isdigit()]
-        assert len(rows) == 2  # n_max from env config
-
-    def test_env_config_without_degree_cap(self, tmp_path):
-        # the cap follows the effective prime and n_max, not the env file's
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"prime": 3, "precision": 24, "n_max": 2,
-                                   "margin": 4, "output_format": "csv"}))
-        env = {"IWKIT_CONFIG": str(cfg)}
-        out = run("--no-timestamp", "--n-max", "3", "tower",
-                  str(SCEN / "module_mu.json"), env=env)
-        assert out == (GOLDEN / "tower_mu.csv").read_text()
-        out = run("--no-timestamp", "wprep", str(SCEN / "series_wprep_p5.json"),
-                  env=env)
-        assert "lambda,2" in out
-
-    def test_env_config_wrong_type_exits_2(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        for content, argv in [
-                ({"prime": "x"}, ["rksolve", "1"]),
-                # a JSON boolean is not an integer, though bool subclasses int
-                ({"margin": True}, ["wprep", str(SCEN / "series_wprep_p5.json")]),
-                # an integer, but no ambiguity band is negative
-                ({"margin": -1}, ["tower", str(SCEN / "module_phi1.json")])]:
-            cfg.write_text(json.dumps(content))
-            run("--no-timestamp", *argv, expect=2,
-                env={"IWKIT_CONFIG": str(cfg)})
+        cfg.write_text(json.dumps({"prime": 7, "precision": 30, "n_max": 2,
+                                   "margin": 1, "output_format": "json"}))
+        monkeypatch.setenv("IWKIT_CONFIG", str(cfg))
+        golden = TestGolden()
+        checks = [getattr(golden, name) for name in dir(golden)
+                  if name.startswith("test_")]
+        for check in checks:
+            check()
+        monkeypatch.setitem(globals(), "run", run_child)
+        for check in checks:
+            check()
 
     def test_import_leaves_numpy_out(self):
         code = "import sys, iwkit.cli; print('numpy' in sys.modules)"
@@ -925,7 +893,21 @@ MALFORMED = [
      ["tower"]),
     ("prime 10^18 + 9", {"prime": 10**18 + 9, "generators": [{"phi": 1}]},
      ["tower"]),
+    # a file that declares no prime conflicts with no --prime: its own
+    # parser refuses the missing field
+    ("tower file without a prime, --prime 5", {"generators": [{"phi": 1}]},
+     ["--prime", "5", "tower"]),
+    ("growth file without a prime, --prime 7", {"mw_shape": [1]},
+     ["--prime", "7", "growth"]),
 ]
+
+# the exact stderr of the MALFORMED cases that pin their message
+MALFORMED_MESSAGES = {
+    "tower file without a prime, --prime 5":
+        "error: bad module object: 'prime'\n",
+    "growth file without a prime, --prime 7":
+        "error: bad scenario object: 'selmer'\n",
+}
 
 
 @pytest.mark.parametrize("case,content,before", MALFORMED,
@@ -937,7 +919,10 @@ def test_malformed_input_exits_2(tmp_path, case, content, before):
     else:
         f.write_text(json.dumps(content))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in before]
-    run("--no-timestamp", *argv, str(f), expect=2)
+    proc = invoke("--no-timestamp", *argv, str(f))
+    assert proc.returncode == 2, proc.stderr or proc.stdout
+    if case in MALFORMED_MESSAGES:
+        assert proc.stderr == MALFORMED_MESSAGES[case]
 
 
 def test_primes_decided_exactly(tmp_path):
@@ -979,13 +964,12 @@ OVERSIZED = [
 ]
 
 
-def _limited_child(tmp_path, content, before, after, env_config=None):
+def _limited_child(tmp_path, content, before, after):
     """``python -m iwkit`` on a bundled scenario or on ``content`` written to
     a file, in a child with a timeout and a 2 GB address-space limit: a run
     that computed p^level or p^N for a huge level or N would hang and then
     fail with MemoryError, and must fail the test, not stall the suite.  The
-    child runs at the default digit limit, with ``env_config`` (if any) as
-    its IWKIT_CONFIG."""
+    child runs at the default digit limit."""
     import resource
 
     if isinstance(content, Path):
@@ -998,11 +982,7 @@ def _limited_child(tmp_path, content, before, after, env_config=None):
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     env = {k: v for k, v in os.environ.items()
-           if k not in ("IWKIT_CONFIG", "PYTHONINTMAXSTRDIGITS")}
-    if env_config is not None:
-        env_file = tmp_path / "env.json"
-        env_file.write_text(json.dumps(env_config))
-        env["IWKIT_CONFIG"] = str(env_file)
+           if k != "PYTHONINTMAXSTRDIGITS"}
     return subprocess.run(
         [sys.executable, "-m", "iwkit", "--no-timestamp", *before, str(f),
          *after], capture_output=True, text=True, cwd=ROOT, env=env,
@@ -1041,27 +1021,22 @@ def test_oversized_p_power_exits_2(tmp_path, case, content, command):
 
 
 OVERSIZED_PRECISION = [
-    # (case, input, arguments before and after it, IWKIT_CONFIG): p^N for
-    # N = 10^12 would never finish; the residues mod 3^10000 have 4,772
-    # digits, more than str() prints at the default limit of 4,300
+    # (case, input, arguments before and after it): p^N for N = 10^12 would
+    # never finish; the residues mod 3^10000 have 4,772 digits, more than
+    # str() prints at the default limit of 4,300
     ("--precision 10^12", SCEN / "module_phi1.json",
-     ["--precision", str(HUGE), "tower"], [], None),
+     ["--precision", str(HUGE), "tower"], []),
     ("--precision 10000", SCEN / "frobenius_elliptic.json",
-     ["--precision", "10000", "logmatrix"], ["--n", "1"], None),
-    ("IWKIT_CONFIG precision 10^12", SCEN / "module_phi1.json", ["tower"], [],
-     {"precision": HUGE}),
+     ["--precision", "10000", "logmatrix"], ["--n", "1"]),
 ]
 
 
-@pytest.mark.parametrize("case,content,before,after,env_config",
-                         OVERSIZED_PRECISION,
+@pytest.mark.parametrize("case,content,before,after", OVERSIZED_PRECISION,
                          ids=[row[0] for row in OVERSIZED_PRECISION])
-def test_oversized_precision_exits_2(tmp_path, case, content, before, after,
-                                     env_config):
+def test_oversized_precision_exits_2(tmp_path, case, content, before, after):
     """A precision whose residues mod p^N print with more decimal digits
-    than the interpreter allows exits 2 at once, from the command line and
-    from IWKIT_CONFIG alike."""
-    proc = _limited_child(tmp_path, content, before, after, env_config)
+    than the interpreter allows exits 2 at once."""
+    proc = _limited_child(tmp_path, content, before, after)
     assert proc.returncode == 2, proc.stderr or proc.stdout
     assert "decimal digits" in proc.stderr
 
@@ -1196,7 +1171,6 @@ def test_mutated_scenario_exits_with_a_documented_code(tmp_path_factory, case):
     def overran(signum, frame):
         raise _Overran(f"over {FUZZ_SECONDS} s: {before} {tree!r} {after}")
 
-    saved_config = os.environ.pop("IWKIT_CONFIG", None)
     handler = signal.signal(signal.SIGALRM, overran)
     signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
     try:
@@ -1205,6 +1179,4 @@ def test_mutated_scenario_exits_with_a_documented_code(tmp_path_factory, case):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
-        if saved_config is not None:
-            os.environ["IWKIT_CONFIG"] = saved_config
     assert code in (0, 2, 3, 4, 5), (before, tree, after, code)

@@ -127,6 +127,39 @@ class TestRkSolver:
             assert len(opts[k].pairs) == ek - a + 1
 
 
+def ledger_rule(e, a, r_plus, r_minus) -> bool:
+    """The signed rank-ledger rule, level by level: level 0 has
+    a_0 = r+_0 = r-_0 = e_0; level k > 0 has a_k = max(0, e_k - 1),
+    min(r+_k, r-_k) >= a_k and r+_k + r-_k = e_k + a_k."""
+    for k, (ek, ak, rp, rm) in enumerate(zip(e, a, r_plus, r_minus)):
+        if k == 0:
+            ok = ak == rp == rm == ek
+        else:
+            ok = (ak == max(0, ek - 1) and min(rp, rm) >= ak
+                  and rp + rm == ek + ak)
+        if not ok:
+            return False
+    return True
+
+
+@st.composite
+def ledger_candidates(draw):
+    """(e, a, r+, r-) with e in 0..5, at most 4 levels, and every other
+    entry in -1..7: each entry either arbitrary or the value the rule asks
+    for, so that admissible and nearly admissible ledgers both occur."""
+    e = draw(st.lists(st.integers(0, 5), max_size=4))
+    entry = st.integers(-1, 7)
+    a, r_plus, r_minus = [], [], []
+    for k, ek in enumerate(e):
+        lo = ek if k == 0 else max(0, ek - 1)
+        a.append(draw(st.one_of(st.just(lo), entry)))
+        r_plus.append(draw(st.one_of(st.integers(lo, ek), entry)))
+        rest = ek + a[-1] - r_plus[-1]
+        r_minus.append(draw(st.one_of(st.just(rest), entry)
+                            if -1 <= rest <= 7 else entry))
+    return tuple(e), tuple(a), tuple(r_plus), tuple(r_minus)
+
+
 class TestRankLedger:
     def test_from_ranks(self):
         # ranks 2, 2, 2: zero increments beyond e_0
@@ -144,6 +177,27 @@ class TestRankLedger:
 
     def test_valid_assignment(self):
         RankLedger(e=(1, 3), a=(1, 2), r_plus=(1, 2), r_minus=(1, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ledger_candidates())
+    def test_accepts_exactly_the_rule(self, case):
+        e, a, r_plus, r_minus = case
+        try:
+            RankLedger(e, a, r_plus, r_minus)
+        except InputError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == ledger_rule(e, a, r_plus, r_minus)
+
+    @given(p=st.sampled_from([3, 5, 7]),
+           e=st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    def test_from_ranks_accepts_every_integral_sequence(self, p, e):
+        # rank jumps of e_n (p^n - p^{n-1}) at every level n >= 1
+        ranks = [e[0]]
+        for n, en in enumerate(e[1:], 1):
+            ranks.append(ranks[-1] + en * (p**n - p ** (n - 1)))
+        assert RankLedger.from_ranks(ranks, prime=p).e == tuple(e)
 
 
 class TestSyntheticTower:
