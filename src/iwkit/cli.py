@@ -385,7 +385,7 @@ def _cmd_logmatrix(args, data: dict, digest) -> tuple:
     printed = {}
     if args.minors:
         table = minors(frob, args.n, tower=tower)
-        printed = serialize.minor_table_to_dict(table)["minors"]
+        printed = serialize.minor_table_to_dict(table)
     if args.col_values is not None:
         nonzero, val = condition_character(
             frob, args.n, cols, args.theta_level, margin=config.margin,

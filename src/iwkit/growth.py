@@ -148,11 +148,11 @@ class RankLedger(Value):
                     f"admissible for e_{opt.k} = {e[opt.k]}")
 
     @classmethod
-    def from_ranks(cls, ranks: Sequence[int], *, prime: int,
-                   r_plus: Sequence[int] | None = None,
-                   r_minus: Sequence[int] | None = None) -> "RankLedger":
+    def from_ranks(cls, ranks: Sequence[int], *, prime: int) -> "RankLedger":
         """Derive e from a Mordell-Weil rank sequence; the rank jump at level
-        n must be divisible by p^n - p^{n-1}."""
+        n must be divisible by p^n - p^{n-1}.  Each level takes the a and
+        the last of the pairs ``rk_solver`` gives, where r+ takes the larger
+        share."""
         if not ranks:
             raise InputError("need at least the level-0 rank")
         e = [ranks[0]]
@@ -163,12 +163,10 @@ class RankLedger(Value):
                 raise InputError(
                     f"rank jump {jump} at level {n} is not a multiple of {step}")
             e.append(jump // step)
-        a = [e[0]] + [max(0, x - 1) for x in e[1:]]
-        if r_plus is None or r_minus is None:
-            # canonical choice: r+ takes the larger share
-            r_plus = [e[0]] + [x for x in e[1:]]
-            r_minus = [e[0]] + list(a[1:])
-        return cls(tuple(e), tuple(a), tuple(r_plus), tuple(r_minus))
+        options = rk_solver(e)
+        return cls(tuple(e), tuple(opt.a for opt in options),
+                   tuple(opt.pairs[-1][0] for opt in options),
+                   tuple(opt.pairs[-1][1] for opt in options))
 
 
 def _assign_shape(sel: ElementaryModule, shape: MWShape) -> list[tuple[int, IwasawaSeries]]:

@@ -49,19 +49,22 @@ directly; the tests build their oracle for the kernel from them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from itertools import combinations, zip_longest
 from operator import mul
 
 from ._value import Value
-from .config import level_power
+from .config import is_odd_prime, level_power
 from .cyclotomic import cyclo_eval
 from .errors import InputError, PrecisionExhaustedError
 from .padic import (
     PadicInt,
+    _inverse_rows,
+    _mat_mul_mod,
     mat_det,  # noqa: F401  perfbench/spans.py rebinds it here by name
     mat_inv,
     mat_mul,
+    padic_matrix,
 )
 from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
                      _strip, _unpack, deg_phi, phi, phi_int_coeffs,
@@ -70,53 +73,43 @@ from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
 
 class FrobeniusData(Value):
     """A 2g x 2g Frobenius matrix C_p, invertible over Z_p, with the columns
-    ordered Hodge-compatibly (first g spanning the filtered piece)."""
+    ordered Hodge-compatibly (first g spanning the filtered piece).  ``c_p``
+    holds its rows as residues mod p^N, however the given ints lie."""
 
     # the __dict__ holds _inverse_residues, C_p^{-1} mod p^N as residues
     __slots__ = ("g", "prime", "precision", "c_p", "__dict__")
 
     def __init__(self, g: int, prime: int, precision: int,
-                 c_p: tuple[tuple[PadicInt, ...], ...]):
+                 c_p: Sequence[Sequence[int]]):
+        if not is_odd_prime(prime):
+            raise InputError(f"prime must be an odd prime, got {prime}")
+        if precision < 1:
+            raise InputError(f"precision must be >= 1, got {precision}")
+        d = 2 * g
+        if g < 1 or len(c_p) != d or any(len(r) != d for r in c_p):
+            raise InputError(f"C_p must be {d}x{d}")
+        q = prime**precision
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "c_p", c_p)
-        d = 2 * self.g
-        if len(self.c_p) != d or any(len(r) != d for r in self.c_p):
-            raise InputError(f"C_p must be {d}x{d}")
-        for row in self.c_p:
-            for x in row:
-                if x.prime != self.prime or x.precision != self.precision:
-                    raise InputError("C_p entries must share prime and precision")
+        object.__setattr__(self, "c_p",
+                           tuple(tuple(x % q for x in row) for row in c_p))
         # one elimination both refuses a non-unit determinant and gives the
         # inverse that every tower of this matrix starts from
         try:
-            inv = mat_inv(self.c_p_lists())
+            inv = _inverse_rows(self.c_p, prime, precision)
         except InputError:
-            if not d:
-                raise  # g = 0: mat_inv's refusal of an empty matrix
             raise InputError(
                 "C_p must be invertible over Z_p (unit determinant)") from None
-        object.__setattr__(self, "_inverse_residues",
-                           [[x.residue for x in row] for row in inv])
-
-    @classmethod
-    def from_int_rows(cls, g: int, prime: int, precision: int,
-                      rows: Sequence[Sequence[int]]) -> "FrobeniusData":
-        return cls(g, prime, precision,
-                   tuple(tuple(PadicInt(prime, x, precision) for x in row)
-                         for row in rows))
+        object.__setattr__(self, "_inverse_residues", inv)
 
     @classmethod
     def elliptic(cls, prime: int, precision: int) -> "FrobeniusData":
         """The g = 1 supersingular shape with trace zero: C_p = [[0,-1],[1,0]]."""
-        return cls.from_int_rows(1, prime, precision, [[0, -1], [1, 0]])
+        return cls(1, prime, precision, [[0, -1], [1, 0]])
 
     def block_anti_diagonal(self) -> bool:
         return _is_block_anti_diagonal(self.c_p, self.g)
-
-    def c_p_lists(self) -> list[list[PadicInt]]:
-        return [list(r) for r in self.c_p]
 
 
 class LogMatrix(Value):
@@ -211,13 +204,6 @@ def _series_det(rows: list[list[IwasawaSeries]]) -> IwasawaSeries:
 def _default_cap(frob: FrobeniusData, n: int, *, minors_of_h: bool = False) -> int:
     base = level_power(frob.prime, max(n, 1))
     return (frob.g * base + 8) if minors_of_h else (base + 8)
-
-
-def _a_matrix(frob: FrobeniusData) -> list[list[PadicInt]]:
-    """A = C_p * diag(p I_g, I_g): C_p with its first g columns times p."""
-    scale = PadicInt(frob.prime, frob.prime, frob.precision)
-    return [[x * scale if j < frob.g else x for j, x in enumerate(row)]
-            for row in frob.c_p]
 
 
 def c_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMatrix:
@@ -420,16 +406,18 @@ def m_n(frob: FrobeniusData, n: int, *, degree_cap: int | None = None) -> LogMat
         raise InputError("level must be >= 1")
     cap = degree_cap if degree_cap is not None else _default_cap(frob, n)
     p, prec = frob.prime, frob.precision
-    a = a_pow = _a_matrix(frob)
+    # A = C_p * diag(p I_g, I_g): C_p with its first g columns times p
+    a = a_pow = [[x * p if j < frob.g else x for j, x in enumerate(row)]
+                 for row in frob.c_p]
     for _ in range(n):
-        a_pow = mat_mul(a_pow, a)
+        a_pow = _mat_mul_mod(a_pow, a, p**prec)
     h_cols = list(zip(*h_n(frob, n, degree_cap=cap).entries))
     rows = [[IwasawaSeries(p, prec, tuple(
                 sum(map(mul, coefs, cs))
                 for cs in zip_longest(*(e.coeffs for e in col), fillvalue=0)),
                 cap)
              for col in h_cols]
-            for coefs in ([x.residue for x in row] for row in a_pow)]
+            for coefs in a_pow]
     if n + 1 >= prec and all(e.is_zero() for row in rows for e in row):
         raise PrecisionExhaustedError(
             f"A^{n + 1} H_{n} is 0 mod {p}^{prec}: M_{n} at level {n} has "
@@ -443,22 +431,18 @@ def index_sets(g: int) -> list[tuple[int, ...]]:
 
 
 class MinorTable(Value):
-    """All (I, J)-minors of H_n for g-element row/column index sets; filled
-    in place, so mutable and unhashable."""
+    """All (I, J)-minors of H_n for g-element row/column index sets."""
 
     __slots__ = ("n", "g", "prime", "precision", "values")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, n: int, g: int, prime: int, precision: int,
                  values: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                              IwasawaSeries] | None = None):
-        self.n = n
-        self.g = g
-        self.prime = prime
-        self.precision = precision
-        self.values = {} if values is None else values
+                              IwasawaSeries]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "values", values)
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> IwasawaSeries:
         return self.values[(tuple(sorted(rows)), tuple(sorted(cols)))]
@@ -483,19 +467,19 @@ def minors(frob: FrobeniusData, n: int, *, degree_cap: int | None = None,
     _require_table(frob, n)
     cap = degree_cap if degree_cap is not None else _default_cap(
         frob, n, minors_of_h=True)
-    table = MinorTable(n=n, g=frob.g, prime=frob.prime, precision=frob.precision)
     sets = index_sets(frob.g)
-    for rows_set, row in zip(sets, _tower_for(frob, tower).power(frob.g, n, cap)):
-        for cols_set, v in zip(sets, row):
-            table.values[(rows_set, cols_set)] = v
-    return table
+    power = _tower_for(frob, tower).power(frob.g, n, cap)
+    values = {(rows_set, cols_set): v
+              for rows_set, row in zip(sets, power)
+              for cols_set, v in zip(sets, row)}
+    return MinorTable(n, frob.g, frob.prime, frob.precision, values)
 
 
-def _checked_columns(frob: FrobeniusData, col_values) -> list[IwasawaSeries]:
-    """The column values in ``index_sets`` order, each a series at p."""
+def _checked_columns(frob: FrobeniusData,
+                     col_values: Sequence[IwasawaSeries]) -> list[IwasawaSeries]:
+    """The column values, in ``index_sets`` order, each a series at p."""
     sets, p = index_sets(frob.g), frob.prime
-    vals = ([col_values[s] for s in sets] if isinstance(col_values, Mapping)
-            else list(col_values))
+    vals = list(col_values)
     if len(vals) != len(sets):
         raise InputError(f"need {len(sets)} column values, got {len(vals)}")
     if not all(isinstance(v, IwasawaSeries) and v.prime == p for v in vals):
@@ -504,17 +488,17 @@ def _checked_columns(frob: FrobeniusData, col_values) -> list[IwasawaSeries]:
 
 
 def condition_character(frob: FrobeniusData, n: int,
-                        col_values: Sequence[IwasawaSeries] | Mapping,
+                        col_values: Sequence[IwasawaSeries],
                         theta_level: int | None = None, *,
                         margin: int = 4,
                         tower: WedgeTower | None = None) -> tuple[bool, int]:
     """Evaluate sum_J H_{I0,J,n} * col_J at a character of level theta.
 
     ``col_values`` supplies the caller's column determinants, one per
-    g-element index set J (lexicographic order, or a mapping keyed by the
-    sets), each read as the polynomial its coefficients hold.  The sum is
-    answered in Z/p^N[X]/(Phi_theta(1+X)) with no degree cap: the exact row
-    of ``WedgeTower.character_row`` times the columns, summed as one
+    g-element index set J in ``index_sets`` (lexicographic) order, each
+    read as the polynomial its coefficients hold.  The sum is answered in
+    Z/p^N[X]/(Phi_theta(1+X)) with no degree cap: the exact row of
+    ``WedgeTower.character_row`` times the columns, summed as one
     Kronecker dot product and reduced once by ``cyclo_eval``.  Returns
     (is_nonzero mod p^N, minimal coefficient valuation), N the least
     precision of C_p and the columns.  Raises PrecisionExhaustedError when
@@ -560,9 +544,10 @@ def _block_diag(b11: Sequence[Sequence[PadicInt]],
     return out
 
 
-def _is_block_anti_diagonal(mat: Sequence[Sequence[PadicInt]], g: int) -> bool:
-    return all(mat[i][j].is_zero() and mat[g + i][g + j].is_zero()
-               for i in range(g) for j in range(g))
+def _is_block_anti_diagonal(mat: Sequence[Sequence[int]], g: int) -> bool:
+    """Whether both diagonal g x g blocks of a residue matrix are 0."""
+    return not any(mat[i][j] or mat[g + i][g + j]
+                   for i in range(g) for j in range(g))
 
 
 def change_basis_check(frob: FrobeniusData,
@@ -583,8 +568,9 @@ def change_basis_check(frob: FrobeniusData,
             raise InputError(f"blocks must be {g}x{g}")
         mat_inv(blk)  # raises InputError when not invertible
     bp = _block_diag(b11, b22, g, p, prec)
-    conj = mat_mul(mat_mul(bp, frob.c_p_lists()), mat_inv(bp))
-    if not _is_block_anti_diagonal(conj, g):
+    conj = mat_mul(mat_mul(bp, padic_matrix(p, prec, frob.c_p)), mat_inv(bp))
+    if not _is_block_anti_diagonal([[x.residue for x in row] for row in conj],
+                                   g):
         return False
     for v in vectors:
         if len(v) != 2 * g:

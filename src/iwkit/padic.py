@@ -362,13 +362,21 @@ def mat_det(matrix: Sequence[Sequence[PadicInt]]) -> PadicInt:
     return PadicInt(prime, det, precision)
 
 
+def _inverse_rows(rows: Sequence[Sequence[int]], p: int,
+                  precision: int) -> list[list[int]]:
+    """Inverse mod p^N of a square int matrix invertible over Z_p (unit
+    determinant): the tracked elimination gives U * A * V = I, so
+    A^-1 = V * U."""
+    exps, _, (u, v) = _snf_core(rows, p, precision, track=True)
+    if any(exps):
+        raise InputError("matrix is not invertible mod p")
+    return _mat_mul_mod(v, u, p**precision)
+
+
 def mat_inv(matrix: Sequence[Sequence[PadicInt]]) -> list[list[PadicInt]]:
-    """Inverse of a matrix invertible over Z_p (unit determinant): the
-    tracked elimination gives U * A * V = I, so A^-1 = V * U."""
+    """Inverse of a PadicInt matrix invertible over Z_p: ``_inverse_rows``
+    on its residues."""
     prime, precision, rows = _validate_matrix(matrix)
     if len(rows[0]) != len(rows):
         raise InputError("inverse needs a square matrix")
-    exps, _, (u, v) = _snf_core(rows, prime, precision, track=True)
-    if any(exps):
-        raise InputError("matrix is not invertible mod p")
-    return padic_matrix(prime, precision, _mat_mul_mod(v, u, prime**precision))
+    return padic_matrix(prime, precision, _inverse_rows(rows, prime, precision))

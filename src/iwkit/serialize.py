@@ -100,12 +100,13 @@ def frobenius_from_dict(d: dict, *, precision: int = 24) -> FrobeniusData:
         rows = [_int_list(row, "matrix row") for row in d["matrix"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad frobenius object: {exc}") from exc
-    return FrobeniusData.from_int_rows(g, prime, precision, rows)
+    return FrobeniusData(g, prime, precision, rows)
 
 
-def minor_table_to_dict(t: MinorTable) -> dict:
-    """The table with each minor as its printed string: the coefficients
-    joined by ";", through the cap, the terms above the degree as "0".
+def minor_table_to_dict(t: MinorTable) -> dict[str, str]:
+    """Each minor of the table, keyed "I|J" in sorted order, as its printed
+    string: the coefficients joined by ";", through the cap, the terms
+    above the degree as "0".
 
     Each index set is labelled once, and each minor's coefficients are
     printed by one ``%``, so they never also live as a list of strings
@@ -119,13 +120,7 @@ def minor_table_to_dict(t: MinorTable) -> dict:
         # last ";" cut
         values[f"{label[rows]}|{label[cols]}"] = (
             ("%d;" * len(cs)) % cs + "0;" * (v.degree_cap + 1 - len(cs)))[:-1]
-    return {
-        "n": t.n,
-        "g": t.g,
-        "prime": t.prime,
-        "precision": t.precision,
-        "minors": values,
-    }
+    return values
 
 
 def scenario_from_dict(d: dict, *, degree_cap: int | None = None,

@@ -311,8 +311,8 @@ def c_phi(frob, *, degree_cap=None):
 
     p, prec, g = frob.prime, frob.precision, frob.g
     cap = 8 if degree_cap is None else degree_cap
-    rows = [[IwasawaSeries.constant(x.residue * (p if j < g else 1), p, prec,
-                                    cap) for j, x in enumerate(row)]
+    rows = [[IwasawaSeries.constant(x * (p if j < g else 1), p, prec, cap)
+             for j, x in enumerate(row)]
             for row in frob.c_p]
     return LogMatrix.normalized(rows, 1)
 

@@ -82,13 +82,30 @@ def test_readme_gives_the_tier1_command():
     assert TIER1 in (ROOT / "README.md").read_text().splitlines()
 
 
-@pytest.mark.parametrize("argv", [
+# one small run of every script of scripts/; character_ring.py also times
+# this tree against itself, the path an A/B run against another checkout takes
+SCRIPT_RUNS = [
     ["elliptic_alternation.py", "--n-max", "2"],
     ["growth_scenarios.py"],
     ["tower_grid.py", "--n-max", "2"],
     ["logmatrix_split.py", "--passes", "1"],
     ["character_ring.py", "--repeats", "1"],
-], ids=lambda argv: argv[0])
+    ["character_ring.py", "--repeats", "1", "--against", str(ROOT)],
+]
+
+
+def test_every_script_runs_and_is_documented():
+    """No script of scripts/ escapes ``test_script_runs``, and README's
+    "Scripts" section names each one."""
+    scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
+    assert scripts == {argv[0] for argv in SCRIPT_RUNS}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    assert [s for s in sorted(scripts) if f"`scripts/{s}`" not in section] == []
+
+
+@pytest.mark.parametrize("argv", SCRIPT_RUNS, ids=lambda argv: " ".join(
+    [argv[0]] + [a for a in argv if a == "--against"]))
 def test_script_runs(tmp_path, argv):
     """Each script of scripts/ runs to exit 0 on small arguments: the names
     it imports from iwkit, or rebinds on it, still exist."""

@@ -588,10 +588,10 @@ class TestLogmatrixOneTower:
             return build(self, r, n, cap)
 
         inverses = []
-        mat_inv = logmatrix.mat_inv
+        inverse_rows = logmatrix._inverse_rows
         monkeypatch.setattr(WedgeTower, "_build", counting)
-        monkeypatch.setattr(logmatrix, "mat_inv",
-                            lambda m: inverses.append(1) or mat_inv(m))
+        monkeypatch.setattr(logmatrix, "_inverse_rows",
+                            lambda *a: inverses.append(1) or inverse_rows(*a))
         run(*_logmatrix_argv(tmp_path, g, flags))
         # g = 1: the minor table is H_n itself; the character builds no
         # power, only its row
@@ -781,7 +781,7 @@ def test_report_writer_minor_strings(tmp_path):
     # each minor_I|J string against the join it replaced, on tables with
     # all-zero minors (block anti-diagonal C_p), minors whose degree reaches
     # a small cap, and residues above 2^64 (p = 11, N = 40)
-    anti = FrobeniusData.from_int_rows(2, 3, 24, [
+    anti = FrobeniusData(2, 3, 24, [
         [0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     cases = [(anti, 2, None)]
     # a cap below the minors' degree, but at least deg Phi_n
@@ -805,7 +805,7 @@ def test_report_writer_minor_strings(tmp_path):
                      "no tail" if len(cs) == top + 1 else "tail")
             if any(c > 2**64 for c in cs):
                 seen.add("above 2^64")
-        got = serialize.minor_table_to_dict(table)["minors"]
+        got = serialize.minor_table_to_dict(table)
         assert list(got.items()) == list(want.items())
     assert seen == {"all zero", "no tail", "tail", "above 2^64"}
 

@@ -197,7 +197,13 @@ class TestRankLedger:
         ranks = [e[0]]
         for n, en in enumerate(e[1:], 1):
             ranks.append(ranks[-1] + en * (p**n - p ** (n - 1)))
-        assert RankLedger.from_ranks(ranks, prime=p).e == tuple(e)
+        # the ledger of rk_solver's a and, per level, the admissible pair
+        # where r+ takes the larger share
+        options = rk_solver(e)
+        best = [max(opt.pairs) for opt in options]
+        assert RankLedger.from_ranks(ranks, prime=p) == RankLedger(
+            tuple(e), tuple(opt.a for opt in options),
+            tuple(rp for rp, _ in best), tuple(rm for _, rm in best))
 
 
 class TestSyntheticTower:

@@ -73,7 +73,24 @@ class TestFrobeniusData:
     def test_non_invertible_rejected(self):
         with pytest.raises(InputError, match=r"^C_p must be invertible over "
                            r"Z_p \(unit determinant\)$"):
-            FrobeniusData.from_int_rows(1, P, N, [[0, -1], [3, 0]])
+            FrobeniusData(1, P, N, [[0, -1], [3, 0]])
+
+    @pytest.mark.parametrize("g,p,prec,rows,message", [
+        (1, 4, N, [[0, -1], [1, 0]], "prime must be an odd prime, got 4"),
+        (1, P, 0, [[0, -1], [1, 0]], "precision must be >= 1, got 0"),
+        (0, P, N, [], "C_p must be 0x0"),
+        (-1, P, N, [[0, -1], [1, 0]], "C_p must be -2x-2"),
+        (1, P, N, [[0, -1], [1]], "C_p must be 2x2"),
+        (2, P, N, [[0, -1], [1, 0]], "C_p must be 4x4"),
+    ])
+    def test_malformed_refused(self, g, p, prec, rows, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            FrobeniusData(g, p, prec, rows)
+
+    def test_entries_held_as_residues(self):
+        f = FrobeniusData(1, P, 2, [[0, -1], [10, 0]])
+        assert f.c_p == ((0, 8), (1, 0))
+        assert f == FrobeniusData(1, P, 2, [[9, 8], [1, -9]])
 
     def test_one_elimination_per_matrix(self, monkeypatch):
         """Construction eliminates C_p once, for the refusal and the inverse
@@ -90,14 +107,14 @@ class TestFrobeniusData:
         for g in (1, 2, 3):
             rows = rand_gl(g, P, 6, rng)
             calls.clear()
-            frob = FrobeniusData.from_int_rows(g, P, 6, rows)
+            frob = FrobeniusData(g, P, 6, rows)
             h_n(frob, 2)
             minors(frob, 2)
             assert frob._inverse_residues
             assert calls == [2 * g]
 
     def test_identity_not_anti_diagonal(self):
-        f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])
+        f = FrobeniusData(1, P, N, [[1, 0], [0, 1]])
         assert not f.block_anti_diagonal()
 
 
@@ -111,7 +128,7 @@ class TestCphi:
         assert m.entry(1, 1).is_zero()
 
     def test_identity_frobenius(self):
-        f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])
+        f = FrobeniusData(1, P, N, [[1, 0], [0, 1]])
         m = c_phi(f)
         assert m.denom_exponent == 1
         assert m.entry(0, 0).congruent(const(3))
@@ -120,9 +137,9 @@ class TestCphi:
     def test_det_multiplicativity(self):
         rng = random.Random(5)
         for g in (1, 2):
-            f = FrobeniusData.from_int_rows(g, P, N, rand_gl(g, P, N, rng))
+            f = FrobeniusData(g, P, N, rand_gl(g, P, N, rng))
             d, denom = c_phi(f).det()
-            cp_det = mat_det(f.c_p_lists())
+            cp_det = mat_det(padic_matrix(f.prime, f.precision, f.c_p))
             assert denom == g
             assert d.coeffs[0] == cp_det.residue % d.q
             # det(C_phi) = det(C_p) * p^{-g}
@@ -141,7 +158,7 @@ class TestCn:
         assert m.entry(1, 1).is_zero()
 
     def test_identity_frobenius_diag(self):
-        f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])
+        f = FrobeniusData(1, P, N, [[1, 0], [0, 1]])
         m = c_n(f, 2)
         cap = m.entry(0, 0).degree_cap
         assert m.entry(0, 0).congruent(const(1, cap))
@@ -150,7 +167,7 @@ class TestCn:
     def test_det_formula(self):
         rng = random.Random(9)
         for g in (1, 2):
-            f = FrobeniusData.from_int_rows(g, P, N, rand_gl(g, P, N, rng))
+            f = FrobeniusData(g, P, N, rand_gl(g, P, N, rng))
             n = 1
             d, denom = c_n(f, n).det()
             assert denom == 0
@@ -158,13 +175,14 @@ class TestCn:
             want = phi(n, prime=P, precision=N, degree_cap=cap)
             for _ in range(g - 1):
                 want = want * phi(n, prime=P, precision=N, degree_cap=cap)
-            want = want * mat_det(f.c_p_lists()).inverse()
+            cp_det = mat_det(padic_matrix(f.prime, f.precision, f.c_p))
+            want = want * cp_det.inverse()
             assert d.congruent(want)
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_bottom_right_block_dies_at_own_level(self, g):
         rng = random.Random(13)
-        f = FrobeniusData.from_int_rows(g, P, N, rand_gl(g, P, N, rng))
+        f = FrobeniusData(g, P, N, rand_gl(g, P, N, rng))
         for n in (1, 2):
             m = c_n(f, n)
             for i in range(g, 2 * g):
@@ -218,7 +236,7 @@ class TestHn:
 
     def test_det_formula_g2_random(self):
         rng = random.Random(21)
-        f = FrobeniusData.from_int_rows(2, P, N, rand_gl(2, P, N, rng))
+        f = FrobeniusData(2, P, N, rand_gl(2, P, N, rng))
         n, cap = 2, 40
         d, denom = h_n(f, n, degree_cap=cap).det()
         assert denom == 0
@@ -226,7 +244,7 @@ class TestHn:
         for k in (1, 2):
             pk = phi(k, prime=P, precision=N, degree_cap=cap)
             want = want * pk * pk
-        inv_det = mat_det(f.c_p_lists()).inverse()
+        inv_det = mat_det(padic_matrix(f.prime, f.precision, f.c_p)).inverse()
         want = want * (inv_det * inv_det)
         assert d.congruent(want)
 
@@ -250,7 +268,7 @@ class TestMn:
         assert m.entry(1, 1).is_zero()
 
     def test_identity_n1(self):
-        f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])
+        f = FrobeniusData(1, P, N, [[1, 0], [0, 1]])
         m = m_n(f, 1)
         assert m.denom_exponent == 2
         cap = m.entry(0, 0).degree_cap
@@ -275,8 +293,7 @@ class TestMn:
         0 mod p^N and cannot be normalized.  The chain raises InputError
         there, m_n PrecisionExhaustedError."""
         rng = random.Random(seed)
-        frob = FrobeniusData.from_int_rows(g, p, prec,
-                                           rand_gl(g, p, prec, rng))
+        frob = FrobeniusData(g, p, prec, rand_gl(g, p, prec, rng))
         default = p**n + 8
         cap = None if extra is None else deg_phi(p, n) + extra
         try:
@@ -342,7 +359,7 @@ class TestMinors:
     def test_generalized_laplace_g2(self):
         """det H = sum_J eps(I, J) * minor(I, J) * minor(I^c, J^c)."""
         rng = random.Random(33)
-        f = FrobeniusData.from_int_rows(2, P, N, rand_gl(2, P, N, rng))
+        f = FrobeniusData(2, P, N, rand_gl(2, P, N, rng))
         n, cap = 1, 30
         table = minors(f, n, degree_cap=cap)
         h = h_n(f, n, degree_cap=cap)
@@ -382,7 +399,7 @@ KERNEL_CASES = [(g, p, n) for g in (1, 2, 3) for p in (3, 5, 7)
 def kernel_frobenius(g, p, n):
     rng = random.Random(1000 * g + 10 * p + n)
     prec = (5, 24, 40)[(g + p + n) % 3]
-    return FrobeniusData.from_int_rows(g, p, prec, rand_gl(g, p, prec, rng))
+    return FrobeniusData(g, p, prec, rand_gl(g, p, prec, rng))
 
 
 class TestCauchyBinetKernel:
@@ -460,8 +477,7 @@ class TestCauchyBinetKernel:
     def test_extreme_precisions_truncating_caps_and_first_row(self, g, p, n,
                                                                prec):
         rng = random.Random(100 * g + 10 * p + n + prec)
-        frob = FrobeniusData.from_int_rows(g, p, prec,
-                                           rand_gl(g, p, prec, rng))
+        frob = FrobeniusData(g, p, prec, rand_gl(g, p, prec, rng))
         sets = index_sets(g)
         default = g * p**n + 8
         truncating = max(deg_phi(p, n), (deg_phi(p, n) + g * (p**n - 1)) // 2)
@@ -555,11 +571,6 @@ class TestConditionCharacter:
         assert condition_character(elliptic(), 2, cols) == \
             condition_character(elliptic(), 2, cols, 2)
 
-    def test_mapping_input(self):
-        cols = {(1,): const(1, 30), (2,): const(1, 30)}
-        nonzero, _ = condition_character(elliptic(), 2, cols, 2)
-        assert nonzero
-
     def test_margin_band_raises(self):
         # the sum survives only with valuation N - 2, inside the margin band
         cols = [const(3 ** (N - 2), 30), IwasawaSeries.zero(P, N, 30)]
@@ -608,7 +619,7 @@ class TestConditionCharacter:
         cols = [IwasawaSeries.make(p, col_prec, c,
                                    len(c) - 1 + rng.randint(0, 12))
                 for c in coeffs]
-        frob = FrobeniusData.from_int_rows(g, p, prec, rows)
+        frob = FrobeniusData(g, p, prec, rows)
         assert condition_character(frob, n, cols, theta, margin=0) == (
             ip_character(rows, g, p, prec, n, coeffs, theta, col_prec))
         # the pushed row itself, residue by residue mod (Phi_theta, p^N)
@@ -635,7 +646,7 @@ class TestChangeBasis:
         assert change_basis_check(elliptic(), b11, b22, [v])
 
     def test_requires_anti_diagonal(self):
-        f = FrobeniusData.from_int_rows(1, P, N, [[1, 0], [0, 1]])
+        f = FrobeniusData(1, P, N, [[1, 0], [0, 1]])
         one = padic_matrix(P, N, [[1]])
         with pytest.raises(InputError):
             change_basis_check(f, one, one, [])
@@ -649,7 +660,7 @@ class TestChangeBasis:
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_random_blocks_and_patterns(self, g):
         rng = random.Random(100 + g)
-        frob = FrobeniusData.from_int_rows(g, P, N, rand_anti_diagonal(g, P, N, rng))
+        frob = FrobeniusData(g, P, N, rand_anti_diagonal(g, P, N, rng))
         q = P**N
         for _ in range(10):
             b11 = rand_gl_block(g, rng)

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
@@ -45,7 +46,21 @@ from iwkit.series import (
 )
 
 from conftest import (DenseWindow, dense_trim, ip_add, ip_divmod, ip_mul,
-                      ip_phi, ip_reduce_mod, ip_trim)
+                      ip_omega, ip_phi, ip_reduce_mod, ip_trim)
+
+# the highest level k per prime with deg Phi_k <= 501, and p^k <= 729
+TOP_LEVEL = {3: 6, 5: 4, 7: 3, 11: 2}
+exact_phi = lru_cache(maxsize=None)(ip_phi)
+exact_omega = lru_cache(maxsize=None)(ip_omega)
+
+
+@st.composite
+def level_cases(draw):
+    """(p, k, N): N on both sides of p^N = 2^64, or small enough that some
+    exact coefficients of Phi_k and omega_k vanish mod p^N."""
+    p = draw(st.sampled_from(sorted(TOP_LEVEL)))
+    k = draw(st.integers(0, TOP_LEVEL[p]))
+    return p, k, draw(st.one_of(st.integers(1, 3), st.integers(1, 60)))
 
 
 def S(coeffs, p=3, n=24, cap=30):
@@ -115,6 +130,23 @@ class TestPhiOmega:
         assert phi_int_coeffs(p, n) == want
         assert omega_int_coeffs(p, n) == [0] + [comb(p**n, i)
                                                 for i in range(1, p**n + 1)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=level_cases())
+    @example(case=(3, 6, 1))
+    @example(case=(3, 6, 40))
+    @example(case=(3, 6, 41))
+    @example(case=(11, 2, 18))
+    @example(case=(11, 2, 19))
+    def test_phi_omega_residues_match_exact_rows(self, case):
+        # the residues mod p^N of the exact rows, trimmed as a series stores
+        # them; Phi_k and omega_k are monic, so the top term always stays
+        p, k, n = case
+        q = p**n
+        f = phi(k, prime=p, precision=n)
+        assert f.coeffs == dense_trim(c % q for c in exact_phi(p, k))
+        w = omega(k, prime=p, precision=n)
+        assert w.coeffs == dense_trim(c % q for c in exact_omega(p, k))
 
     def test_degree_overflow_names_required_cap(self):
         with pytest.raises(DegreeOverflowError) as err:

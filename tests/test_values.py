@@ -32,9 +32,8 @@ CASES = [
     (RkOptions, {"k": 1, "a": 0, "pairs": ((0, 1), (1, 0))}),
     (RankLedger, {"e": (1, 1), "a": (1, 0), "r_plus": (1, 1),
                   "r_minus": (1, 0)}),
-    (FrobeniusData, {"g": 1, "prime": 3, "precision": 24, "c_p": (
-        (PadicInt(3, 0, 24), PadicInt(3, -1, 24)),
-        (PadicInt(3, 1, 24), PadicInt(3, 0, 24)))}),
+    (FrobeniusData, {"g": 1, "prime": 3, "precision": 24,
+                     "c_p": ((0, 3**24 - 1), (1, 0))}),
     (LogMatrix, {"entries": ((_S,),), "denom_exponent": 1}),
     (MinorTable, {"n": 1, "g": 1, "prime": 3, "precision": 24,
                   "values": {((1,), (1,)): _S}}),
@@ -62,28 +61,18 @@ def test_value_semantics(cls, fields):
     assert repr(a) == f"{cls.__name__}(" + ", ".join(
         f"{name}={getattr(a, name)!r}" for name in fields) + ")"
     assert copy.copy(a) == a and copy.deepcopy(a) == a
-    name = next(iter(fields))
     if cls is MinorTable:
-        # the one mutable record: assignable, so not hashable
-        setattr(a, name, 2)
-        assert a.n == 2 and a != b
-        del a.values
+        # its values are a dict, so the table is not hashable
         with pytest.raises(TypeError):
-            hash(b)
-        return
-    assert hash(a) == hash(b)
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
-
-
-def test_minor_table_values_fresh_per_instance():
-    a, b = MinorTable(1, 1, 3, 24), MinorTable(1, 1, 3, 24)
-    a.values[((1,), (1,))] = _S
-    assert b.values == {} and a != b
 
 
 def test_frobenius_inverse_computed_once():
