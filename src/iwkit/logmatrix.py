@@ -41,10 +41,10 @@ one Laplace recurrence over rank-indexed subsets (``_compound``).  At the
 end each vector is unpacked by one ``series._unpack`` call on the
 little-endian bytes of all its entries, read by byte planes.
 M_n = p^{-(n+1)} A^{n+1} H_n with the integer matrix A = C_p diag(p I_g, I_g),
-so ``m_n`` is one constant combination of the entries of H_n.  ``c_n``,
-``LogMatrix.matmul`` and ``LogMatrix.det`` (the Laplace expansion
-``_series_det``) multiply and take determinants of series matrices
-directly; the tests build their oracle for the kernel from them.
+so ``m_n`` is one constant combination of the entries of H_n.  ``c_n``
+builds series matrices directly, and ``LogMatrix.matmul`` and
+``LogMatrix.det`` (``_series_det``) multiply them mod X^{cap+1}
+(``_mul_mod_cap``); the tests build their oracle for the kernel from them.
 """
 
 from __future__ import annotations
@@ -149,22 +149,22 @@ class LogMatrix(Value):
         return cls(tuple(tuple(r) for r in rows), denom_exponent)
 
     def matmul(self, other: "LogMatrix") -> "LogMatrix":
+        """self * other mod X^{cap+1}, every product by ``_mul_mod_cap``."""
         if other.size != self.size:
             raise InputError("size mismatch")
-        n = self.size
         rows = []
-        for i in range(n):
+        for a in self.entries:
             row = []
-            for j in range(n):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
+            for b in zip(*other.entries):
+                acc = _mul_mod_cap(a[0], b[0])
+                for x, y in zip(a[1:], b[1:]):
+                    acc = acc + _mul_mod_cap(x, y)
                 row.append(acc)
             rows.append(row)
         return LogMatrix.normalized(rows, self.denom_exponent + other.denom_exponent)
 
     def det(self) -> tuple[IwasawaSeries, int]:
-        """(series, d): the determinant is p^{-d} * series, normalized."""
+        """(series, d): det mod X^{cap+1} is p^{-d} * series, normalized."""
         d = _series_det([list(r) for r in self.entries])
         total = self.size * self.denom_exponent
         strip = min(total, d.min_valuation())
@@ -187,14 +187,23 @@ class LogMatrix(Value):
         )
 
 
+def _mul_mod_cap(a: IwasawaSeries, b: IwasawaSeries) -> IwasawaSeries:
+    """a * b mod (p^N, X^{cap+1}), N and cap the smaller of a's and b's: the
+    one product of two series that drops the terms above the cap."""
+    n, cap, q = a._binop_params(b)
+    return IwasawaSeries._reduced(a.prime, n, _strip(
+        _conv(a.coeffs, b.coeffs, cap + 1, q)), cap)
+
+
 def _series_det(rows: list[list[IwasawaSeries]]) -> IwasawaSeries:
+    """Laplace expansion along the first row, mod X^{cap+1}."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     acc = None
     for j in range(n):
         minor_rows = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _series_det(minor_rows)
+        term = _mul_mod_cap(rows[0][j], _series_det(minor_rows))
         if j % 2 == 1:
             term = -term
         acc = term if acc is None else acc + term

@@ -39,6 +39,13 @@ def _min_valuation(values: Iterable[int], p: int, cap: int) -> int:
     return cap
 
 
+def _mod_exponent(e: int, mod_exp: int | None) -> int:
+    """e, or mod_exp when smaller: a congruence's exponent; mod_exp < 0 refused."""
+    if mod_exp is not None and mod_exp < 0:
+        raise InputError(f"mod_exp must be >= 0, got {mod_exp}")
+    return e if mod_exp is None else min(e, mod_exp)
+
+
 class PadicInt(Value):
     """An element of Z_p known modulo p^precision."""
 
@@ -136,10 +143,7 @@ class PadicInt(Value):
         o = self._coerce(other)
         if o is None:
             raise InputError(f"cannot compare a PadicInt with {type(other)}")
-        e = min(self.precision, o.precision)
-        if mod_exp is not None:
-            e = min(e, mod_exp)
-        m = self.prime**e
+        m = self.prime**_mod_exponent(min(self.precision, o.precision), mod_exp)
         return (self.residue - o.residue) % m == 0
 
     def __int__(self) -> int:

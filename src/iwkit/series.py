@@ -41,13 +41,15 @@ from .errors import (
     PrecisionExhaustedError,
     ZeroSeriesError,
 )
-from .padic import PadicInt, _min_valuation
+from .padic import PadicInt, _min_valuation, _mod_exponent
 
 
 class IwasawaSeries(Value):
-    """Truncated element of Z_p[[X]]: degrees 0..degree_cap mod p^precision,
-    stored as the coefficients without trailing zeros (none for 0), the cap
-    len(coeffs) - 1 of the coefficients given unless it is given too."""
+    """Truncated element of Z_p[[X]]: coefficients of degrees 0..degree_cap
+    mod p^precision, stored without trailing zeros (none for 0); the cap
+    defaults to len(coeffs) - 1.  Sums, differences and products are exact at
+    the smaller cap and precision, or raise DegreeOverflowError naming the
+    cap they need; only an API that says "mod X^{cap+1}" drops terms."""
 
     __slots__ = ("prime", "precision", "coeffs", "degree_cap")
 
@@ -79,8 +81,7 @@ class IwasawaSeries(Value):
                  degree_cap: int) -> "IwasawaSeries":
         """A series from coefficients already reduced mod prime**precision,
         with no trailing zero and within degree_cap, built without the checks
-        of ``__init__``: for results of the ring operations, whose operands
-        were validated when they were made."""
+        of ``__init__``: for results computed from validated series."""
         s = object.__new__(cls)
         object.__setattr__(s, "prime", prime)
         object.__setattr__(s, "precision", precision)
@@ -140,10 +141,9 @@ class IwasawaSeries(Value):
         if isinstance(other, (int, PadicInt)):
             other = IwasawaSeries.constant(other, self.prime, self.precision,
                                            self.degree_cap)
-        n, cap, q = self._binop_params(other)
-        cs = [(a + b) % q for a, b in zip_longest(
-            self.coeffs[:cap + 1], other.coeffs[:cap + 1], fillvalue=0)]
-        return IwasawaSeries._reduced(self.prime, n, _strip(cs), cap)
+        n, cap, _ = self._binop_params(other)
+        return IwasawaSeries(self.prime, n, tuple(a + b for a, b in zip_longest(
+            self.coeffs, other.coeffs, fillvalue=0)), cap)
 
     __radd__ = __add__
 
@@ -158,24 +158,21 @@ class IwasawaSeries(Value):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, PadicInt):
-            if other.prime != self.prime:
-                raise InputError("mixed primes")
-            n = min(self.precision, other.precision)
-            q = self.prime**n
-            return IwasawaSeries._reduced(self.prime, n, _strip(
-                [c * other.residue % q for c in self.coeffs]), self.degree_cap)
-        if isinstance(other, int):
-            return IwasawaSeries(self.prime, self.precision,
-                                 tuple(c * other for c in self.coeffs),
-                                 self.degree_cap)
-        n, cap, q = self._binop_params(other)
-        a, b = self.coeffs, other.coeffs
-        limit = min(cap + 1, len(a) + len(b) - 1) if a and b else 0
-        return IwasawaSeries._reduced(self.prime, n,
-                                      _strip(_conv(a, b, limit, q)), cap)
+        if isinstance(other, (int, PadicInt)):
+            other = IwasawaSeries.constant(other, self.prime, self.precision,
+                                           self.degree_cap)
+        n, cap, _ = self._binop_params(other)
+        return self._times(other, n, cap)
 
     __rmul__ = __mul__
+
+    def _times(self, other: "IwasawaSeries", n: int,
+               cap: int) -> "IwasawaSeries":
+        """self * other mod p^n, every term kept: the constructor raises
+        DegreeOverflowError when the product's degree exceeds cap."""
+        a, b = self.coeffs, other.coeffs
+        return IwasawaSeries(self.prime, n, tuple(_conv(
+            a, b, max(len(a) + len(b) - 1, 0), self.prime**n)), cap)
 
     def mul_p_power(self, k: int) -> "IwasawaSeries":
         """Multiply by p^k; this genuinely gains absolute precision."""
@@ -199,15 +196,10 @@ class IwasawaSeries(Value):
 
     def congruent(self, other: "IwasawaSeries", *, mod_exp: int | None = None,
                   up_to_degree: int | None = None) -> bool:
-        if other.prime != self.prime:
-            return False
-        e = min(self.precision, other.precision)
-        if mod_exp is not None:
-            e = min(e, mod_exp)
-        cap = min(self.degree_cap, other.degree_cap)
+        n, cap, _ = self._binop_params(other)
         if up_to_degree is not None:
             cap = min(cap, up_to_degree)
-        m = self.prime**e
+        m = self.prime**_mod_exponent(n, mod_exp)
         return all((a - b) % m == 0 for a, b in zip_longest(
             self.coeffs[:cap + 1], other.coeffs[:cap + 1], fillvalue=0))
 
@@ -413,10 +405,7 @@ def divide_distinguished(f: IwasawaSeries,
 
     Exact at the common precision up to degree cap(f) - deg P.
     """
-    if p_poly.prime != f.prime:
-        raise InputError("mixed primes")
-    n = min(f.precision, p_poly.precision)
-    q_mod = f.prime**n
+    n, _, q_mod = f._binop_params(p_poly)
     deg_p = p_poly.degree()
     if deg_p is None:
         raise InputError("divisor is zero mod p^N")
@@ -637,13 +626,11 @@ class WeierstrassFactorization(Value):
         return self.distinguished.precision
 
     def reconstruct(self) -> IwasawaSeries:
-        """p^mu * P * U, exact up to degree lambda + cap(U): the cap D of
-        the series that was prepared."""
+        """p^mu * P * U, formed exactly at cap(P) + cap(U) = lambda + cap(U):
+        the cap D of the series that was prepared."""
         d, u = self.distinguished, self.unit
-        cap = d.degree_cap + u.degree_cap
-        prod = (IwasawaSeries._reduced(d.prime, d.precision, d.coeffs, cap)
-                * IwasawaSeries._reduced(u.prime, u.precision, u.coeffs, cap))
-        return prod.mul_p_power(self.mu)
+        n, _, _ = d._binop_params(u)
+        return d._times(u, n, d.degree_cap + u.degree_cap).mul_p_power(self.mu)
 
 
 def lambda_mu(f: IwasawaSeries, *, margin: int = 4) -> tuple[int, int]:

@@ -96,7 +96,10 @@ def dense_trim(window):
 class DenseWindow:
     """Oracle for truncated series stored as a zero-padded window: the
     cap + 1 coefficients of degrees 0..cap mod p^precision, every operation
-    computed over the whole window by schoolbook loops and ``ip_divmod``."""
+    computed over the whole window by schoolbook loops and ``ip_divmod``.
+    A sum or product is exact at the smaller cap and precision, or raises
+    DegreeOverflowError with the degree of its exact value mod p^precision
+    when that exceeds the cap."""
 
     def __init__(self, p, precision, window):
         self.p, self.precision = p, precision
@@ -118,14 +121,21 @@ class DenseWindow:
         return (s.prime, s.precision, s.degree_cap, s.coeffs) == (
             self.p, self.precision, self.cap, dense_trim(self.window))
 
-    def _common(self, other):
+    def _exact(self, other, coeffs):
+        """The exact result ``coeffs`` at the smaller precision and cap of
+        self and other, refused when its degree exceeds that cap."""
+        from iwkit import DegreeOverflowError
+
         assert other.p == self.p
-        return min(self.precision, other.precision), min(self.cap, other.cap)
+        n, cap = min(self.precision, other.precision), min(self.cap, other.cap)
+        cs = dense_trim(c % self.p**n for c in coeffs)
+        if len(cs) - 1 > cap:
+            raise DegreeOverflowError(f"degree {len(cs) - 1} exceeds cap {cap}",
+                                      required_cap=len(cs) - 1)
+        return DenseWindow.of(self.p, n, cs, cap)
 
     def __add__(self, other):
-        n, cap = self._common(other)
-        return DenseWindow(self.p, n, [self.window[i] + other.window[i]
-                                       for i in range(cap + 1)])
+        return self._exact(other, ip_add(self.window, other.window))
 
     def __neg__(self):
         return DenseWindow(self.p, self.precision, [-c for c in self.window])
@@ -134,12 +144,7 @@ class DenseWindow:
         return self + (-other)
 
     def __mul__(self, other):
-        n, cap = self._common(other)
-        out = [0] * (cap + 1)
-        for i in range(cap + 1):
-            for j in range(cap + 1 - i):
-                out[i + j] += self.window[i] * other.window[j]
-        return DenseWindow(self.p, n, out)
+        return self._exact(other, ip_mul(self.window, other.window))
 
     def mul_p_power(self, k):
         return DenseWindow(self.p, self.precision + k,

@@ -1,8 +1,9 @@
 """The CI workflow runs the tier-1 command, exactly as written, on every
 Python that pyproject.toml admits, after the stdlib-only benchmark
-self-test.  Both files are read as text, so no YAML or TOML parser is
-needed on any interpreter of the range.  The scripts README documents run
-here, so the same matrix covers them."""
+self-test and an install of exactly the ``dev`` extra.  Both files are read
+as text, so no YAML or TOML parser is needed on any interpreter of the
+range.  The scripts README documents run here, so the same matrix covers
+them."""
 
 import importlib
 import os
@@ -76,6 +77,20 @@ def test_selftest_runs_before_any_install():
     runs = _runs()
     selftest = runs.index("python perfbench/selftest.py")
     assert selftest < min(i for i, r in enumerate(runs) if "pip install" in r)
+
+
+def test_install_names_exactly_the_dev_extra():
+    """The workflow's one ``pip install`` names the packages of
+    pyproject.toml's ``dev`` extra, no more and no fewer, so the two lists
+    cannot drift apart."""
+    dev = re.search(r"^dev\s*=\s*\[([^]]*)\]",
+                    (ROOT / "pyproject.toml").read_text(), re.M)
+    assert dev, "pyproject.toml has no dev extra"
+    want = sorted(x.strip().strip("\"'") for x in dev[1].split(",")
+                  if x.strip())
+    installs = [r for r in _runs() if "pip install" in r]
+    assert len(installs) == 1, installs
+    assert sorted(installs[0].split("pip install", 1)[1].split()) == want
 
 
 def test_readme_gives_the_tier1_command():

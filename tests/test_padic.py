@@ -63,6 +63,12 @@ class TestPadicInt:
         with pytest.raises(InputError):
             PadicInt(3, 1, 5).congruent(1.5)
 
+    def test_congruent_below_exponent_zero_refused(self):
+        assert PadicInt(3, 1, 5).congruent(2, mod_exp=0)
+        assert not PadicInt(3, 1, 5).congruent(2, mod_exp=1)
+        with pytest.raises(InputError, match="mod_exp"):
+            PadicInt(3, 1, 5).congruent(2, mod_exp=-1)
+
 
 def scrambled(diag, p, n, size, seed):
     """diag(entries) multiplied by random unimodular integer matrices, reduced
@@ -259,19 +265,6 @@ class TestMatrixHelpers:
     def test_non_invertible_rejected(self):
         with pytest.raises(InputError):
             mat_inv(padic_matrix(3, 10, [[3, 0], [0, 1]]))
-
-    def test_det_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(42)
-        p, n = 3, 12
-        q = p**n
-        for _ in range(10):
-            size = rng.randint(1, 4)
-            rows = [[rng.randrange(-50, 50) for _ in range(size)]
-                    for _ in range(size)]
-            want = int(sympy.Matrix(rows).det()) % q
-            got = mat_det(padic_matrix(p, n, rows))
-            assert got.residue == want
 
 
 def bareiss_det(rows):

@@ -5,6 +5,7 @@ import sys
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from iwkit import (
     phi,
     weierstrass_prepare,
 )
+from iwkit.logmatrix import _mul_mod_cap
 from iwkit.series import (
     _BLOCKED_MIN,
     _MULMOD_SCHOOLBOOK_MAX,
@@ -46,7 +48,7 @@ from iwkit.series import (
 )
 
 from conftest import (DenseWindow, dense_trim, ip_add, ip_divmod, ip_mul,
-                      ip_omega, ip_phi, ip_reduce_mod, ip_trim)
+                      ip_neg, ip_omega, ip_phi, ip_reduce_mod, ip_trim)
 
 # the highest level k per prime with deg Phi_k <= 501, and p^k <= 729
 TOP_LEVEL = {3: 6, 5: 4, 7: 3, 11: 2}
@@ -65,6 +67,14 @@ def level_cases(draw):
 
 def S(coeffs, p=3, n=24, cap=30):
     return IwasawaSeries.make(p, n, coeffs, cap)
+
+
+def _exact_or_cap(op, x, y):
+    """op(x, y), or the required_cap of the DegreeOverflowError it raises."""
+    try:
+        return op(x, y)
+    except DegreeOverflowError as exc:
+        return exc.required_cap
 
 
 class TestPhiOmega:
@@ -325,10 +335,28 @@ class TestDivideDistinguished:
 
 class TestSeriesBasics:
     def test_min_cap_rule(self):
+        # a result takes the smaller cap; one that does not fit under it is
+        # refused with the cap it needs, never cut
         a = S([1, 1, 1], cap=5)
         b = S([1, 1], cap=2)
-        assert (a * b).degree_cap == 2
+        assert (S([1, 1], cap=5) * b).degree_cap == 2
         assert (a + b).degree_cap == 2
+        assert _exact_or_cap(mul, a, b) == 3
+        assert _exact_or_cap(mul, S([1, 1], cap=3), S([1, 0, 0, 1], cap=3)) == 4
+        assert _exact_or_cap(add, S([1, 0, 0, 1], cap=5), b) == 3
+
+    def test_congruent_to_a_non_series_refused(self):
+        f = S([5])
+        for other in (5, PadicInt(3, 5, 24), S([5], p=5)):
+            with pytest.raises(InputError):
+                f.congruent(other)
+
+    def test_congruent_below_exponent_zero_refused(self):
+        f, g = S([1, 2]), S([2, 2])
+        assert f.congruent(g, mod_exp=0)
+        assert not f.congruent(g, mod_exp=1)
+        with pytest.raises(InputError, match="mod_exp"):
+            f.congruent(g, mod_exp=-1)
 
     def test_mul_p_power_gains_precision(self):
         f = S([1, 2], cap=3).mul_p_power(2)
@@ -405,10 +433,17 @@ class TestTrimmedCoefficients:
         (a, da), (b, db) = pair(), pair()
         k = rng.randint(0, 6)
         v = rng.randint(0, min(a.min_valuation(), a.precision - 1))
-        results = [(a, da), (b, db), (a + b, da + db), (a - b, da - db),
-                   (-a, -da), (a * b, da * db), (b * a, db * da),
+        results = [(a, da), (b, db), (-a, -da),
                    (a.mul_p_power(k), da.mul_p_power(k)),
                    (a.exact_div_p_power(v), da.exact_div_p_power(v))]
+        # a sum or product is refused, with the same cap, where the window's
+        # exact value does not fit under the smaller cap
+        for op in (add, sub, mul, lambda x, y: y * x):
+            got, want = _exact_or_cap(op, a, b), _exact_or_cap(op, da, db)
+            if isinstance(want, int):
+                assert got == want
+            else:
+                results.append((got, want))
         deg = rng.randint(0, 12)
         monic = [rng.randrange(p**40) for _ in range(deg)] + [1]
         pn = rng.randint(1, 30)
@@ -472,6 +507,74 @@ def _operand(rng, p, n, length):
 WIDE = [(3, 40, 41), (5, 27, 28), (7, 22, 23)]
 
 
+@st.composite
+def exact_cases(draw):
+    """(a, ca, b, cb, n, cap): a series a at p in {3, 5, 7} drawn from the
+    integers ca, and b a series, an int or a PadicInt drawn from the
+    integers cb; n is the result precision, with p^n on both sides of 2^64,
+    and cap the smaller cap, an int or PadicInt b taking a's.  Caps and
+    degrees fall on both sides of each other, some operands are zero, and
+    some coefficients are multiples of p^n, so a result can end below the
+    top of its exact degree."""
+    p, low, high = draw(st.sampled_from(WIDE))
+    n = draw(st.sampled_from([low, high]) | st.integers(1, 60))
+    q = p**n
+
+    def coeffs(precision, count):
+        return draw(st.lists(st.integers(0, p**precision - 1)
+                             | st.sampled_from([0, q, 2 * q]),
+                             min_size=count, max_size=count))
+
+    def series():
+        precision = n + draw(st.integers(0, 3))
+        cap = draw(st.integers(0, 40))
+        cs = coeffs(precision, draw(st.integers(0, cap + 1)))
+        return IwasawaSeries.make(p, precision, cs, cap), cs
+
+    a, ca = series()
+    kind = draw(st.sampled_from(["series", "int", "padic"]))
+    if kind == "series":
+        b, cb = series()
+    elif kind == "int":
+        cb = [draw(st.integers(-2 * q, 2 * q) | st.sampled_from([0, q]))]
+        b = cb[0]
+    else:
+        cb = coeffs(n, 1)
+        b = PadicInt(p, cb[0], n + draw(st.integers(0, 3)))
+    precisions = [a.precision] + ([b.precision] if kind != "int" else [])
+    caps = [a.degree_cap] + ([b.degree_cap] if kind == "series" else [])
+    return a, ca, b, cb, min(precisions), min(caps)
+
+
+class TestExactOrRefused:
+    """A sum, difference or product is the exact integer result mod p^N,
+    trimmed, at the smaller cap, or DegreeOverflowError with required_cap
+    its degree; ``_mul_mod_cap`` alone cuts a product to cap + 1 terms."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=exact_cases())
+    @example(case=(S([1, 1], cap=3), [1, 1], S([1, 0, 0, 1], cap=3),
+                   [1, 0, 0, 1], 24, 3))
+    def test_operators_are_exact_or_refused(self, case):
+        a, ca, b, cb, n, cap = case
+        q = a.prime**n
+        oracles = {add: ip_add, sub: lambda x, y: ip_add(x, ip_neg(y)),
+                   mul: ip_mul}
+        for op, oracle in oracles.items():
+            for (x, cx), (y, cy) in (((a, ca), (b, cb)), ((b, cb), (a, ca))):
+                want = dense_trim(c % q for c in oracle(cx, cy))
+                got = _exact_or_cap(op, x, y)
+                if len(want) - 1 > cap:
+                    assert got == len(want) - 1, (op, x, y)
+                else:
+                    assert (got.prime, got.precision, got.degree_cap,
+                            got.coeffs) == (a.prime, n, cap, want), (op, x, y)
+        if isinstance(b, IwasawaSeries):
+            got = _mul_mod_cap(a, b)
+            assert (got.precision, got.degree_cap, got.coeffs) == (
+                n, cap, dense_trim(c % q for c in ip_mul(ca, cb)[:cap + 1]))
+
+
 class TestProductKernel:
     @settings(max_examples=120, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), na=st.integers(1, 60),
@@ -495,18 +598,27 @@ class TestProductKernel:
     @given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 60),
            extra=st.integers(1, 40), seed=st.integers(0, 10**9))
     def test_mul_at_different_precisions(self, p, n, extra, seed):
+        # at a common cap with room for the product, it is exact at the
+        # lower precision both ways round; at b's own cap it is refused with
+        # the cap it needs unless it fits
         rng = random.Random(seed)
         cap_a, cap_b = rng.randint(0, 300), rng.randint(0, 300)
-        a = IwasawaSeries.make(p, n + extra,
-                               [rng.randrange(p ** (n + extra))
-                                for _ in range(cap_a + 1)], cap_a)
-        b = IwasawaSeries.make(p, n, [rng.randrange(p**n)
-                                      for _ in range(cap_b + 1)], cap_b)
-        want = _schoolbook(list(a.coeffs), list(b.coeffs),
-                           min(cap_a, cap_b) + 1, p**n)
+        ca = [rng.randrange(p ** (n + extra)) for _ in range(cap_a + 1)]
+        cb = [rng.randrange(p**n) for _ in range(cap_b + 1)]
+        room = cap_a + cap_b
+        a = IwasawaSeries.make(p, n + extra, ca, room)
+        b = IwasawaSeries.make(p, n, cb, room)
+        want = dense_trim(_schoolbook(ca, cb, room + 1, p**n))
         for prod in (a * b, b * a):
-            assert prod.precision == n
-            assert prod.coeffs == dense_trim(want)
+            assert (prod.precision, prod.degree_cap) == (n, room)
+            assert prod.coeffs == want
+        tight = IwasawaSeries.make(p, n, cb, cap_b)
+        for x, y in ((a, tight), (tight, a)):
+            got = _exact_or_cap(mul, x, y)
+            if len(want) - 1 > cap_b:
+                assert got == len(want) - 1
+            else:
+                assert (got.degree_cap, got.coeffs) == (cap_b, want)
 
     @pytest.mark.parametrize("p,low,high", WIDE)
     def test_conv_around_two_to_the_64(self, p, low, high):
