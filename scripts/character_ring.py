@@ -81,14 +81,6 @@ def _inputs(name: str, g: int, n: int):
     return rows, cols
 
 
-def _frobenius(mod, g: int, rows: list[list[int]]):
-    """C_p in the tree ``mod``: a tree whose ``FrobeniusData`` held PadicInt
-    entries builds it through ``from_int_rows``, a later one from the int
-    rows directly."""
-    make = getattr(mod.FrobeniusData, "from_int_rows", mod.FrobeniusData)
-    return make(g, P, N, rows)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=7)
@@ -103,7 +95,7 @@ def main() -> int:
         rows, cols = _inputs(name, g, n)
         cap = g * P**n + 8
         made = {
-            tree: (_frobenius(mod, g, rows),
+            tree: (mod.FrobeniusData(g, P, N, rows),
                    [mod.IwasawaSeries.make(P, N, c, cap) for c in cols])
             for tree, mod in trees.items()}
         for theta in sorted({1, 2, n}):

@@ -10,13 +10,13 @@ the minimum over the passes of each stage, in milliseconds:
 
 * ``jobs``: the whole pass, ``cli.main`` included;
 * ``build``: every ``WedgeTower._push`` (the powers and the character
-  row; ``WedgeTower._build`` on trees without ``_push``), and inside it
-  ``unpack`` (the ``_unpack`` calls of ``logmatrix``), ``compound``
-  (``_compound``), ``w_steps`` (``_w_step``), ``e_steps`` (``_e_step``,
-  with the Phi_k^e it packs) and ``other``, the rest of the push.
+  row), and inside it ``unpack`` (the ``_unpack`` calls of ``logmatrix``),
+  ``compound`` (``_compound``), ``w_steps`` (``_w_step``), ``e_steps``
+  (``_e_step``, with the Phi_k^e it packs) and ``other``, the rest of the
+  push.
 
-A stage whose function the tree does not have is reported as null and its
-time stays in ``other``.  The one ``_unpack`` of the character's dot
+The script loads only this tree, so a stage function or ``_push`` that is
+renamed fails the run.  The one ``_unpack`` of the character's dot
 product runs outside the push but counts under ``unpack``.  The wrappers
 cost one ``perf_counter`` pair per call, a few calls per build.  The
 perfbench tracer has no span inside the push, so this split is taken here.
@@ -62,16 +62,11 @@ def main() -> int:
     args = ap.parse_args()
 
     totals = dict.fromkeys(["build"] + STAGES, 0.0)
-    present = {}
     for stage, name in NAMES.items():
-        present[stage] = hasattr(logmatrix, name)
-        if present[stage]:
-            setattr(logmatrix, name,
-                    _timed(getattr(logmatrix, name), totals, stage))
-    kernel = ("_push" if hasattr(logmatrix.WedgeTower, "_push")
-              else "_build")
-    setattr(logmatrix.WedgeTower, kernel,
-            _timed(getattr(logmatrix.WedgeTower, kernel), totals, "build"))
+        setattr(logmatrix, name,
+                _timed(getattr(logmatrix, name), totals, stage))
+    logmatrix.WedgeTower._push = _timed(logmatrix.WedgeTower._push, totals,
+                                        "build")
 
     per_pass = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,9 +89,6 @@ def main() -> int:
     for name, stat in (("median_ms", statistics.median), ("min_ms", min)):
         ms = {key: round(1000 * stat(r[key] for r in per_pass), 2)
               for key in per_pass[0]}
-        for stage in STAGES:
-            if not present[stage]:
-                ms[stage] = None
         ms["build_share_of_jobs"] = round(ms["build"] / ms["jobs"], 3)
         out[name] = ms
     print(json.dumps(out))

@@ -1,12 +1,14 @@
 """The base of iwkit's record types: immutable values compared by field.
 
-A subclass names its fields once, in order, as ``__slots__`` (with
-``"__dict__"`` last when an instance keeps derived data beside them), and its
-``__init__`` assigns them through ``object.__setattr__``.  The base gives
-the field-wise ``==``, ``hash`` and ``Name(field=value, ...)`` repr, refuses
-assignment and deletion with ``AttributeError``, and copies and pickles an
-instance by calling its class on its fields.  It stands in for frozen
-dataclasses, whose import (it pulls in ``inspect``) and per-class code
+A subclass declares its fields once, in order, as ``__slots__`` (with
+``"__dict__"`` last when an instance keeps derived data beside them).  It is
+built positionally or by field name, each field exactly once, by the base
+``__init__``; a record with checks calls it after them, or before the checks
+that read its own fields (``RankLedger``, ``ElementaryModule``).  The base
+gives the field-wise ``==``, ``hash`` and ``Name(field=value, ...)`` repr,
+refuses assignment and deletion with ``AttributeError``, and copies and
+pickles an instance by calling its class on its fields.  It stands in for
+frozen dataclasses, whose import (it pulls in ``inspect``) and per-class code
 generation cost about 18 ms of every start-up of the command line.
 """
 
@@ -18,6 +20,20 @@ class Value:
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        name, fields = self.__class__.__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for f in kwargs:
+            if f not in fields or f in values:
+                raise TypeError(f"{name} got an unknown or repeated field {f!r}")
+        values.update(kwargs)
+        for f in fields:
+            if f not in values:
+                raise TypeError(f"{name} is missing field {f!r}")
+            object.__setattr__(self, f, values[f])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

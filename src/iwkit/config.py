@@ -120,12 +120,8 @@ class Config(Value):
                 f"{top} and sys.maxsize = {sys.maxsize}")
         if output_format not in ("csv", "json"):
             raise InputError(f"unknown output format {output_format!r}")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "degree_cap", degree_cap)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "output_format", output_format)
+        super().__init__(prime, precision, n_max, degree_cap, margin,
+                         output_format)
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))

@@ -48,11 +48,8 @@ class CyclotomicElement(Value):
                 f"got {len(coeffs)}"
             )
         q = prime**precision
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", tuple(c % q for c in coeffs))
-        object.__setattr__(self, "truncation_warning", truncation_warning)
+        super().__init__(prime, level, precision, tuple(c % q for c in coeffs),
+                         truncation_warning)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

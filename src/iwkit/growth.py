@@ -45,8 +45,7 @@ class SelmerInvariants(Value):
     def __init__(self, lambda_: int, mu: int):
         if lambda_ < 0 or mu < 0:
             raise InputError("invariants must be nonnegative")
-        object.__setattr__(self, "lambda_", lambda_)
-        object.__setattr__(self, "mu", mu)
+        super().__init__(lambda_, mu)
 
 
 class MWShape(Value):
@@ -57,7 +56,7 @@ class MWShape(Value):
     def __init__(self, c_list: tuple[int, ...]):
         if any(c < 0 for c in c_list):
             raise InputError("levels must be >= 0")
-        object.__setattr__(self, "c_list", tuple(sorted(c_list)))
+        super().__init__(tuple(sorted(c_list)))
 
     @property
     def n0_candidate(self) -> int:
@@ -100,11 +99,6 @@ class RkOptions(Value):
 
     __slots__ = ("k", "a", "pairs")
 
-    def __init__(self, k: int, a: int, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "pairs", pairs)
-
 
 def rk_solver(e: Sequence[int]) -> list[RkOptions]:
     """Enumerate the signed multiplicities compatible with a rank sequence.
@@ -133,10 +127,7 @@ class RankLedger(Value):
 
     def __init__(self, e: tuple[int, ...], a: tuple[int, ...],
                  r_plus: tuple[int, ...], r_minus: tuple[int, ...]):
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r_plus", r_plus)
-        object.__setattr__(self, "r_minus", r_minus)
+        super().__init__(e, a, r_plus, r_minus)
         if not (len(a) == len(r_plus) == len(r_minus) == len(e)):
             raise InputError("ledger sequences must share a length")
         # level k is admissible when a_k and (r+_k, r-_k) are among the

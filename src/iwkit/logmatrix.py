@@ -89,11 +89,8 @@ class FrobeniusData(Value):
         if g < 1 or len(c_p) != d or any(len(r) != d for r in c_p):
             raise InputError(f"C_p must be {d}x{d}")
         q = prime**precision
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "c_p",
-                           tuple(tuple(x % q for x in row) for row in c_p))
+        super().__init__(g, prime, precision,
+                         tuple(tuple(x % q for x in row) for row in c_p))
         # one elimination both refuses a non-unit determinant and gives the
         # inverse that every tower of this matrix starts from
         try:
@@ -120,8 +117,7 @@ class LogMatrix(Value):
 
     def __init__(self, entries: tuple[tuple[IwasawaSeries, ...], ...],
                  denom_exponent: int = 0):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "denom_exponent", denom_exponent)
+        super().__init__(entries, denom_exponent)
 
     @property
     def size(self) -> int:
@@ -443,15 +439,6 @@ class MinorTable(Value):
     """All (I, J)-minors of H_n for g-element row/column index sets."""
 
     __slots__ = ("n", "g", "prime", "precision", "values")
-
-    def __init__(self, n: int, g: int, prime: int, precision: int,
-                 values: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                              IwasawaSeries]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "values", values)
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> IwasawaSeries:
         return self.values[(tuple(sorted(rows)), tuple(sorted(cols)))]

@@ -70,8 +70,7 @@ class ElementaryModule(Value):
     __slots__ = ("prime", "generators")
 
     def __init__(self, prime: int, generators: tuple[IwasawaSeries, ...]):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "generators", generators)
+        super().__init__(prime, generators)
         for g in self.generators:
             if g.prime != self.prime:
                 raise InputError("generator prime differs from module prime")
@@ -328,14 +327,6 @@ class TowerLevel(Value):
 
     __slots__ = ("n", "zp_rank", "finite_length", "nabla", "predicted")
 
-    def __init__(self, n: int, zp_rank: int, finite_length: int,
-                 nabla: int | None, predicted: int | None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "zp_rank", zp_rank)
-        object.__setattr__(self, "finite_length", finite_length)
-        object.__setattr__(self, "nabla", nabla)
-        object.__setattr__(self, "predicted", predicted)
-
     @property
     def match(self) -> bool | None:
         if self.nabla is None or self.predicted is None:
@@ -353,14 +344,8 @@ class TowerReport(Value):
                  mu_invariant: int | None = None, n0: int | None = None,
                  min_valid_n0: int | None = None,
                  non_finite_levels: tuple[int, ...] = ()):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "stabilization_level", stabilization_level)
-        object.__setattr__(self, "lambda_invariant", lambda_invariant)
-        object.__setattr__(self, "mu_invariant", mu_invariant)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "min_valid_n0", min_valid_n0)
-        object.__setattr__(self, "non_finite_levels", non_finite_levels)
+        super().__init__(prime, levels, stabilization_level, lambda_invariant,
+                         mu_invariant, n0, min_valid_n0, non_finite_levels)
 
     def level(self, n: int) -> TowerLevel:
         for lv in self.levels:

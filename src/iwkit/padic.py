@@ -56,9 +56,7 @@ class PadicInt(Value):
             raise InputError(f"prime must be an odd prime, got {prime}")
         if precision < 1:
             raise InputError(f"precision must be >= 1, got {precision}")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "residue", residue % prime**precision)
-        object.__setattr__(self, "precision", precision)
+        super().__init__(prime, residue % prime**precision, precision)
 
     @property
     def modulus(self) -> int:
@@ -163,12 +161,6 @@ class SnfResult(Value):
     """
 
     __slots__ = ("elementary_exponents", "rank_indicators", "transform_valid")
-
-    def __init__(self, elementary_exponents: tuple[int, ...],
-                 rank_indicators: int, transform_valid: bool):
-        object.__setattr__(self, "elementary_exponents", elementary_exponents)
-        object.__setattr__(self, "rank_indicators", rank_indicators)
-        object.__setattr__(self, "transform_valid", transform_valid)
 
 
 def _first_min_valuation(a: list[list[int]], r: int, p: int, k: int,

@@ -71,10 +71,7 @@ class IwasawaSeries(Value):
             raise DegreeOverflowError(f"coefficients of degree {len(cs) - 1} "
                                       f"exceed cap {cap}",
                                       required_cap=len(cs) - 1)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "degree_cap", cap)
+        super().__init__(prime, precision, cs, cap)
 
     @classmethod
     def _reduced(cls, prime: int, precision: int, coeffs: tuple[int, ...],
@@ -82,6 +79,7 @@ class IwasawaSeries(Value):
         """A series from coefficients already reduced mod prime**precision,
         with no trailing zero and within degree_cap, built without the checks
         of ``__init__``: for results computed from validated series."""
+        # set directly: it builds every WedgeTower push entry, at half the cost
         s = object.__new__(cls)
         object.__setattr__(s, "prime", prime)
         object.__setattr__(s, "precision", precision)
@@ -613,13 +611,6 @@ class WeierstrassFactorization(Value):
     lambda and all lower coefficients divisible by p."""
 
     __slots__ = ("mu", "lambda_", "distinguished", "unit")
-
-    def __init__(self, mu: int, lambda_: int, distinguished: IwasawaSeries,
-                 unit: IwasawaSeries):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lambda_", lambda_)
-        object.__setattr__(self, "distinguished", distinguished)
-        object.__setattr__(self, "unit", unit)
 
     @property
     def precision(self) -> int:

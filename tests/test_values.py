@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import iwkit  # noqa: F401  imports every module that defines a record type
+from iwkit._value import Value
 from iwkit.config import Config
 from iwkit.cyclotomic import CyclotomicElement
 from iwkit.growth import MWShape, RankLedger, RkOptions, SelmerInvariants
@@ -73,6 +75,28 @@ def test_value_semantics(cls, fields):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cases_name_every_value_type():
+    """A new record type cannot skip ``test_value_semantics``."""
+    assert {c for c, _ in CASES} == set(_subclasses(Value))
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((1, 0, 1, 1), {}, "missing field 'predicted'"),
+    ((1, 0, 1, 1, 1), {"colour": 1}, "unknown or repeated field 'colour'"),
+    ((1, 0, 1, 1, 1), {"n": 2}, "unknown or repeated field 'n'"),
+    ((1, 0, 1, 1, 1, 1), {}, "takes 5 fields, got 6"),
+], ids=["missing", "unknown", "repeated", "too-many"])
+def test_each_field_given_exactly_once(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        TowerLevel(*args, **kwargs)
 
 
 def test_frobenius_inverse_computed_once():
