@@ -336,13 +336,15 @@ def _cmd_growth(args, data: dict, digest) -> tuple:
         "stabilization_level": report.stabilization_level,
         "non_finite_levels": list(report.non_finite_levels),
     }
-    finite_levels = [lv for lv in report.levels if lv.n >= 1 and lv.zp_rank == 0]
-    observed = [lv.nabla for lv in report.levels if lv.n >= 1]
-    if not finite_levels:
+    # the top level decides: undefined without a prediction or an observed
+    # increment (so also when no level is finite), a mismatch when they or
+    # the expected increments disagree
+    top = report.levels[-1]
+    observed = [lv.nabla for lv in report.levels[1:]]
+    if top.match is None:
         code = EXIT_UNDEFINED
-    elif report.stabilization_level is None:
-        code = EXIT_MISMATCH
-    elif expected is not None and observed[:len(expected)] != list(expected):
+    elif not top.match or (expected is not None
+                           and observed[:len(expected)] != list(expected)):
         code = EXIT_MISMATCH
     else:
         code = EXIT_OK

@@ -15,16 +15,7 @@ from .padic import (
     _min_valuation,
     mat_det,  # noqa: F401  perfbench/spans.py rebinds it here by name
 )
-from .series import IwasawaSeries, _poly_divmod_monic, deg_phi, phi_int_coeffs
-
-
-def _mod_phi(coeffs, prime: int, level: int, q: int):
-    """coeffs mod (Phi_level(1+X), q), at most deg Phi_level of them: an
-    input below that degree is its own residue, so Phi_level is built only
-    when coeffs reach it."""
-    if len(coeffs) <= deg_phi(prime, level):
-        return coeffs
-    return _poly_divmod_monic(coeffs, phi_int_coeffs(prime, level), q)[1]
+from .series import IwasawaSeries, _poly_divmod_monic, deg_phi, phi
 
 
 class CyclotomicElement(Value):
@@ -60,13 +51,18 @@ class CyclotomicElement(Value):
 
 def cyclo_eval(f: IwasawaSeries, level: int) -> CyclotomicElement:
     """The value of f at zeta - 1, zeta a primitive p^level-th root of unity:
-    f reduced modulo (Phi_level(1+X), p^N)."""
+    f reduced modulo (Phi_level(1+X), p^N).  An f of at most deg Phi_level
+    coefficients is its own residue, so Phi_level is built only when f
+    reaches that degree."""
     if level < 0:
         raise InputError("level must be >= 0")
     d = deg_phi(f.prime, level)
     # the cap ends strictly below the modulus degree with a live top
     # coefficient: reduction cannot see whatever the cap cut off
     warn = f.degree_cap + 1 < d and f.degree() == f.degree_cap
-    return CyclotomicElement(f.prime, level, f.precision,
-                             _mod_phi(f.coeffs, f.prime, level, f.q),
+    coeffs = f.coeffs
+    if len(coeffs) > d:
+        coeffs = _poly_divmod_monic(coeffs, phi(
+            level, prime=f.prime, precision=f.precision).coeffs, f.q)[1]
+    return CyclotomicElement(f.prime, level, f.precision, coeffs,
                              truncation_warning=warn)

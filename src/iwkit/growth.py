@@ -193,8 +193,7 @@ def _assign_shape(sel: ElementaryModule, shape: MWShape) -> list[tuple[int, Iwas
 
 
 def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
-                           n_max: int, *, n0: int | None = None,
-                           margin: int = 4) -> TowerReport:
+                           n_max: int, *, margin: int = 4) -> TowerReport:
     """Build the quotient tower coker((+)Lambda/Phi_{c_i} -> S) level by level
     and compare its increments against the stabilized formula.
 
@@ -216,9 +215,7 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     prime = sel_module.prime
     assigns = _assign_shape(sel_module, mw_shape)
     lam, mu = sel_module.lambda_mu(margin=margin)
-    level_n0 = mw_shape.n0_candidate if n0 is None else n0
-    if level_n0 < mw_shape.n0_candidate:
-        raise InputError("n0 override below max(c_list)")
+    n0 = mw_shape.n0_candidate
 
     cofactors: dict[int, list[IwasawaSeries]] = {}
     for j, quot in assigns:
@@ -234,8 +231,8 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
         if ranks[n] == 0 and ranks[n - 1] == 0:
             obs = lengths[n] - lengths[n - 1]
         pred = None
-        if n > level_n0:
-            pred = _increment(lam, mu, mw_shape.c_list, n, level_n0, prime)
+        if n > n0:
+            pred = _increment(lam, mu, mw_shape.c_list, n, n0, prime)
         levels.append(TowerLevel(n, ranks[n], lengths[n], obs, pred))
 
     min_valid = None
@@ -251,10 +248,10 @@ def synthetic_tower_verify(sel_module: ElementaryModule, mw_shape: MWShape,
     return TowerReport(
         prime=prime,
         levels=tuple(levels),
-        stabilization_level=_stabilization(levels, floor=level_n0),
+        stabilization_level=_stabilization(levels, floor=n0),
         lambda_invariant=lam,
         mu_invariant=mu,
-        n0=level_n0,
+        n0=n0,
         min_valid_n0=min_valid,
         non_finite_levels=non_finite,
     )

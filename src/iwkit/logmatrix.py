@@ -67,8 +67,7 @@ from .padic import (
     padic_matrix,
 )
 from .series import (_SLOT_BOUND, IwasawaSeries, _conv, _pack, _slot_reducer,
-                     _strip, _unpack, deg_phi, phi, phi_int_coeffs,
-                     require_cap)
+                     _strip, _unpack, deg_phi, phi, require_cap)
 
 
 class FrobeniusData(Value):
@@ -123,14 +122,6 @@ class LogMatrix(Value):
     def size(self) -> int:
         return len(self.entries)
 
-    @property
-    def prime(self) -> int:
-        return self.entries[0][0].prime
-
-    @property
-    def precision(self) -> int:
-        return min(e.precision for row in self.entries for e in row)
-
     @classmethod
     def normalized(cls, entries: Sequence[Sequence[IwasawaSeries]],
                    denom_exponent: int = 0) -> "LogMatrix":
@@ -172,15 +163,11 @@ class LogMatrix(Value):
     def entry(self, i: int, j: int) -> IwasawaSeries:
         return self.entries[i][j]
 
-    def congruent(self, other: "LogMatrix", *, mod_exp: int | None = None,
-                  up_to_degree: int | None = None) -> bool:
+    def congruent(self, other: "LogMatrix") -> bool:
         if self.size != other.size or self.denom_exponent != other.denom_exponent:
             return False
-        return all(
-            self.entries[i][j].congruent(other.entries[i][j], mod_exp=mod_exp,
-                                         up_to_degree=up_to_degree)
-            for i in range(self.size) for j in range(self.size)
-        )
+        return all(a.congruent(b) for ra, rb in zip(self.entries, other.entries)
+                   for a, b in zip(ra, rb))
 
 
 def _mul_mod_cap(a: IwasawaSeries, b: IwasawaSeries) -> IwasawaSeries:
@@ -259,7 +246,7 @@ def _w_step(vecs: list[list[int]], mat: Sequence[Sequence[int]],
         v[:] = [reduce(sum(map(mul, v, row))) for row in mat]
 
 
-def _e_step(vecs: list[list[int]], exps: Sequence[int], phik: list[int],
+def _e_step(vecs: list[list[int]], exps: Sequence[int], phik: Sequence[int],
             length: int, q: int, sb: int,
             reduce: Callable[[int], int]) -> None:
     """Entry K of every packed vector times Phi_k^{e_K} mod X^length, in
@@ -287,7 +274,7 @@ class WedgeTower:
 
     def __init__(self, frob: FrobeniusData):
         self.frob = frob
-        self._phis: list[list[int]] = []
+        self._phis: list[tuple[int, ...]] = []
         self._powers: dict[tuple[int, int, int],
                            list[list[IwasawaSeries]]] = {}
 
@@ -349,8 +336,8 @@ class WedgeTower:
         sb, reduce = _slot_reducer(q, max(m, length), length)
         live = n if theta is None else max(0, min(theta - 1, n))
         while len(self._phis) < live:
-            self._phis.append([c % q for c in
-                               phi_int_coeffs(p, len(self._phis) + 1)])
+            self._phis.append(phi(len(self._phis) + 1, prime=p,
+                                  precision=frob.precision).coeffs)
         w = _compound(frob._inverse_residues, r, q)
         if theta is not None:
             # Phi_k mod Phi_theta(1+X): itself, 0 at k = theta, p above it

@@ -58,7 +58,7 @@ from .series import (
     _mulmod,
     _poly_divmod_monic,
     lambda_mu as series_lambda_mu,
-    omega_int_coeffs,
+    omega,
     phi,
     weierstrass_prepare,  # noqa: F401  perfbench/spans.py rebinds it here by name
 )
@@ -113,7 +113,8 @@ class ElementaryModule(Value):
 def _mult_matrix_rows(f: IwasawaSeries, n: int) -> list[list[int]]:
     """Matrix of multiplication by f on Z_p[X]/omega_n, monomial basis,
     residues mod p^precision; columns are f * X^j mod omega_n."""
-    return _companion_rows(f.coeffs, omega_int_coeffs(f.prime, n), f.q)
+    return _companion_rows(
+        f.coeffs, omega(n, prime=f.prime, precision=f.precision).coeffs, f.q)
 
 
 def _one_plus_x_power(monic: list[int], p: int, n: int, q: int,

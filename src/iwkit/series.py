@@ -192,11 +192,9 @@ class IwasawaSeries(Value):
         return IwasawaSeries(self.prime, self.precision - k,
                              tuple(c // pk for c in self.coeffs), self.degree_cap)
 
-    def congruent(self, other: "IwasawaSeries", *, mod_exp: int | None = None,
-                  up_to_degree: int | None = None) -> bool:
+    def congruent(self, other: "IwasawaSeries", *,
+                  mod_exp: int | None = None) -> bool:
         n, cap, _ = self._binop_params(other)
-        if up_to_degree is not None:
-            cap = min(cap, up_to_degree)
         m = self.prime**_mod_exponent(n, mod_exp)
         return all((a - b) % m == 0 for a, b in zip_longest(
             self.coeffs[:cap + 1], other.coeffs[:cap + 1], fillvalue=0))
@@ -227,29 +225,6 @@ def _binomials(k: int) -> list[int]:
     return row
 
 
-def phi_int_coeffs(prime: int, n: int) -> list[int]:
-    """Exact integer coefficients of Phi_n in the variable X."""
-    if n < 0:
-        raise InputError("level must be >= 0")
-    if n == 0:
-        return [0, 1]
-    step = prime ** (n - 1)
-    out = [0] * (step * (prime - 1) + 1)
-    for j in range(prime):
-        row = _binomials(j * step)
-        out[:len(row)] = [a + b for a, b in zip(out, row)]
-    return out
-
-
-def omega_int_coeffs(prime: int, n: int) -> list[int]:
-    """Exact integer coefficients of omega_n = (1+X)^{p^n} - 1."""
-    if n < 0:
-        raise InputError("level must be >= 0")
-    out = _binomials(prime**n)
-    out[0] = 0
-    return out
-
-
 def deg_phi(prime: int, n: int) -> int:
     """p^n - p^(n-1) (1 at n = 0), refused by ``level_power`` when p^n
     exceeds sys.maxsize."""
@@ -271,24 +246,30 @@ def require_cap(name: str, deg: int, degree_cap: int | None) -> None:
 
 def phi(n: int, *, prime: int, precision: int,
         degree_cap: int | None = None) -> IwasawaSeries:
-    """The p^n-th cyclotomic polynomial in 1+X, as a series mod p^precision."""
-    require_cap(f"Phi_{n}", deg_phi(prime, n), degree_cap)
-    return IwasawaSeries.make(prime, precision, phi_int_coeffs(prime, n),
-                              degree_cap)
+    """The p^n-th cyclotomic polynomial in 1+X, as a series mod p^precision:
+    X at n = 0, else the exact binomial sum of the module docstring."""
+    d = deg_phi(prime, n)
+    require_cap(f"Phi_{n}", d, degree_cap)
+    out = [0, 1]
+    if n:
+        out = _binomials(d)
+        for j in range(prime - 1):
+            row = _binomials(j * d // (prime - 1))
+            out[:len(row)] = [a + b for a, b in zip(out, row)]
+    return IwasawaSeries.make(prime, precision, out, degree_cap)
 
 
 def omega(n: int, *, prime: int, precision: int,
           degree_cap: int | None = None) -> IwasawaSeries:
-    """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision.
-
-    Public API kept for library users: iwkit itself reduces by omega_n
-    through ``omega_int_coeffs`` or, for the tower's layers, through
-    (1+X)^{p^n} mod f, so nothing inside the package calls this."""
+    """omega_n = (1+X)^{p^n} - 1 as a series mod p^precision, refused by
+    ``level_power`` when p^n exceeds sys.maxsize."""
     if n < 0:
         raise InputError("level must be >= 0")
-    require_cap(f"omega_{n}", prime**n, degree_cap)
-    return IwasawaSeries.make(prime, precision, omega_int_coeffs(prime, n),
-                              degree_cap)
+    m = level_power(prime, n)
+    require_cap(f"omega_{n}", m, degree_cap)
+    out = _binomials(m)
+    out[0] = 0
+    return IwasawaSeries.make(prime, precision, out, degree_cap)
 
 
 def _reduce_rows(r: list[int], low: Sequence[int], q: int) -> None:

@@ -5,6 +5,7 @@ as text, so no YAML or TOML parser is needed on any interpreter of the
 range.  The scripts README documents run here, so the same matrix covers
 them."""
 
+import ast
 import importlib
 import os
 import re
@@ -147,3 +148,24 @@ def test_tracer_boundaries_resolve():
             if not callable(target):
                 missing.append(f"{module_name}.{attr}")
     assert not missing
+
+
+def test_unused_imports_are_tracer_boundaries():
+    """Every import in src/iwkit marked ``# noqa: F401`` is kept only for
+    perfbench/spans.py to rebind, so each (module, name) pair is one of its
+    BOUNDARIES sites: such imports cannot grow unnoticed, and they stay
+    listed where a tracer by code object can delete them."""
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))
+    sites = {site for _, group in spans["BOUNDARIES"] for site in group}
+    unlisted = []
+    for path in sorted((ROOT / "src" / "iwkit").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if "# noqa: F401" in lines[alias.lineno - 1]:
+                        site = (f"iwkit.{path.stem}", alias.asname or alias.name)
+                        if site not in sites:
+                            unlisted.append(site)
+    assert not unlisted

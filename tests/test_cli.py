@@ -31,6 +31,7 @@ from conftest import ip_character, ip_mul, ip_phi
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = ROOT / "scenarios"
+GROWTH_RANK_ONE = json.loads((SCEN / "growth_rank_one.json").read_text())
 
 
 def invoke(*args):
@@ -371,6 +372,25 @@ class TestGrowth:
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(scn))
         run("--no-timestamp", "growth", str(f), expect=5)
+
+    @pytest.mark.parametrize("scn", [
+        # n_max <= n0 = 1: no level has a prediction
+        {**{k: v for k, v in GROWTH_RANK_ONE.items() if k != "expected"},
+         "n_max": 1},
+        # Phi_1 Phi_2 with Phi_1 embedded: levels 2 and 3 have positive rank,
+        # so they have no observed increment
+        {"selmer": {"prime": 3, "generators": [
+            {"prime": 3, "precision": 24,
+             "coeffs": [str(c) for c in ip_mul(ip_phi(3, 1), ip_phi(3, 2))]}]},
+         "mw_shape": [1], "n_max": 3},
+        # no level is finite
+        {"selmer": {"prime": 3, "generators": [{"phi": 1}]}, "mw_shape": [],
+         "n_max": 2},
+    ], ids=["no prediction", "no increment", "no finite level"])
+    def test_undefined_top_level_exits_4(self, tmp_path, scn):
+        f = tmp_path / "scenario.json"
+        f.write_text(json.dumps(scn))
+        run("--no-timestamp", "growth", str(f), expect=4)
 
 
 class TestLogmatrix:
@@ -810,7 +830,6 @@ def test_report_writer_minor_strings(tmp_path):
     assert seen == {"all zero", "no tail", "tail", "above 2^64"}
 
 
-GROWTH_RANK_ONE = json.loads((SCEN / "growth_rank_one.json").read_text())
 FROBENIUS = json.loads((SCEN / "frobenius_elliptic.json").read_text())
 WPREP_P5 = json.loads((SCEN / "series_wprep_p5.json").read_text())
 COLVALUES = str(SCEN / "colvalues_units.json")

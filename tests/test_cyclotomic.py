@@ -52,10 +52,10 @@ class TestCycloEval:
     def test_low_degree_input_builds_no_phi(self, monkeypatch, p, m, length):
         # at most deg Phi_m coefficients are their own residue: Phi_m is
         # never built
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("Phi_m built for an input below its degree")
 
-        monkeypatch.setattr(cyclotomic, "phi_int_coeffs", refuse)
+        monkeypatch.setattr(cyclotomic, "phi", refuse)
         q = p**24
         coeffs = [(7 * i * i + 3) % q for i in range(length)]
         ev = cyclo_eval(IwasawaSeries.make(p, 24, coeffs), m)
@@ -66,10 +66,10 @@ class TestCycloEval:
         # deg Phi_30 = 2 * 3^29, about 1.4 * 10^14 at p = 3: the residue of
         # a short polynomial is the polynomial itself, with no zero tail
         # and no Phi_30 built
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("Phi_30 built for a short input")
 
-        monkeypatch.setattr(cyclotomic, "phi_int_coeffs", refuse)
+        monkeypatch.setattr(cyclotomic, "phi", refuse)
         f = IwasawaSeries.make(3, 24, [5, 0, 3**23, 7])
         ev = cyclo_eval(f, 30)
         assert ev.level == 30 and len(ev.coeffs) <= len(f.coeffs)

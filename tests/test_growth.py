@@ -258,11 +258,6 @@ class TestSyntheticTower:
             ElementaryModule(P, (phi_gen(1) * xp(),)), MWShape((1,)), 4)
         assert rep.min_valid_n0 == 1
 
-    def test_n0_override_below_max_c_rejected(self):
-        with pytest.raises(InputError):
-            synthetic_tower_verify(
-                ElementaryModule(P, (phi_gen(1) * xp(),)), MWShape((1,)), 4, n0=0)
-
     def test_p5_grid_matches_final_increment(self):
         p, prec, cap = 5, 12, 5**3 + 8
         phi1 = phi(1, prime=p, precision=prec, degree_cap=cap)

@@ -34,7 +34,7 @@ from iwkit.modules import (
     _summand,
 )
 from iwkit.padic import _invariants_raw, _snf_core
-from iwkit.series import _companion_rows, _poly_divmod_monic, omega_int_coeffs
+from iwkit.series import _companion_rows, _poly_divmod_monic, omega
 
 from conftest import ip_divmod, ip_omega, transition_coker_oracle
 
@@ -367,7 +367,8 @@ class TestLayerPresentation:
         pres = _layer_presentation((0, IwasawaSeries(p, N, tuple(monic)), []), n)
         rows, pad = pres
         assert (len(rows), pad) == (d, p**n - d)
-        assert rows == _companion_rows(omega_int_coeffs(p, n), monic, q)
+        assert rows == _companion_rows(omega(n, prime=p, precision=N).coeffs,
+                                       monic, q)
         if p**n <= 243:
             brute = [[x.residue for x in row]
                      for row in quotient_presentation(mod(f, p=p), n)]
@@ -424,13 +425,13 @@ class TestOnePlusXPower:
 def omega_levels(monkeypatch):
     """The levels at which ``modules`` builds omega_n's exact binomials."""
     calls = []
-    real = modules.omega_int_coeffs
+    real = modules.omega
 
-    def counted(prime, n):
+    def counted(n, **kwargs):
         calls.append(n)
-        return real(prime, n)
+        return real(n, **kwargs)
 
-    monkeypatch.setattr(modules, "omega_int_coeffs", counted)
+    monkeypatch.setattr(modules, "omega", counted)
     return calls
 
 

@@ -42,8 +42,6 @@ from iwkit.series import (
     _slot_reducer,
     _unpack,
     lambda_mu,
-    omega_int_coeffs,
-    phi_int_coeffs,
     reconstruction_residual_valuation,
 )
 
@@ -130,16 +128,18 @@ class TestPhiOmega:
     @settings(max_examples=30, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), n=st.integers(0, 4))
     def test_int_coeffs_match_math_comb(self, p, n):
-        # Phi_n = sum_{j<p} (1+X)^{j p^(n-1)} and omega_n = (1+X)^{p^n} - 1
+        # Phi_n = sum_{j<p} (1+X)^{j p^(n-1)} and omega_n = (1+X)^{p^n} - 1,
+        # their residues mod p^60
+        q = p**60
         if n:
             step = p ** (n - 1)
             want = [sum(comb(j * step, i) for j in range(p))
                     for i in range(step * (p - 1) + 1)]
         else:
             want = [0, 1]
-        assert phi_int_coeffs(p, n) == want
-        assert omega_int_coeffs(p, n) == [0] + [comb(p**n, i)
-                                                for i in range(1, p**n + 1)]
+        assert phi(n, prime=p, precision=60).coeffs == tuple(c % q for c in want)
+        assert omega(n, prime=p, precision=60).coeffs == (0,) + tuple(
+            comb(p**n, i) % q for i in range(1, p**n + 1))
 
     @settings(max_examples=80, deadline=None)
     @given(case=level_cases())
@@ -157,6 +157,13 @@ class TestPhiOmega:
         assert f.coeffs == dense_trim(c % q for c in exact_phi(p, k))
         w = omega(k, prime=p, precision=n)
         assert w.coeffs == dense_trim(c % q for c in exact_omega(p, k))
+
+    @pytest.mark.parametrize("make", [phi, omega])
+    def test_oversized_level_is_input_error(self, make):
+        # 3^70 is past sys.maxsize: refused from the level, as deg_phi does,
+        # before any coefficient is built
+        with pytest.raises(InputError, match=r"3\^70 exceeds sys.maxsize"):
+            make(70, prime=3, precision=24)
 
     def test_degree_overflow_names_required_cap(self):
         with pytest.raises(DegreeOverflowError) as err:
