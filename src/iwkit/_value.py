@@ -3,8 +3,9 @@
 A subclass declares its fields once, in order, as ``__slots__`` (with
 ``"__dict__"`` last when an instance keeps derived data beside them).  It is
 built positionally or by field name, each field exactly once, by the base
-``__init__``; a record with checks calls it after them, or before the checks
-that read its own fields (``RankLedger``, ``ElementaryModule``).  The base
+``__init__``.  A record without checks defines no ``__init__`` of its own;
+one with checks calls the base's after them, or before the checks that read
+its own fields (``RankLedger``, ``ElementaryModule``).  The base
 gives the field-wise ``==``, ``hash`` and ``Name(field=value, ...)`` repr,
 refuses assignment and deletion with ``AttributeError``, and copies and
 pickles an instance by calling its class on its fields.  It stands in for

@@ -148,11 +148,10 @@ def _manifest(command: str, config: Config, digest, no_timestamp: bool,
     return manifest
 
 
-def _emit(manifest: dict, rows: list[dict] | None,
-          header: list[str], kv: dict | None = None) -> str:
-    """The report as text ending in a newline.  The newline is joined in
-    with the rest, never appended to a finished report, which would copy
-    the whole of it once more."""
+def _emit(manifest: dict, rows: list[dict] | None, kv: dict | None) -> str:
+    """The report as text ending in a newline; the CSV header is the first
+    row's keys.  The newline is joined in with the rest, never appended to a
+    finished report, which would copy the whole of it once more."""
     fmt = manifest["config"]["output_format"]
     if fmt == "json":
         body = {"manifest": manifest}
@@ -167,10 +166,11 @@ def _emit(manifest: dict, rows: list[dict] | None,
         lines.append("key,value")
         for k, v in kv.items():
             lines.append(f"{k},{_csv_cell(v)}")
-    if rows is not None:
+    if rows:
+        header = list(rows[0])
         lines.append(",".join(header))
         for row in rows:
-            lines.append(",".join(_csv_cell(row.get(col)) for col in header))
+            lines.append(",".join(_csv_cell(row[col]) for col in header))
     lines.append("")
     return "\n".join(lines)
 
@@ -276,7 +276,7 @@ def _cmd_wprep(args, data: dict, digest) -> tuple:
         "residual_valuation": residual,
         "residual_window_degree": guard_deg,
     }
-    return config, None, [], kv, EXIT_OK
+    return config, None, kv, EXIT_OK
 
 
 def _cmd_tower(args, data: dict, digest) -> tuple:
@@ -304,8 +304,7 @@ def _cmd_tower(args, data: dict, digest) -> tuple:
     if module.generators and all(lv.nabla is None for lv in report.levels
                                  if lv.n >= 1):
         code = EXIT_UNDEFINED
-    return config, rows, ["n", "rank", "length", "nabla_brute",
-                          "nabla_closed", "match"], kv, code
+    return config, rows, kv, code
 
 
 def _cmd_growth(args, data: dict, digest) -> tuple:
@@ -348,7 +347,7 @@ def _cmd_growth(args, data: dict, digest) -> tuple:
         code = EXIT_MISMATCH
     else:
         code = EXIT_OK
-    return config, rows, ["n", "s_n", "increment", "predicted", "match"], kv, code
+    return config, rows, kv, code
 
 
 def _cmd_logmatrix(args, data: dict, digest) -> tuple:
@@ -396,7 +395,7 @@ def _cmd_logmatrix(args, data: dict, digest) -> tuple:
         kv["character_min_valuation"] = val
         kv["theta_level"] = args.theta_level if args.theta_level is not None else args.n
     kv.update((f"minor_{k}", v) for k, v in sorted(printed.items()))
-    return config, rows, ["i", "j", "coeffs"], kv, EXIT_OK
+    return config, rows, kv, EXIT_OK
 
 
 def _cmd_rksolve(args, data, digest) -> tuple:
@@ -410,7 +409,7 @@ def _cmd_rksolve(args, data, digest) -> tuple:
         }
         for opt in options
     ]
-    return config, rows, ["k", "a", "pairs"], None, EXIT_OK
+    return config, rows, None, EXIT_OK
 
 
 # command: (its computation, the argument that names its input file)
@@ -426,8 +425,9 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     """Run one command: read and digest its input file, compute, then stamp
     the manifest and write the report.  A command gets the parsed file (None
-    for ``rksolve``) and returns (config, rows, header, kv, exit code), its
-    rows and kv holding only printed strings and small ints."""
+    for ``rksolve``) and returns (config, rows, kv, exit code), its rows and
+    kv holding only printed strings and small ints; the CSV header is its
+    rows' key order."""
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     command, input_arg = _DISPATCH[args.command]
@@ -436,10 +436,10 @@ def main(argv: list[str] | None = None) -> int:
         if input_arg is not None:
             digest = _sha256()
             data = serialize.load_json(getattr(args, input_arg), digest)
-        config, rows, header, kv, code = command(args, data, digest)
+        config, rows, kv, code = command(args, data, digest)
         manifest = _manifest(args.command, config, digest, args.no_timestamp,
                              started)
-        _write(args, _emit(manifest, rows, header, kv))
+        _write(args, _emit(manifest, rows, kv))
         return code
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)

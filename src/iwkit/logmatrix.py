@@ -114,10 +114,6 @@ class LogMatrix(Value):
 
     __slots__ = ("entries", "denom_exponent")
 
-    def __init__(self, entries: tuple[tuple[IwasawaSeries, ...], ...],
-                 denom_exponent: int = 0):
-        super().__init__(entries, denom_exponent)
-
     @property
     def size(self) -> int:
         return len(self.entries)

@@ -144,10 +144,10 @@ def _summand(relations: Sequence[IwasawaSeries], precision: int
     """(a, B, others) for the summand Lambda/(h_1, ..., h_k) mod p^N,
     N = precision.  a is the least coefficient valuation of the h_i mod p^N.
     Of the h_i / p^a with a unit coefficient, the one of least lambda gives
-    B, monic of degree lambda: itself scaled by its leading unit when lambda
-    is its degree, else its distinguished polynomial, Hensel-lifted exactly
-    (h = B * U for a polynomial h, and U is a unit mod omega_n, where X is
-    nilpotent mod p), so B and h generate the same ideal with omega_n.
+    B, monic of degree lambda: its distinguished polynomial from
+    ``_hensel_lift`` (h = B * U for a polynomial h, and U is a unit mod
+    omega_n, where X is nilpotent mod p), so B and h generate the same ideal
+    with omega_n.
     ``others`` are the other h_i / p^a.  B and the others are known mod
     p^(N - a).  When every h_i vanishes mod p^N, a = N over the base 1."""
     p, q = relations[0].prime, relations[0].prime**precision
@@ -159,13 +159,7 @@ def _summand(relations: Sequence[IwasawaSeries], precision: int
     lists = [[c // pa for c in cs] for cs in lists]
     lam, i = min((next(j for j, c in enumerate(cs) if c % p), i)
                  for i, cs in enumerate(lists) if any(c % p for c in cs))
-    h = lists.pop(i)
-    d = max(j for j, c in enumerate(h) if c)
-    if lam == d:
-        inv = pow(h[d], -1, p**m)
-        base = [c * inv for c in h[:d + 1]]
-    else:
-        base = _hensel_lift(h[:d + 1], lam, p, m)
+    base = _hensel_lift(lists.pop(i), lam, p, m)
     return a, IwasawaSeries(p, m, tuple(base)), \
         [IwasawaSeries.make(p, m, cs) for cs in lists]
 
@@ -339,15 +333,6 @@ class TowerReport(Value):
     __slots__ = ("prime", "levels", "stabilization_level", "lambda_invariant",
                  "mu_invariant", "n0", "min_valid_n0", "non_finite_levels")
 
-    def __init__(self, prime: int, levels: tuple[TowerLevel, ...],
-                 stabilization_level: int | None,
-                 lambda_invariant: int | None = None,
-                 mu_invariant: int | None = None, n0: int | None = None,
-                 min_valid_n0: int | None = None,
-                 non_finite_levels: tuple[int, ...] = ()):
-        super().__init__(prime, levels, stabilization_level, lambda_invariant,
-                         mu_invariant, n0, min_valid_n0, non_finite_levels)
-
     def level(self, n: int) -> TowerLevel:
         for lv in self.levels:
             if lv.n == n:
@@ -391,4 +376,7 @@ def tower_report(module: ElementaryModule, n_max: int, *,
         stabilization_level=_stabilization(levels),
         lambda_invariant=lam,
         mu_invariant=mu,
+        n0=None,
+        min_valid_n0=None,
+        non_finite_levels=(),
     )

@@ -626,7 +626,8 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
     """P dividing fb mod p^precision, read as polynomials: P monic of degree
     lam with P = X^lam mod p; the quotient U = fb / P is left to the caller
     that needs it (``weierstrass_prepare``).  fb's coefficients below lam
-    must be divisible by p and fb[lam] must not be.
+    must be divisible by p and fb[lam] must not be.  An fb of degree lam is
+    P times the unit fb[lam], so it is rescaled, not lifted.
 
     Quadratic Hensel lifting (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 15): if P divides fb mod p^k, then fb = P*U + r with
@@ -637,6 +638,10 @@ def _hensel_lift(fb: Sequence[int], lam: int, p: int,
     that is no more, which happens only at the last step, the Newton step
     is skipped.
     """
+    if not any(fb[lam + 1:]):
+        q = p**precision
+        inv = pow(fb[lam], -1, q)
+        return [c * inv % q for c in fb[:lam + 1]]
     P, k = [0] * lam + [1], 1 if lam else precision
     s = _series_inv(fb[lam:], p, p, lam)
     blocked = lam >= _BLOCKED_MIN

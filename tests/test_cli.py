@@ -785,9 +785,9 @@ def test_commands_hand_emit_only_printed_values(monkeypatch, argv, fmt):
     report."""
     real, seen = cli._emit, []
 
-    def traced(manifest, rows, header, kv=None):
+    def traced(manifest, rows, kv):
         seen.append((rows, kv))
-        return real(manifest, rows, header, kv)
+        return real(manifest, rows, kv)
 
     monkeypatch.setattr(cli, "_emit", traced)
     run("--no-timestamp", "--format", fmt, *argv)
@@ -795,6 +795,33 @@ def test_commands_hand_emit_only_printed_values(monkeypatch, argv, fmt):
     values = [v for row in rows or [] for v in row.values()]
     values += (kv or {}).values()
     assert values and [v for v in values if not _printed(v)] == []
+
+
+@pytest.mark.parametrize("argv", _report_runs())
+def test_csv_columns_are_the_rows_keys(monkeypatch, argv):
+    """The CSV header is the key order of the rows a command hands to the
+    JSON report, every row has those keys in that order, and each CSV line
+    holds the JSON row's values in the header's columns."""
+    real, seen = cli._emit, []
+
+    def traced(manifest, rows, kv):
+        seen.append(rows)
+        return real(manifest, rows, kv)
+
+    monkeypatch.setattr(cli, "_emit", traced)
+    report = json.loads(run("--no-timestamp", "--format", "json", *argv))
+    [rows] = seen
+    if rows is None:
+        assert "rows" not in report
+        return
+    header = list(rows[0])
+    assert all(list(row) == header for row in rows)
+    lines = run("--no-timestamp", "--format", "csv", *argv).split("\n")
+    assert lines[-1] == ""
+    body = lines[-2 - len(rows):-1]
+    assert body[0] == ",".join(header)
+    assert body[1:] == [",".join(cli._csv_cell(row[c]) for c in header)
+                        for row in report["rows"]]
 
 
 def test_report_writer_minor_strings(tmp_path):

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iwkit import (
@@ -36,7 +36,8 @@ from iwkit.modules import (
 from iwkit.padic import _invariants_raw, _snf_core
 from iwkit.series import _companion_rows, _poly_divmod_monic, omega
 
-from conftest import ip_divmod, ip_omega, transition_coker_oracle
+from conftest import (_valuation, ip_divmod, ip_mul, ip_omega, ip_phi,
+                      transition_coker_oracle)
 
 
 P, N, CAP = 3, 24, 89
@@ -456,6 +457,67 @@ class TestHighLevels:
         assert [lv.nabla for lv in report.levels[1:]] == [4, 7, 19, 55, 163]
         assert report.stabilization_level == 2
         assert omega_levels and set(omega_levels) == {0, 1}
+
+
+def _deg_phi(p, k):
+    """deg Phi_k, with Phi_0(1 + X) = X."""
+    return (p - 1) * p**(k - 1) if k else 1
+
+
+def _ords(f, p, N, n_max):
+    """[ord_0, ..., ord_n_max] of the polynomial f mod p^N, without iwkit:
+    ord_0 = v_p(f(0)), and ord_k = v_pi(f(pi)) for pi = zeta_{p^k} - 1, of
+    valuation 1 / deg Phi_k; None where the value is 0 mod p^N.  On the
+    basis 1, pi, ..., pi^(phi - 1) the terms of f mod Phi_k(1 + X) have
+    distinct valuations, so the least of them is the value's."""
+    q, ords = p**N, []
+    for k in range(n_max + 1):
+        phi_k = _deg_phi(p, k)
+        r = ip_divmod(f, ip_phi(p, k))[1] if len(f) > phi_k else f
+        ords.append(min((phi_k * _valuation(a % q, p) + j
+                         for j, a in enumerate(r) if a % q), default=None))
+    return ords
+
+
+@st.composite
+def kobayashi_cases(draw):
+    """(f, p, N, n_max): f = p^mu * P * U mod p^N with P distinguished of
+    degree lambda <= 8, U a polynomial unit of degree <= 3 and mu <= 2, at
+    levels up to p^n = 3^12, 5^6 or 7^5."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.sampled_from([12, 20, 24]))
+    n_max = draw(st.integers(1, {3: 12, 5: 6, 7: 5}[p]))
+    q = p**N
+    lam, mu = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+    P = [p * c for c in draw(st.lists(st.integers(0, q // p - 1),
+                                      min_size=lam, max_size=lam))] + [1]
+    U = [draw(st.integers(1, p - 1)) + p * draw(st.integers(0, q // p - 1))]
+    U += draw(st.lists(st.integers(0, q - 1), max_size=3))
+    return [p**mu * c % q for c in ip_mul(P, U)], p, N, n_max
+
+
+class TestKobayashiLemma:
+    """Lambda/(f, omega_n) for f prime to omega_n has rank 0 and length
+    ord_0 + ... + ord_n, ord_k the valuation of f at zeta_{p^k} - 1
+    (Kobayashi, Invent. Math. 152, 2003, section 10), so its nabla at
+    level n is ord_n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kobayashi_cases())
+    def test_tower_lengths_are_ord_sums(self, case):
+        f, p, N, n_max = case
+        ords = _ords(f, p, N, n_max)
+        assume(all(o is not None and o < _deg_phi(p, k) * (N - 4)
+                   for k, o in enumerate(ords)))
+        try:
+            report = tower_report(mod(series(f, p=p, n=N), p=p), n_max)
+        except PrecisionExhaustedError:
+            assume(False)
+        for lv in report.levels:
+            assert lv.zp_rank == 0
+            assert lv.finite_length == sum(ords[:lv.n + 1])
+            if lv.n >= 1:
+                assert lv.nabla == ords[lv.n]
 
 
 @st.composite

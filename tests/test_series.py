@@ -918,6 +918,9 @@ class TestHenselLift:
     @given(case=lift_cases(st.integers(1, 4), st.one_of(
         st.integers(0, 2 * _MULMOD_SCHOOLBOOK_MAX),
         st.integers(0, 2 * _BLOCKED_MIN))))
+    # fb of degree lambda: P is fb rescaled by its unit fb[lambda]
+    @example(case=([3, 6, 0, 4], 3, 3, 4))
+    @example(case=([7], 0, 5, 3))
     def test_short_lift_matches_digit_lift(self, case):
         fb, lam, p, n2 = case
         assert _hensel_lift(fb, lam, p, n2) == _digit_lift(fb, lam, p, n2)
